@@ -17,7 +17,7 @@ from .scm import (GroundTruthScm, InterventionFamily, InterventionRegime,
                   single_node_family, solve_fixed_point)
 from .measurement import (GaussianAdditiveChannel, LinearChannel,
                           channel_from_json, channel_logpdf, channel_to_json,
-                          measure, proposal_covariance, proposal_mean)
+                          measure)
 from .noise import (ProjectionSet, check_channel_identifiability,
                     estimate_channel_noise, estimate_gan_variances,
                     estimate_linear_variances, nnls_projected_gradient,
@@ -28,8 +28,7 @@ from .model import (LogDetConfig, MaskSample, ModelParams, edge_scores,
                     log_det_series, log_det_unbiased, masked_forward,
                     params_from_json, params_to_json, sample_mask,
                     solve_model_fixed_point, spectral_normalize)
-from .posterior import (WeightedParticles, effective_sample_size, sir_sample,
-                        sir_sample_batch)
+from .posterior import sir_sample_batch
 from .em import (EmConfig, FitReport, e_step, elbo_estimate, fit, m_step,
                  surrogate_q)
 

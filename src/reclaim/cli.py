@@ -1,13 +1,16 @@
 """Command-line harness: simulate | estimate-noise | fit | evaluate | sweep.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O failure,
-4 unmet interventional-coverage requirement.
+4 unmet interventional-coverage requirement, 5 numerical failure (too many
+degenerate observations in an E-step, a solver that did not converge, or a
+collapsed importance-weight posterior).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import os
 import sys
@@ -17,12 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import em, graphs, measurement, model, noise, scm
-from .errors import IdentifiabilityError, ParameterError
+from .errors import (ConvergenceError, DegeneratePosteriorError, EStepError,
+                     IdentifiabilityError, ParameterError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_IDENTIFIABILITY = 4
+EXIT_NUMERICAL = 5
 
 
 class ConfigError(Exception):
@@ -257,16 +262,20 @@ def _cell_config(base: dict, kind: str, value) -> dict:
 
 def _run_cell(args):
     base, kind, value, trial, seed, out_dir = args
-    cell_dir = Path(out_dir) / f"cell_{kind}_{value}_{trial}"
-    cell_file = Path(out_dir) / f"cell_{kind}_{value}_{trial}.json"
+    sim_cfg = _cell_config(base, kind, value)
+    sim_cfg["seed"] = seed
+    em_cfg = dict(base.get("em", {}))
+    em_cfg["seed"] = seed
+    # A cached cell is reused only for the same simulation config, EM config and seed.
+    key = hashlib.sha256(json.dumps({"cell": sim_cfg, "em": em_cfg},
+                                    sort_keys=True).encode()).hexdigest()[:16]
+    name = f"cell_{kind}_{value}_{trial}_{key}"
+    cell_dir = Path(out_dir) / name
+    cell_file = Path(out_dir) / f"{name}.json"
     if cell_file.exists():
         return json.loads(cell_file.read_text())
     t0 = time.time()
-    sim_cfg = _cell_config(base, kind, value)
-    sim_cfg["seed"] = seed
     run_simulate(sim_cfg, cell_dir)
-    em_cfg = dict(base.get("em", {}))
-    em_cfg["seed"] = seed
     run_fit(cell_dir, em_cfg, cell_dir)
     metrics = run_evaluate(cell_dir / "report.json", cell_dir / "truth_graph.json")
     result = {
@@ -377,6 +386,9 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY
+    except (EStepError, ConvergenceError, DegeneratePosteriorError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -109,32 +109,6 @@ def channel_logpdf(channel: Channel, y: np.ndarray, x: np.ndarray):
     return float(ll) if ll.ndim == 0 else ll
 
 
-def proposal_mean(channel: Channel, y: np.ndarray) -> np.ndarray:
-    """Latent-space center for posterior proposals given measurement(s) y.
-
-    Identity for the additive channel; least-squares pullback through A for
-    the linear channel. Accepts (p,) or (n, p).
-    """
-    y = np.asarray(y, dtype=float)
-    if isinstance(channel, GaussianAdditiveChannel):
-        return y.copy()
-    sol, *_ = np.linalg.lstsq(channel.mixing, np.atleast_2d(y).T, rcond=None)
-    return sol.T[0] if y.ndim == 1 else sol.T
-
-
-def proposal_covariance(channel: Channel) -> np.ndarray:
-    """Diagonal (as a d-vector) of the proposal covariance.
-
-    The additive channel uses its own noise variances. The linear channel's
-    noise lives in measurement space, so the proposal falls back to the mean
-    noise variance on every latent coordinate; any positive choice is valid
-    because the importance weights correct for it.
-    """
-    if isinstance(channel, GaussianAdditiveChannel):
-        return channel.noise_var.copy()
-    return np.full(channel.d, float(np.mean(channel.noise_var)))
-
-
 def channel_to_json(channel: Channel) -> str:
     if isinstance(channel, GaussianAdditiveChannel):
         return json.dumps({"type": "gan", "sigma_sq": channel.noise_var.tolist()})

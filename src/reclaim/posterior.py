@@ -7,43 +7,22 @@ proposal correction, all in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegeneratePosteriorError, ParameterError
-from .measurement import (Channel, GaussianAdditiveChannel, channel_logpdf,
-                          proposal_covariance, proposal_mean)
+from .measurement import Channel, GaussianAdditiveChannel, channel_logpdf
 from .model import LogDetConfig, ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
 
-@dataclass(frozen=True)
-class WeightedParticles:
-    """SIR output for a single observation."""
+def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
+    """Row-wise normalized weights exp(log_w) / sum(exp(log_w)).
 
-    xs: np.ndarray
-    log_w: np.ndarray
-    norm_w: np.ndarray
-    resampled: np.ndarray
-
-    @property
-    def ess(self) -> float:
-        return effective_sample_size(self)
-
-
-def effective_sample_size(particles: WeightedParticles) -> float:
-    """1 / sum(norm_w^2); ranges from 1 (degenerate) to S (uniform)."""
-    return float(1.0 / np.sum(particles.norm_w ** 2))
-
-
-def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
+    Non-finite log-weights get weight 0; every row needs a finite entry.
+    """
     finite = np.isfinite(log_w)
-    if not np.any(finite):
-        raise DegeneratePosteriorError("all importance weights are numerically zero")
-    shifted = log_w - np.max(log_w[finite])
+    shifted = log_w - np.max(np.where(finite, log_w, -np.inf), axis=1, keepdims=True)
     w = np.where(finite, np.exp(np.where(finite, shifted, -np.inf)), 0.0)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def _proposal_logpdf(xs: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -101,53 +80,6 @@ class GaussianProposal:
         return -0.5 * (self.d * np.log(2.0 * np.pi) + self.logdet_cov + quad)
 
 
-def sir_sample(y: np.ndarray, params: ModelParams, mask, channel: Channel,
-               regime: InterventionRegime, intervention_var: float,
-               n_proposals: int, n_resample: int, seed=None,
-               logdet_mode: str = "exact",
-               logdet_cfg: LogDetConfig = LogDetConfig()) -> WeightedParticles:
-    """Approximate posterior draws for one observation.
-
-    Draws ``n_proposals`` Gaussian proposals, weights them by
-    latent * channel / proposal in log space, normalizes, and resamples
-    ``n_resample`` particles multinomially. A collapsed weight vector
-    (ESS below 2 with several proposals) is retried once with the proposal
-    covariance doubled before raising.
-    """
-    if not (n_proposals >= n_resample >= 1):
-        raise ParameterError("need n_proposals >= n_resample >= 1")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    rng = np.random.default_rng(seed)
-    rows = np.array([0])
-
-    for attempt, scale in enumerate((1.0, 2.0)):
-        proposal = GaussianProposal(channel, y, scale=scale,
-                                    prior_var=params.sigma_z ** 2)
-        xs = proposal.draw(rng, rows, n_proposals)[0]
-        log_latent = latent_logpdf_batch(params, mask, regime, intervention_var, xs,
-                                         logdet_mode, logdet_cfg,
-                                         seed=rng.integers(2 ** 63))
-        log_chan = channel_logpdf(channel, y[0][None, :], xs)
-        log_q = proposal.logpdf(xs[None, :, :], rows)[0]
-        log_w = log_latent + np.atleast_1d(log_chan) - log_q
-        try:
-            norm_w = _normalize_log_weights(log_w)
-        except DegeneratePosteriorError:
-            if attempt == 0 and n_proposals > 1:
-                continue
-            raise
-        ess = 1.0 / np.sum(norm_w ** 2)
-        if n_proposals > 1 and ess < 2.0 and attempt == 0:
-            continue
-        if n_proposals > 1 and ess < 2.0:
-            raise DegeneratePosteriorError(
-                f"effective sample size {ess:.2f} after widened retry")
-        idx = rng.choice(n_proposals, size=n_resample, replace=True, p=norm_w)
-        return WeightedParticles(xs=xs, log_w=log_w, norm_w=norm_w,
-                                 resampled=xs[idx])
-    raise DegeneratePosteriorError("unreachable")  # pragma: no cover
-
-
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
                      regime: InterventionRegime, intervention_var: float,
                      n_proposals: int, n_resample: int, seed=None,
@@ -199,9 +131,7 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
     kept[pending] = False
     keep_idx = np.nonzero(kept)[0]
 
-    norm_w = np.zeros((keep_idx.size, S))
-    for pos, row in enumerate(keep_idx):
-        norm_w[pos] = _normalize_log_weights(log_w[row])
+    norm_w = _normalize_rows(log_w[keep_idx])
     ess = 1.0 / np.sum(norm_w ** 2, axis=1) if keep_idx.size else np.zeros(0)
 
     # Vectorized multinomial resampling via inverse-CDF on sorted uniforms.

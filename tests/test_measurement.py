@@ -96,47 +96,3 @@ class TestChannelLogpdf:
         avg = float(np.mean(ms.channel_logpdf(chan, ys, np.tile(x, (40_000, 1)))))
         expected = -0.5 * np.sum(np.log(2 * np.pi * chan.noise_var) + 1.0)
         assert avg == pytest.approx(expected, abs=0.02)
-
-
-class TestProposalMean:
-    def test_additive_identity(self):
-        chan = ms.GaussianAdditiveChannel(np.ones(3))
-        y = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(ms.proposal_mean(chan, y), y)
-
-    def test_identity_mixing(self):
-        chan = ms.LinearChannel(np.eye(3), np.ones(3))
-        y = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(ms.proposal_mean(chan, y), y)
-
-    def test_exact_recovery_in_range(self):
-        rng = np.random.default_rng(6)
-        A = rng.normal(size=(8, 3))
-        chan = ms.LinearChannel(A, np.ones(8))
-        x0 = rng.normal(size=3)
-        assert np.allclose(ms.proposal_mean(chan, A @ x0), x0, atol=1e-8)
-
-    def test_left_inverse_property_on_batch(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(6, 4))
-        chan = ms.LinearChannel(A, np.ones(6))
-        X = rng.normal(size=(10, 4))
-        assert np.allclose(ms.proposal_mean(chan, X @ A.T), X, atol=1e-8)
-
-
-class TestProposalCovariance:
-    def test_additive_returns_own_diagonal(self):
-        chan = ms.GaussianAdditiveChannel(np.array([0.1, 0.2, 0.3]))
-        assert np.array_equal(ms.proposal_covariance(chan), [0.1, 0.2, 0.3])
-
-    def test_linear_homogeneous(self):
-        chan = ms.LinearChannel(np.eye(3), np.full(3, 0.25))
-        assert np.allclose(ms.proposal_covariance(chan), 0.25)
-
-    def test_linear_heterogeneous_uses_mean(self):
-        rng = np.random.default_rng(8)
-        var = np.array([0.1, 0.2, 0.6, 0.3])
-        chan = ms.LinearChannel(rng.normal(size=(4, 2)), var)
-        out = ms.proposal_covariance(chan)
-        assert out.shape == (2,)
-        assert np.allclose(out, var.mean())

@@ -336,12 +336,23 @@ class TestGradients:
                         - value_fn(dataclasses.replace(p, **{name: minus}))) / (2 * eps)
         return out
 
-    @pytest.mark.parametrize("mode", ["exact", "unbiased"])
-    def test_parameter_gradients_match_finite_differences(self, mode):
-        p = model.init_params(3, seed=24)
+    @pytest.mark.parametrize("mode,d,hidden,activation,targets", [
+        pytest.param("exact", 3, 3, "tanh", (2,), id="exact"),
+        pytest.param("unbiased", 3, 3, "tanh", (2,), id="unbiased"),
+        *[pytest.param("exact", d, h, act, targets,
+                       id=f"exact-d{d}h{h}-{act}-{'int' if targets else 'obs'}")
+          for d, h in ((3, 5), (4, 2))
+          for act in ("tanh", "identity")
+          for targets in ((), (2,))],
+        pytest.param("unbiased", 3, 5, "identity", (), id="unbiased-d3h5-identity-obs"),
+        pytest.param("unbiased", 4, 2, "tanh", (2,), id="unbiased-d4h2-tanh-int"),
+    ])
+    def test_parameter_gradients_match_finite_differences(self, mode, d, hidden,
+                                                           activation, targets):
+        p = model.init_params(d, hidden=hidden, seed=24, activation=activation)
         ms = model.sample_mask(p.edge_logits, seed=25)
-        regime = InterventionRegime((2,), 1.0)
-        X = np.random.default_rng(2).normal(size=(5, 3))
+        regime = InterventionRegime(targets, 1.0)
+        X = np.random.default_rng(2).normal(size=(5, d))
         cfg = model.LogDetConfig(poisson_rate=3.0, n_probes=2)
 
         def value(pp):
@@ -386,6 +397,135 @@ class TestGradients:
                 num[i, j] = (vp - vm) / (2 * eps)
         scale = max(np.max(np.abs(num)), 1e-8)
         assert np.max(np.abs(num - grads["edge_logits"])) / scale < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Reference: the kernels as contractions over named indices (s: sample,
+# j: input, i: output, h: hidden), written out independently of the matmul
+# kernels in the model so a transposed or mis-reshaped operand shows.
+
+
+def _reference_forward(p, M, X):
+    pre = np.einsum("sj,ji,jh->sih", X, M, p.w_in) + p.b_in
+    hid = np.tanh(pre) if p.activation == "tanh" else pre
+    return np.einsum("sih,hi->si", hid, p.w_out) + p.b_out, hid
+
+
+def _reference_jacobian(p, M, hid, free):
+    """(deriv, core, jac) with jac[s, i, j] = dF_i/dx_j of the intervened map."""
+    deriv = 1.0 - hid ** 2 if p.activation == "tanh" else np.ones_like(hid)
+    core = np.einsum("jh,hi,sih->sij", p.w_in, p.w_out, deriv)
+    return deriv, core, free[None, :, None] * core * M.T[None, :, :]
+
+
+def _reference_grads(p, mask, regime, var, X, weights):
+    """Per-row log-densities, their weighted sum and its gradients (exact log-det)."""
+    M, soft = mask.values, mask.soft
+    n, d = X.shape
+    free = regime.free_mask(d).astype(float)
+    out, hid = _reference_forward(p, M, X)
+    deriv, core, jac = _reference_jacobian(p, M, hid, free)
+    Z = X - free * out
+    rows = np.zeros(n)
+    if regime.targets:
+        idx = list(regime.targets)
+        rows += np.sum(-0.5 * (np.log(2 * np.pi * var) + (X[:, idx] - regime.mean) ** 2 / var),
+                       axis=1)
+    f = free.astype(bool)
+    rows += np.sum(-0.5 * (np.log(2 * np.pi * p.sigma_z[f] ** 2)
+                           + Z[:, f] ** 2 / p.sigma_z[f] ** 2), axis=1)
+    B = np.eye(d)[None] - jac
+    rows += np.linalg.slogdet(B)[1]
+    dD = -weights[:, None, None] * np.transpose(np.linalg.inv(B), (0, 2, 1))
+    dF = weights[:, None] * free[None, :] * Z / p.sigma_z[None, :] ** 2
+
+    dJ_full = free[None, :, None] * dD
+    dM = np.einsum("sij,sij->ij", dJ_full, core).T
+    dK = dJ_full * M.T[None, :, :]
+    dw_in = np.einsum("sij,hi,sih->jh", dK, p.w_out, deriv)
+    dw_out = np.einsum("sij,jh,sih->hi", dK, p.w_in, deriv)
+    dderiv = np.einsum("sij,jh,hi->sih", dK, p.w_in, p.w_out)
+    dhid = -2.0 * hid * dderiv if p.activation == "tanh" else np.zeros_like(hid)
+    dw_out += np.einsum("si,sih->hi", dF, hid)
+    dhid += np.einsum("si,hi->sih", dF, p.w_out)
+    dpre = dhid * deriv if p.activation == "tanh" else dhid
+    dw_in += np.einsum("sih,sj,ji->jh", dpre, X, M)
+    dM += np.einsum("sih,sj,jh->ji", dpre, X, p.w_in)
+    dlogits = dM * soft * (1.0 - soft) / mask.temperature
+    np.fill_diagonal(dlogits, 0.0)
+    grads = {"w_in": dw_in, "b_in": dpre.sum(axis=(0, 1)), "w_out": dw_out,
+             "b_out": dF.sum(axis=0), "mask": dM, "edge_logits": dlogits}
+    return rows, float(weights @ rows), grads
+
+
+def _assert_rel_close(ours, ref, rtol=1e-12):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= rtol * max(np.max(np.abs(ref)), 1e-300)
+
+
+class TestKernelsMatchReference:
+    """The matmul kernels against the contraction reference, with hidden != d."""
+
+    @pytest.fixture(params=[(3, 5), (4, 2)], ids=["d3h5", "d4h2"])
+    def shape(self, request):
+        return request.param
+
+    @pytest.fixture(params=["tanh", "identity"])
+    def params(self, request, shape):
+        d, h = shape
+        rng = np.random.default_rng(40 + d)
+        p = model.init_params(d, hidden=h, seed=41, weight_scale=0.8,
+                              activation=request.param, sigma_z=rng.uniform(0.5, 1.5, d))
+        return dataclasses.replace(p, b_in=rng.normal(size=h), b_out=rng.normal(size=d),
+                                   edge_logits=rng.normal(size=(d, d)))
+
+    @pytest.fixture(params=[(), (1,)], ids=["obs", "int"])
+    def regime(self, request):
+        return InterventionRegime(request.param, 1.3, mean=0.2)
+
+    @pytest.fixture
+    def batch(self, params):
+        rng = np.random.default_rng(42)
+        mask = model.sample_mask(params.edge_logits, temperature=0.7, seed=43)
+        X = rng.normal(size=(6, params.d))
+        weights = rng.uniform(0.1, 1.0, 6)
+        return mask, X, weights
+
+    def test_forward(self, params, batch):
+        mask, X, _ = batch
+        ref, _ = _reference_forward(params, mask.values, X)
+        _assert_rel_close(model.masked_forward(params, mask, X), ref)
+
+    def test_jacobian(self, params, regime, batch):
+        mask, X, _ = batch
+        free = regime.free_mask(params.d).astype(float)
+        _, hid = _reference_forward(params, mask.values, X)
+        _, _, ref = _reference_jacobian(params, mask.values, hid, free)
+        for s in range(X.shape[0]):
+            _assert_rel_close(model.jacobian(params, mask, X[s], regime.targets), ref[s])
+
+    def test_latent_logpdf_batch(self, params, regime, batch):
+        mask, X, weights = batch
+        rows, _, _ = _reference_grads(params, mask, regime, 1.3, X, weights)
+        _assert_rel_close(model.latent_logpdf_batch(params, mask, regime, 1.3, X), rows)
+
+    def test_latent_logpdf_batch_across_row_blocks(self, params, regime):
+        d = params.d
+        step = model._BLOCK_FLOATS // (d * max(d, params.hidden))
+        X = np.random.default_rng(44).normal(size=(2 * step + 3, d))
+        mask = model.sample_mask(params.edge_logits, seed=45)
+        rows, _, _ = _reference_grads(params, mask, regime, 1.3, X, np.ones(len(X)))
+        _assert_rel_close(model.latent_logpdf_batch(params, mask, regime, 1.3, X), rows)
+
+    def test_every_gradient_entry(self, params, regime, batch):
+        mask, X, weights = batch
+        _, value, ref = _reference_grads(params, mask, regime, 1.3, X, weights)
+        ours_value, ours = model.latent_logpdf_grads(params, mask, regime, 1.3, X, weights)
+        _assert_rel_close(ours_value, value)
+        assert set(ours) == set(ref)
+        for name in ref:
+            _assert_rel_close(ours[name], ref[name])
 
 
 class TestModelFixedPoint:

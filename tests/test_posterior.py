@@ -1,0 +1,107 @@
+import numpy as np
+import pytest
+
+from reclaim import posterior
+from reclaim.measurement import GaussianAdditiveChannel
+from reclaim.model import ModelParams
+from reclaim.scm import InterventionRegime
+
+
+def full_mask(d):
+    m = np.ones((d, d))
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+@pytest.fixture
+def linear_gaussian():
+    """Identity-activation model x = W'x + z with an additive channel y = x + eps.
+
+    The latent prior is N(0, S) with S = B^-1 diag(sigma_z^2) B^-T, B = I - W',
+    so the posterior of x given y is Gaussian with mean S (S + N)^-1 y and
+    covariance S - S (S + N)^-1 S, N = diag(noise_var).
+    """
+    d = 3
+    rng = np.random.default_rng(7)
+    W = rng.normal(size=(d, d))
+    np.fill_diagonal(W, 0.0)
+    W *= 0.6 / np.linalg.norm(W, 2)
+    sigma_z = np.array([1.0, 0.8, 1.2])
+    params = ModelParams(w_in=np.eye(d), b_in=np.zeros(d), w_out=W, b_out=np.zeros(d),
+                         edge_logits=np.full((d, d), 40.0), sigma_z=sigma_z,
+                         activation="identity")
+    channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
+    B_inv = np.linalg.inv(np.eye(d) - W.T)
+    prior_cov = B_inv @ np.diag(sigma_z ** 2) @ B_inv.T
+    gain = prior_cov @ np.linalg.inv(prior_cov + np.diag(channel.noise_var))
+    X = rng.multivariate_normal(np.zeros(d), prior_cov, size=10)
+    Y = X + rng.normal(size=X.shape) * np.sqrt(channel.noise_var)
+    return {"params": params, "channel": channel, "Y": Y,
+            "post_mean": Y @ gain.T, "post_cov": prior_cov - gain @ prior_cov}
+
+
+def run_sir(case, n_proposals, n_resample, seed=0):
+    return posterior.sir_sample_batch(case["Y"], case["params"], full_mask(3),
+                                      case["channel"], InterventionRegime(), 1.0,
+                                      n_proposals, n_resample, seed=seed)
+
+
+class TestNormalizeRows:
+    def test_rows_sum_to_one_and_minus_inf_gets_zero(self):
+        log_w = np.array([[0.0, -np.inf, 1.0, -np.inf],
+                          [-1000.0, -1001.0, -np.inf, -999.0],
+                          [800.0, 801.0, 799.0, 800.5]])
+        w = posterior._normalize_rows(log_w)
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.all(w[np.isneginf(log_w)] == 0.0)
+        assert np.all(w[np.isfinite(log_w)] > 0.0)
+        shifted = log_w - np.max(log_w, axis=1, keepdims=True)
+        expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        assert np.allclose(w, expected, rtol=1e-14, atol=0)
+
+    def test_single_finite_entry_takes_all_weight(self):
+        w = posterior._normalize_rows(np.array([[-np.inf, 3.0, -np.inf]]))
+        assert np.array_equal(w, [[0.0, 1.0, 0.0]])
+
+
+class TestSirSampleBatch:
+    def test_ess_within_one_and_proposal_count(self, linear_gaussian):
+        S = 8
+        particles, ess, kept = run_sir(linear_gaussian, S, 4)
+        assert kept.any()  # rows whose weights collapse even after the retry are dropped
+        assert particles.shape == (kept.sum(), 4, 3)
+        assert ess.shape == (kept.sum(),)
+        assert np.all(ess >= 1.0) and np.all(ess <= S * (1 + 1e-12))
+        assert ess.min() < S  # the weights are not all equal
+
+    def test_particles_come_from_their_own_rows_proposals(self, linear_gaussian,
+                                                          monkeypatch):
+        drawn = {}
+        draw = posterior.GaussianProposal.draw
+
+        def recording_draw(self, rng, rows, n_samples):
+            xs = draw(self, rng, rows, n_samples)
+            for row, row_xs in zip(rows, xs):
+                drawn[int(row)] = row_xs
+            return xs
+
+        monkeypatch.setattr(posterior.GaussianProposal, "draw", recording_draw)
+        particles, _, kept = run_sir(linear_gaussian, 6, 5, seed=3)
+        for pos, row in enumerate(np.nonzero(kept)[0]):
+            proposals = drawn[int(row)]
+            for particle in particles[pos]:
+                assert np.any(np.all(proposals == particle, axis=1))
+            others = [drawn[r] for r in drawn if r != row]
+            assert not any(np.any(np.all(o == particles[pos][0], axis=1)) for o in others)
+
+    def test_particle_means_match_closed_form_posterior(self, linear_gaussian):
+        R = 1000
+        particles, ess, kept = run_sir(linear_gaussian, 2000, R, seed=1)
+        assert kept.all()
+        err = particles.mean(axis=1) - linear_gaussian["post_mean"]
+        # resampled mean: importance-sampling error plus multinomial resampling error
+        se = np.sqrt(np.diag(linear_gaussian["post_cov"])[None, :]
+                     * (1.0 / ess[:, None] + 1.0 / R))
+        assert np.all(np.abs(err) <= 4.0 * se)
+        # the proposal centre y, a wrong answer, lies far outside that band
+        assert np.max(np.abs(linear_gaussian["Y"] - linear_gaussian["post_mean"]) / se) > 8.0
