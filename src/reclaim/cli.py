@@ -152,17 +152,15 @@ def run_estimate_noise(data_dir, out_path=None) -> None:
 # fit
 
 
-def _em_config_from_dict(cfg_dict: dict, seed) -> em.EmConfig:
+def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
     known = {f for f in em.EmConfig.__dataclass_fields__}
     logdet_cfg = cfg_dict.get("logdet", {})
     kwargs = {k: v for k, v in cfg_dict.items() if k in known and k != "logdet"}
-    if seed is not None:
-        kwargs["seed"] = seed
+    kwargs["seed"] = int(cfg_dict.get("seed", 0))
     return em.EmConfig(logdet=model.LogDetConfig(**logdet_cfg), **kwargs)
 
 
-def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False,
-            seed=None) -> em.FitReport:
+def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em.FitReport:
     data_dir = Path(data_dir)
     out_dir = Path(out_dir) if out_dir else data_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,8 +170,7 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False,
         raise ConfigError(f"malformed regime data: {exc}") from exc
     channel = measurement.channel_from_json((data_dir / "channel.json").read_text())
 
-    seed = _resolve_seed(int(em_config.get("seed", 0)), seed)
-    cfg = _em_config_from_dict(em_config, seed)
+    cfg = _em_config_from_dict(em_config)
     spec = {"type": "gan"} if isinstance(channel, measurement.GaussianAdditiveChannel) \
         else {"type": "linear", "A": channel.mixing.tolist()}
     if em_config.get("use_true_noise"):
@@ -287,7 +284,7 @@ def _run_cell(args):
     return result
 
 
-def run_sweep(config: dict, jobs: int = 1, seed=None) -> list[dict]:
+def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     kind = config.get("sweep")
     grid = config.get("grid", [])
     n_trials = int(config.get("n_trials", 1))
@@ -300,7 +297,7 @@ def run_sweep(config: dict, jobs: int = 1, seed=None) -> list[dict]:
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = _resolve_seed(int(base.get("seed", 0)), seed)
+    base_seed = int(base.get("seed", 0))
 
     tasks = []
     for value in grid:
@@ -373,13 +370,17 @@ def main(argv=None) -> int:
         elif args.command == "estimate-noise":
             run_estimate_noise(args.data_dir, args.out)
         elif args.command == "fit":
-            run_fit(args.data_dir, _load_json(args.config), args.out_dir,
-                    resume=args.resume, seed=args.seed)
+            config = _load_json(args.config)
+            config["seed"] = _resolve_seed(int(config.get("seed", 0)), args.seed)
+            run_fit(args.data_dir, config, args.out_dir, resume=args.resume)
         elif args.command == "evaluate":
             metrics = run_evaluate(args.report, args.truth, args.out, args.threshold)
             print(json.dumps(metrics, sort_keys=True))
         elif args.command == "sweep":
-            run_sweep(_load_json(args.config), jobs=args.jobs, seed=args.seed)
+            config = _load_json(args.config)
+            base = config.setdefault("base", {})
+            base["seed"] = _resolve_seed(int(base.get("seed", 0)), args.seed)
+            run_sweep(config, jobs=args.jobs)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

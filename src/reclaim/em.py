@@ -438,10 +438,11 @@ def report_to_json(report: FitReport) -> str:
 
 
 def write_trace_csv(path, trace: list) -> None:
-    lines = ["round,q_value,elbo_estimate,ess_median"]
+    lines = ["round,q_value,elbo_estimate,ess_median,channel_term,n_skipped"]
     for entry in trace:
         elbo = "" if entry.get("elbo_estimate") is None else repr(entry["elbo_estimate"])
-        lines.append(f"{entry['round']},{entry['q_value']!r},{elbo},{entry['ess_median']!r}")
+        lines.append(f"{entry['round']},{entry['q_value']!r},{elbo},{entry['ess_median']!r},"
+                     f"{entry['channel_term']!r},{entry['n_skipped']}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

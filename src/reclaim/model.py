@@ -12,17 +12,26 @@ Index conventions used throughout:
     w_in[j, h], w_out[h, i], mask[j, i], jac[s, i, j] = dF_i/dx_j.
 
 The batch kernels are plain matrix products over reshaped arrays, so the
-work runs in BLAS. For n rows, d coordinates and h hidden units:
-    forward   pre = (X (n, d) @ W (d, d*h)).reshape(n, d, h), where
-              W[j, i*h + k] = mask[j, i] * w_in[j, k];
-    Jacobian  core = ((deriv * w_out.T).reshape(n*d, h) @ w_in.T).reshape(n, d, d)
-              and jac = free[i] * mask[j, i] * core, free marking the
-              coordinates not intervened on;
-    gradients with dK = d value / d core as an (n*d, d) matrix, the two
-              products G = dK @ w_in (n*d, h) and
-              P = (X.T @ dpre.reshape(n, d*h)).reshape(d, d, h) give dw_in,
+work runs in BLAS. A regime clamps its targets; the other coordinates F are
+free. For n rows, d coordinates and h hidden units:
+    forward   pre = ([X, 1] (n, d+1) @ W (d+1, |F|*h)).reshape(n, |F|, h), where
+              W[j, a*h + k] = M[j, F[a]] * w_in[j, k] and the last row of W
+              holds b_in; only the outputs of F are formed;
+    Jacobian  core = ((tanh' * w_out[:, F].T).reshape(n*|F|, h) @ w_in[F].T)
+              .reshape(n, |F|, |F|) and B_FF = I - core * M[F, F].T;
+    gradients with dK = d value / d core as an (n*|F|, |F|) matrix, the two
+              products G = dK @ w_in[F] (n*|F|, h) and
+              P = (X.T @ dpre.reshape(n, |F|*h)).reshape(d, |F|, h) give dw_in,
               dw_out, the mask gradient and the tanh term by broadcast sums
               with the weights and the mask.
+
+Why only F: a clamped coordinate's output does not depend on x, so its row
+of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
+I - J = [[B_FF, -J_FC], [0, I]] is block upper-triangular, so
+det(I - J) = det(B_FF): the log-determinant, the noise density and every
+gradient need the free outputs and the F x F block only. The clamped
+columns of w_out, b_out and the mask get zero gradient, and
+tr(J^m) = tr(J_FF^m), so the roulette series runs on J_FF as well.
 """
 
 from __future__ import annotations
@@ -259,16 +268,26 @@ def _free_vector(d: int, targets) -> np.ndarray:
 # forward pass and Jacobian
 
 
-def _forward_core(params: ModelParams, M: np.ndarray, X: np.ndarray):
-    """Returns (outputs, hidden) for a batch; hidden is (s, i, h)."""
+def _forward_core(params: ModelParams, M: np.ndarray, X: np.ndarray, idx=slice(None)):
+    """Returns (outputs, hidden) of the output coordinates ``idx``; hidden is (s, i, h).
+
+    The bias rides in the input GEMM: X gains a column of ones and W a row b_in.
+    """
     n, d = X.shape
     h = params.hidden
-    W = (M[:, :, None] * params.w_in[:, None, :]).reshape(d, d * h)
-    hid = (X @ W).reshape(n, d, h)
-    hid += params.b_in
+    M = M[:, idx]
+    k = M.shape[1]
+    X1 = np.empty((n, d + 1))
+    X1[:, :d] = X
+    X1[:, d] = 1.0
+    W = np.empty((d + 1, k, h))
+    np.multiply(M[:, :, None], params.w_in[:, None, :], out=W[:d])
+    W[d] = params.b_in
+    hid = (X1 @ W.reshape(d + 1, k * h)).reshape(n, k, h)
     if params.activation == "tanh":
         np.tanh(hid, out=hid)
-    out = np.einsum("sih,hi->si", hid, params.w_out) + params.b_out
+    out = np.einsum("sih,hi->si", hid, params.w_out[:, idx])
+    out += params.b_out[idx]
     return out, hid
 
 
@@ -282,31 +301,41 @@ def masked_forward(params: ModelParams, mask, x: np.ndarray) -> np.ndarray:
 
 
 def _act_deriv(params: ModelParams, hid: np.ndarray) -> np.ndarray:
-    return 1.0 - hid ** 2 if params.activation == "tanh" else np.ones_like(hid)
+    if params.activation != "tanh":
+        return np.ones_like(hid)
+    deriv = np.multiply(hid, hid)
+    return np.subtract(1.0, deriv, out=deriv)
 
 
 def _forward_jacobian(params: ModelParams, M: np.ndarray, X: np.ndarray,
-                      free: np.ndarray):
-    """Forward pass plus the masked, intervention-filtered Jacobian of a batch.
+                      free_idx: np.ndarray):
+    """Forward pass and Jacobian block of the free coordinates F = ``free_idx``.
 
-    Returns (out, hid, deriv, core, jac): ``core[s, i, j]`` is
-    sum_h deriv[s, i, h] w_out[h, i] w_in[j, h], the Jacobian before masking,
-    and ``jac = free[i] * mask[j, i] * core``.
+    Returns (out, hid, core, B): ``out`` (n, |F|) and ``hid`` (n, |F|, h) are
+    the outputs and hidden units of F; ``core[s, a, b]`` (n, |F|, |F|) is
+    sum_h tanh'[s, a, h] w_out[h, F[a]] w_in[F[b], h], the Jacobian entry
+    dF_{F[a]}/dx_{F[b]} before masking; and ``B = I - J_FF`` with
+    J_FF = core * M[F, F].T. The broadcast products run on flat (n, .) views,
+    whose inner loops are |F|*h and |F|*|F| long instead of h and |F|.
     """
-    out, hid = _forward_core(params, M, X)
-    n, d, h = hid.shape
-    deriv = _act_deriv(params, hid)
-    core = ((deriv * params.w_out.T).reshape(n * d, h) @ params.w_in.T).reshape(n, d, d)
-    jac = core * (free[:, None] * M.T)
-    return out, hid, deriv, core, jac
+    out, hid = _forward_core(params, M, X, free_idx)
+    n, f, h = hid.shape
+    dw = _act_deriv(params, hid).reshape(n, f * h)
+    dw *= params.w_out[:, free_idx].T.ravel()
+    core = dw.reshape(n * f, h) @ params.w_in[free_idx].T
+    B = core.reshape(n, f * f) * -M[free_idx][:, free_idx].T.ravel()
+    # The mask diagonal is zero, so J_FF has a zero diagonal and B a unit one.
+    B[:, ::f + 1] = 1.0
+    return out, hid, core.reshape(n, f, f), B.reshape(n, f, f)
 
 
 def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray:
     """Analytic Jacobian of x -> free_mask * masked_forward(x)."""
     M = _mask_values(mask)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    *_, jac = _forward_jacobian(params, M, x, _free_vector(params.d, targets))
-    return jac[0]
+    d = params.d
+    _, _, core, _ = _forward_jacobian(params, M, x, np.arange(d))
+    return _free_vector(d, targets)[:, None] * M.T * core[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +419,19 @@ def log_det_unbiased(params: ModelParams, mask, x: np.ndarray, targets=(),
 _BLOCK_FLOATS = 1 << 16
 
 
-def _gauss_logpdf_terms(values: np.ndarray, mean, var) -> np.ndarray:
-    return -0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)
+def _clamp_logpdf(X: np.ndarray, regime: InterventionRegime, intervention_var: float):
+    """Per-row log-density of the clamped coordinates (constant in theta)."""
+    if not regime.targets:
+        return 0.0
+    C = X[:, list(regime.targets)]
+    return -0.5 * np.sum(np.log(2.0 * np.pi * intervention_var)
+                         + (C - regime.mean) ** 2 / intervention_var, axis=1)
+
+
+def _free_noise_logpdf(params: ModelParams, free_idx: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Per-row Gaussian log-density of the free coordinates' noise Z (n, |F|)."""
+    var = params.sigma_z[free_idx] ** 2
+    return -0.5 * (np.sum(np.log(2.0 * np.pi * var)) + (Z * Z) @ (1.0 / var))
 
 
 def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
@@ -410,28 +450,22 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
-    free = _free_vector(d, regime.targets)
-    free_idx = np.nonzero(free)[0]
+    free_idx = np.flatnonzero(regime.free_mask(d))
     rng = np.random.default_rng(seed)
 
     ll = np.zeros(n)
-    if regime.targets:
-        idx = list(regime.targets)
-        ll += np.sum(_gauss_logpdf_terms(X[:, idx], regime.mean, intervention_var), axis=1)
+    ll += _clamp_logpdf(X, regime, intervention_var)
     step = max(1, _BLOCK_FLOATS // (d * max(d, params.hidden)))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        out, *_, jac = _forward_jacobian(params, M, X[rows], free)
-        if free_idx.size:
-            Z = X[rows, free_idx] - out[:, free_idx]
-            ll[rows] += np.sum(_gauss_logpdf_terms(Z, 0.0, params.sigma_z[free_idx] ** 2),
-                               axis=1)
+        out, _, _, B = _forward_jacobian(params, M, X[rows], free_idx)
+        ll[rows] += _free_noise_logpdf(params, free_idx, X[rows, free_idx] - out)
         if logdet_mode == "exact":
-            sign, logdet = np.linalg.slogdet(np.subtract(np.eye(d), jac, out=jac))
+            sign, logdet = np.linalg.slogdet(B)
             if np.any(sign <= 0):
                 raise ConvergenceError("forward-map Jacobian is not orientation preserving")
         else:
-            logdet = _roulette_logdet_batch(jac, logdet_cfg, rng)[0]
+            logdet = _roulette_logdet_batch(np.eye(free_idx.size) - B, logdet_cfg, rng)[0]
         ll[rows] += logdet
     return ll
 
@@ -495,25 +529,19 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
         weights = np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=float)
 
-    free = _free_vector(d, regime.targets)
-    free_idx = np.nonzero(free)[0]
+    F = np.flatnonzero(regime.free_mask(d))
+    f = F.size
     h = params.hidden
-    out, hid, deriv, core, jac = _forward_jacobian(params, M, X, free)
-    Z = X - free * out
+    out, hid, core, B = _forward_jacobian(params, M, X, F)
+    Z = X[:, F] - out
 
     # value: clamp term (constant in theta) + free-noise term + log-det term
-    value = 0.0
-    if regime.targets:
-        idx = list(regime.targets)
-        value += float(weights @ np.sum(
-            _gauss_logpdf_terms(X[:, idx], regime.mean, intervention_var), axis=1))
-    var_free = params.sigma_z[free_idx] ** 2
-    if free_idx.size:
-        value += float(weights @ np.sum(
-            _gauss_logpdf_terms(Z[:, free_idx], 0.0, var_free), axis=1))
+    value = float(np.sum(weights * _clamp_logpdf(X, regime, intervention_var)))
+    value += float(weights @ _free_noise_logpdf(params, F, Z))
 
+    # dD = d value / d J_FF; det(I - J) = det(B_FF), so the clamped rows and
+    # the free-from-clamped columns of J get no gradient.
     if logdet_mode == "exact":
-        B = np.eye(d)[None] - jac
         sign, logdet = np.linalg.slogdet(B)
         if np.any(sign <= 0):
             raise ConvergenceError("forward-map Jacobian is not orientation preserving")
@@ -521,32 +549,41 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
         dD = -weights[:, None, None] * np.transpose(np.linalg.inv(B), (0, 2, 1))
     elif logdet_mode == "unbiased":
         rng = np.random.default_rng(seed)
-        logdet, (cutoffs, probes, tails) = _roulette_logdet_batch(jac, logdet_cfg, rng)
+        jac_ff = np.eye(f) - B
+        logdet, (cutoffs, probes, tails) = _roulette_logdet_batch(jac_ff, logdet_cfg, rng)
         value += float(weights @ logdet)
-        dD = _roulette_logdet_grad(jac, logdet_cfg, cutoffs, probes, tails, weights)
+        dD = _roulette_logdet_grad(jac_ff, logdet_cfg, cutoffs, probes, tails, weights)
     else:
         raise ParameterError(f"unknown logdet_mode {logdet_mode!r}")
 
-    # z-term pull-back into the network output
-    dF = weights[:, None] * free[None, :] * Z / params.sigma_z[None, :] ** 2
+    # z-term pull-back into the free outputs
+    dF = weights[:, None] * Z / params.sigma_z[F] ** 2
 
-    # log-det pull-back through jac = free * mask * core; dK = d value / d core
-    dM = (free[:, None] * np.sum(dD * core, axis=0)).T
-    dK = (dD * (free[:, None] * M.T)).reshape(n * d, d)
-    G = (dK @ params.w_in).reshape(n, d, h)
-    dw_in = dK.T @ (deriv * params.w_out.T).reshape(n * d, h)
-    dw_out = np.sum(G * deriv + dF[:, :, None] * hid, axis=0).T
-    db_out = dF.sum(axis=0)
+    # log-det pull-back through J_FF = mask_FF.T * core_FF; dK = d value / d core_FF.
+    # Clamped outputs feed nothing, so their w_out and b_out columns and their
+    # mask columns get zeros.
+    dM = np.zeros((d, d))
+    dM[F[:, None], F] = np.sum(dD * core, axis=0).T
+    dK = (dD * M[F][:, F].T).reshape(n * f, f)
+    w_out_f = params.w_out[:, F].T
+    deriv = _act_deriv(params, hid)
+    G = (dK @ params.w_in[F]).reshape(n, f, h)
+    dw_in = np.zeros((d, h))
+    dw_in[F] = dK.T @ (deriv * w_out_f).reshape(n * f, h)
+    dw_out = np.zeros((h, d))
+    dw_out[:, F] = np.sum(G * deriv + dF[:, :, None] * hid, axis=0).T
+    db_out = np.zeros(d)
+    db_out[F] = dF.sum(axis=0)
 
     # pull-back to the pre-activation: the output term, plus d deriv / d hid for tanh
-    dpre = dF[:, :, None] * params.w_out.T
+    dpre = dF[:, :, None] * w_out_f
     if params.activation == "tanh":
-        dpre -= 2.0 * hid * (G * params.w_out.T)
+        dpre -= 2.0 * hid * (G * w_out_f)
         dpre *= deriv
-    P = (X.T @ dpre.reshape(n, d * h)).reshape(d, d, h)
-    dw_in += np.sum(P * M[:, :, None], axis=1)
+    P = (X.T @ dpre.reshape(n, f * h)).reshape(d, f, h)
+    dw_in += np.sum(P * M[:, F, None], axis=1)
     db_in = dpre.sum(axis=(0, 1))
-    dM += np.sum(P * params.w_in[:, None, :], axis=2)
+    dM[:, F] += np.sum(P * params.w_in[:, None, :], axis=2)
 
     grads = {"w_in": dw_in, "b_in": db_in, "w_out": dw_out, "b_out": db_out, "mask": dM}
     if soft is not None:

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from reclaim import cli, em
+from reclaim import cli, em, model
 from reclaim.errors import ConvergenceError, DegeneratePosteriorError, EStepError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
@@ -52,3 +53,31 @@ def test_sweep_cache_is_recomputed_when_the_seed_changes(tmp_path, monkeypatch):
     config["base"]["em"] = {**TINY_EM, "m_steps_per_round": 3}
     cli.run_sweep(config)
     assert len(fits) == 3  # new EM config: recomputed
+
+
+def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monkeypatch):
+    sim_seeds, fit_seeds = [], []
+    run_simulate = cli.run_simulate
+
+    def recording_simulate(config, out_dir):
+        sim_seeds.append(config["seed"])
+        return run_simulate(config, out_dir)
+
+    def stub_fit(datasets, family, spec, cfg, **kwargs):
+        fit_seeds.append(cfg.seed)
+        theta = model.init_params(datasets[0].shape[1])
+        return em.FitReport(edge_scores=model.edge_scores(theta), theta=theta, phi_hat=None,
+                            elbo_trace=[], diagnostics={"rounds_completed": 0, "trace": []})
+
+    monkeypatch.setattr(cli, "run_simulate", recording_simulate)
+    monkeypatch.setattr(em, "fit", stub_fit)
+    monkeypatch.setenv("RECLAIM_SEED", "5")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"sweep": "beta", "grid": [1.0], "n_trials": 2,
+                                  "out_dir": str(tmp_path / "out"),
+                                  "base": {"d": 3, "n_per_regime": 5, "em": TINY_EM}}))
+
+    assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_OK
+    expected = [int(np.random.SeedSequence((5, trial)).generate_state(1)[0]) for trial in (0, 1)]
+    assert sim_seeds == expected  # RECLAIM_SEED still sets the sweep's base seed
+    assert fit_seeds == sim_seeds and fit_seeds[0] != fit_seeds[1]

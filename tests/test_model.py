@@ -480,9 +480,13 @@ class TestKernelsMatchReference:
         return dataclasses.replace(p, b_in=rng.normal(size=h), b_out=rng.normal(size=d),
                                    edge_logits=rng.normal(size=(d, d)))
 
-    @pytest.fixture(params=[(), (1,)], ids=["obs", "int"])
-    def regime(self, request):
-        return InterventionRegime(request.param, 1.3, mean=0.2)
+    @pytest.fixture(params=["obs", "int", "two", "all"])
+    def regime(self, request, shape):
+        # With every node clamped the reference gives the clamp term alone and
+        # all-zero gradients, so the gradient checks demand exact zeros.
+        d, _ = shape
+        targets = {"obs": (), "int": (1,), "two": (0, 2), "all": tuple(range(d))}
+        return InterventionRegime(targets[request.param], 1.3, mean=0.2)
 
     @pytest.fixture
     def batch(self, params):
@@ -526,6 +530,19 @@ class TestKernelsMatchReference:
         assert set(ours) == set(ref)
         for name in ref:
             _assert_rel_close(ours[name], ref[name])
+
+    def test_linear_batch_matches_closed_form_oracle(self, shape, regime):
+        from reclaim.scm import linear_latent_logpdf_oracle
+        d, h = shape
+        rng = np.random.default_rng(46)
+        p = model.init_params(d, hidden=h, seed=47, weight_scale=0.8, activation="identity",
+                              sigma_z=rng.uniform(0.5, 1.5, d))
+        mask = model.sample_mask(p.edge_logits, seed=48)
+        weights = mask.values * (p.w_in @ p.w_out)  # x -> weights' x, edge j -> i at [j, i]
+        X = rng.normal(size=(7, d))
+        ours = model.latent_logpdf_batch(p, mask, regime, regime.variance, X)
+        oracle = [linear_latent_logpdf_oracle(weights, p.sigma_z, regime, x) for x in X]
+        _assert_rel_close(ours, oracle)
 
 
 class TestModelFixedPoint:
