@@ -22,12 +22,10 @@ from .noise import (ProjectionSet, check_channel_identifiability,
                     estimate_channel_noise, estimate_gan_variances,
                     estimate_linear_variances, nnls_projected_gradient,
                     null_space_basis, sample_projection_vectors)
-from .model import (LogDetConfig, MaskSample, ModelParams, edge_scores,
-                    init_params, jacobian, latent_logpdf, latent_logpdf_batch,
-                    latent_logpdf_grads, lipschitz_estimate, log_det_exact,
-                    log_det_series, log_det_unbiased, masked_forward,
-                    params_from_json, params_to_json, sample_mask,
-                    solve_model_fixed_point, spectral_normalize)
+from .model import (MaskSample, ModelParams, edge_scores, init_params,
+                    jacobian, latent_logpdf_batch, latent_logpdf_grads,
+                    masked_forward, params_from_json, params_to_json,
+                    sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch
 from .em import (EmConfig, FitReport, e_step, elbo_estimate, fit, m_step,
                  surrogate_q)

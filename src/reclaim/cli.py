@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import em, graphs, measurement, model, noise, scm
+from . import em, graphs, measurement, noise, scm
 from .errors import (ConvergenceError, DegeneratePosteriorError, EStepError,
                      IdentifiabilityError, ParameterError)
 
@@ -153,22 +153,24 @@ def run_estimate_noise(data_dir, out_path=None) -> None:
 
 
 def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
-    known = {f for f in em.EmConfig.__dataclass_fields__}
-    logdet_cfg = cfg_dict.get("logdet", {})
-    kwargs = {k: v for k, v in cfg_dict.items() if k in known and k != "logdet"}
+    """EmConfig from a fit config; ``use_true_noise`` is the one key it may add."""
+    kwargs = {k: v for k, v in cfg_dict.items() if k != "use_true_noise"}
+    unknown = sorted(set(kwargs) - set(em.EmConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown EM config keys: {', '.join(unknown)}")
     kwargs["seed"] = int(cfg_dict.get("seed", 0))
-    return em.EmConfig(logdet=model.LogDetConfig(**logdet_cfg), **kwargs)
+    return em.EmConfig(**kwargs)
 
 
 def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em.FitReport:
     data_dir = Path(data_dir)
-    out_dir = Path(out_dir) if out_dir else data_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         datasets, family = scm.read_dataset(data_dir)
     except ValueError as exc:
         raise ConfigError(f"malformed regime data: {exc}") from exc
     channel = measurement.channel_from_json((data_dir / "channel.json").read_text())
+    out_dir = Path(out_dir) if out_dir else data_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     cfg = _em_config_from_dict(em_config)
     spec = {"type": "gan"} if isinstance(channel, measurement.GaussianAdditiveChannel) \

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .errors import EStepError, ParameterError
 from .graphs import DirectedGraph
 from .measurement import (Channel, GaussianAdditiveChannel, LinearChannel,
                           channel_logpdf)
-from .model import (LogDetConfig, ModelParams, edge_scores, expected_mask,
-                    init_params, latent_logpdf_batch, latent_logpdf_grads,
-                    sample_mask, spectral_normalize)
+from .model import (ModelParams, edge_scores, expected_mask, init_params,
+                    latent_logpdf_batch, latent_logpdf_grads, sample_mask,
+                    spectral_normalize)
 from .posterior import GaussianProposal, sir_sample_batch
 from .scm import InterventionFamily
 
@@ -45,8 +45,6 @@ class EmConfig:
     n_proposals: int = 64
     n_resample: int = 16
     temperature: float = 1.0
-    logdet_mode: str = "exact"
-    logdet: LogDetConfig = field(default_factory=LogDetConfig)
     seed: int = 0
     convergence_tol: float = 1e-4
     skip_tolerance: float = 0.05
@@ -132,8 +130,7 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
             continue
         particles, ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
-            cfg.n_proposals, cfg.n_resample, seed=rng.integers(2 ** 63),
-            logdet_mode=cfg.logdet_mode, logdet_cfg=cfg.logdet)
+            cfg.n_proposals, cfg.n_resample, seed=rng.integers(2 ** 63))
         dropped = int((~kept).sum())
         if dropped:
             n_skipped += dropped
@@ -167,9 +164,7 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache, family: InterventionFa
             chunk = X[start:start + cfg.batch_size]
             mask = sample_mask(theta.edge_logits, cfg.temperature,
                                seed=rng.integers(2 ** 63))
-            ll = latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance,
-                                     chunk, cfg.logdet_mode, cfg.logdet,
-                                     seed=rng.integers(2 ** 63))
+            ll = latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance, chunk)
             total += float(ll.sum())
     return total / n_total
 
@@ -218,7 +213,7 @@ class _Adam:
         return out
 
 
-def _minibatch_grads(theta, cache, rows, cfg, mask, seed=None):
+def _minibatch_grads(theta, cache, rows, mask):
     """Objective value and parameter gradients over selected cache rows.
 
     ``rows`` indexes the concatenation of all regimes' flattened particles.
@@ -227,20 +222,15 @@ def _minibatch_grads(theta, cache, rows, cfg, mask, seed=None):
     grads = None
     batch = rows.size
     offset = 0
-    seeds = iter(np.random.SeedSequence(seed).generate_state(len(cache.regimes)))
     for rc in cache.regimes:
         size = rc.particles.shape[0] * rc.particles.shape[1]
-        regime_seed = int(next(seeds))
         sel = rows[(rows >= offset) & (rows < offset + size)] - offset
         offset += size
         if sel.size == 0:
             continue
         X = rc.flat_particles[sel]
         v, g = latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X,
-                                   weights=np.full(sel.size, 1.0 / batch),
-                                   logdet_mode=cfg.logdet_mode,
-                                   logdet_cfg=cfg.logdet,
-                                   seed=regime_seed)
+                                   weights=np.full(sel.size, 1.0 / batch))
         value += v
         if grads is None:
             grads = g
@@ -271,8 +261,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         rows = rng.choice(n_total, size=min(cfg.batch_size, n_total), replace=False)
         mask = sample_mask(current.edge_logits, cfg.temperature,
                            seed=rng.integers(2 ** 63))
-        value, grads = _minibatch_grads(current, cache, rows, cfg, mask,
-                                        seed=rng.integers(2 ** 63))
+        value, grads = _minibatch_grads(current, cache, rows, mask)
         pen_value, pen_grad = sparsity_penalty(current, cfg.sparsity_lambda)
         objective = value - pen_value
         grads["edge_logits"] = grads["edge_logits"] - pen_grad
@@ -375,7 +364,6 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
     diagnostics = {
         "rounds_completed": len(q_history),
         "converged": converged,
-        "logdet_mode": cfg.logdet_mode,
         "trace": trace,
     }
     return FitReport(edge_scores=edge_scores(theta), theta=theta, phi_hat=phi_hat,
@@ -407,9 +395,7 @@ def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
             rows = np.arange(start, min(start + step, Y.shape[0]))
             xs = proposal.draw(rng, rows, S)
             flat = xs.reshape(-1, theta.d)
-            log_latent = latent_logpdf_batch(theta, mask, regime, regime.variance,
-                                             flat, cfg.logdet_mode, cfg.logdet,
-                                             seed=rng.integers(2 ** 63))
+            log_latent = latent_logpdf_batch(theta, mask, regime, regime.variance, flat)
             lw = (log_latent.reshape(rows.size, S)
                   + channel_logpdf(phi_hat, Y[rows][:, None, :], xs)
                   - proposal.logpdf(xs, rows))

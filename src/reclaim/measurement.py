@@ -90,6 +90,11 @@ def measure(channel: Channel, x: np.ndarray, seed) -> np.ndarray:
     return mean + rng.normal(0.0, np.sqrt(channel.noise_var), size=mean.shape)
 
 
+def diag_gauss_logpdf(resid: np.ndarray, var) -> np.ndarray:
+    """log N(resid; 0, diag(var)), summed over the last axis."""
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + resid ** 2 / var, axis=-1)
+
+
 def channel_logpdf(channel: Channel, y: np.ndarray, x: np.ndarray):
     """Exact diagonal-Gaussian log density log p(y | x).
 
@@ -103,9 +108,7 @@ def channel_logpdf(channel: Channel, y: np.ndarray, x: np.ndarray):
             f"dimension mismatch: y has {y.shape[-1]} entries, x has {x.shape[-1]}, "
             f"channel expects p={channel.p}, d={channel.d}"
         )
-    resid = y - channel_mean(channel, x)
-    var = channel.noise_var
-    ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + resid ** 2 / var, axis=-1)
+    ll = diag_gauss_logpdf(y - channel_mean(channel, x), channel.noise_var)
     return float(ll) if ll.ndim == 0 else ll
 
 

@@ -3,9 +3,10 @@
 The mechanism is a single-hidden-layer tanh network evaluated coordinate-wise
 on mask-filtered inputs: output i sees the input ``mask[:, i] * x``, so the
 mask column support is exactly the candidate parent set of node i. Keeping
-both layers inside a spectral-norm budget makes the map contractive, which
-gives a well-defined equilibrium and a convergent power series for the
-log-determinant of the forward map's Jacobian.
+both layers inside a spectral-norm budget is meant to make the map
+contractive, which gives each noise draw a unique equilibrium. The density
+of that equilibrium needs log|det(I - J)| of the forward map's Jacobian J,
+taken exactly with ``slogdet`` of the free block B_FF below.
 
 Index conventions used throughout:
     s: batch sample, j: input coordinate, i: output coordinate, h: hidden unit
@@ -30,8 +31,7 @@ of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
 I - J = [[B_FF, -J_FC], [0, I]] is block upper-triangular, so
 det(I - J) = det(B_FF): the log-determinant, the noise density and every
 gradient need the free outputs and the F x F block only. The clamped
-columns of w_out, b_out and the mask get zero gradient, and
-tr(J^m) = tr(J_FF^m), so the roulette series runs on J_FF as well.
+columns of w_out, b_out and the mask get zero gradient.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import poisson
 
 from .errors import ConvergenceError, ParameterError
-from .scm import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, InterventionRegime
+from .measurement import diag_gauss_logpdf
+from .scm import InterventionRegime
 
 NEG_INF = -np.inf
 
@@ -121,22 +121,6 @@ class MaskSample:
     hard: bool = False
 
 
-@dataclass(frozen=True)
-class LogDetConfig:
-    """Roulette-truncated log-det estimator settings."""
-
-    poisson_rate: float = 4.0
-    min_terms: int = 1
-    n_probes: int = 1
-    probe_dist: str = "rademacher"
-
-    def __post_init__(self):
-        if self.poisson_rate <= 0 or self.min_terms < 1 or self.n_probes < 1:
-            raise ParameterError("log-det config fields must be positive")
-        if self.probe_dist != "rademacher":
-            raise ParameterError("only rademacher probes are supported")
-
-
 def init_params(d: int, hidden: int | None = None, lipschitz_target: float = 0.9,
                 seed=0, weight_scale: float = 0.1, sigma_z=1.0,
                 activation: str = "tanh") -> ModelParams:
@@ -198,19 +182,6 @@ def spectral_normalize(params: ModelParams) -> ModelParams:
                    w_in=params.w_in * scale_in,
                    w_out=params.w_out * scale_out,
                    pow_u_in=u_in, pow_u_out=u_out)
-
-
-def lipschitz_estimate(params: ModelParams, n_probes: int = 1000, seed=0) -> float:
-    """Largest network Jacobian spectral norm over random probe points."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_probes):
-        v = rng.normal(0.0, 2.0, size=params.d)
-        pre = v @ params.w_in + params.b_in
-        deriv = 1.0 - np.tanh(pre) ** 2 if params.activation == "tanh" else np.ones_like(pre)
-        jac = (params.w_in * deriv) @ params.w_out
-        best = max(best, float(np.linalg.norm(jac, 2)))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -339,76 +310,6 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# log-determinant of the forward map
-
-
-def log_det_exact(params: ModelParams, mask, x: np.ndarray, targets=()) -> float:
-    """log |det(I - J)| of the masked, intervention-filtered mechanism."""
-    jac = jacobian(params, mask, x, targets)
-    sign, logdet = np.linalg.slogdet(np.eye(params.d) - jac)
-    if sign <= 0:
-        raise ConvergenceError("forward-map Jacobian is not orientation preserving")
-    return float(logdet)
-
-
-def _probe_matrix(d: int, n_probes: int, rng) -> np.ndarray:
-    return rng.choice([-1.0, 1.0], size=(d, n_probes))
-
-
-def log_det_series(params: ModelParams, mask, x: np.ndarray, targets=(),
-                   n_terms: int = 10, n_probes: int = 1, seed=None,
-                   exact_probes: bool = False) -> float:
-    """Truncated power series -sum_m tr(J^m)/m with Hutchinson traces.
-
-    Powers of J are applied to probe vectors (never formed as matrices).
-    With ``exact_probes`` the standard basis is used and every trace is
-    exact, leaving only the truncation bias.
-    """
-    if n_terms < 1:
-        raise ParameterError("n_terms must be at least 1")
-    jac = jacobian(params, mask, x, targets)
-    d = params.d
-    if exact_probes:
-        probes = np.eye(d)
-        normalizer = 1.0
-    else:
-        probes = _probe_matrix(d, n_probes, np.random.default_rng(seed))
-        normalizer = probes.shape[1]
-    total = 0.0
-    v = probes.copy()
-    for m in range(1, n_terms + 1):
-        v = jac @ v
-        total -= float(np.sum(probes * v)) / (m * normalizer)
-    return total
-
-
-def _roulette_tail(cfg: LogDetConfig, m: int) -> float:
-    """P(N >= m) for the shifted-Poisson cutoff N = min_terms + Poisson(rate)."""
-    if m <= cfg.min_terms:
-        return 1.0
-    return float(poisson.sf(m - cfg.min_terms - 1, cfg.poisson_rate))
-
-
-def log_det_unbiased(params: ModelParams, mask, x: np.ndarray, targets=(),
-                     cfg: LogDetConfig = LogDetConfig(), seed=None) -> float:
-    """One draw of the roulette-reweighted series estimator.
-
-    Truncates at a random cutoff n and divides term m by P(N >= m), which
-    makes the truncated sum unbiased for the full series.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(cfg.min_terms + rng.poisson(cfg.poisson_rate))
-    jac = jacobian(params, mask, x, targets)
-    probes = _probe_matrix(params.d, cfg.n_probes, rng)
-    total = 0.0
-    v = probes.copy()
-    for m in range(1, n + 1):
-        v = jac @ v
-        total -= float(np.sum(probes * v)) / (m * cfg.n_probes * _roulette_tail(cfg, m))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # latent log-density
 
 
@@ -423,9 +324,7 @@ def _clamp_logpdf(X: np.ndarray, regime: InterventionRegime, intervention_var: f
     """Per-row log-density of the clamped coordinates (constant in theta)."""
     if not regime.targets:
         return 0.0
-    C = X[:, list(regime.targets)]
-    return -0.5 * np.sum(np.log(2.0 * np.pi * intervention_var)
-                         + (C - regime.mean) ** 2 / intervention_var, axis=1)
+    return diag_gauss_logpdf(X[:, list(regime.targets)] - regime.mean, intervention_var)
 
 
 def _free_noise_logpdf(params: ModelParams, free_idx: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -434,24 +333,26 @@ def _free_noise_logpdf(params: ModelParams, free_idx: np.ndarray, Z: np.ndarray)
     return -0.5 * (np.sum(np.log(2.0 * np.pi * var)) + (Z * Z) @ (1.0 / var))
 
 
+def _logdet(B: np.ndarray) -> np.ndarray:
+    """log det of each (|F|, |F|) block of the stack B; a non-positive one fails."""
+    sign, logdet = np.linalg.slogdet(B)
+    if np.any(sign <= 0):
+        raise ConvergenceError("forward-map Jacobian is not orientation preserving")
+    return logdet
+
+
 def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
-                        intervention_var: float, X: np.ndarray,
-                        logdet_mode: str = "exact",
-                        logdet_cfg: LogDetConfig = LogDetConfig(),
-                        seed=None) -> np.ndarray:
+                        intervention_var: float, X: np.ndarray) -> np.ndarray:
     """Interventional log-density of each row of X under the learned model.
 
     Rows are scored in blocks of about ``_BLOCK_FLOATS`` entries per (rows, d, h)
     temporary, so the temporaries stay in cache. Every step is row-wise: a
     block changes a value by no more than BLAS rounding in the last bits.
     """
-    if logdet_mode not in ("exact", "unbiased"):
-        raise ParameterError(f"unknown logdet_mode {logdet_mode!r}")
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     free_idx = np.flatnonzero(regime.free_mask(d))
-    rng = np.random.default_rng(seed)
 
     ll = np.zeros(n)
     ll += _clamp_logpdf(X, regime, intervention_var)
@@ -460,44 +361,8 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
         rows = slice(start, start + step)
         out, _, _, B = _forward_jacobian(params, M, X[rows], free_idx)
         ll[rows] += _free_noise_logpdf(params, free_idx, X[rows, free_idx] - out)
-        if logdet_mode == "exact":
-            sign, logdet = np.linalg.slogdet(B)
-            if np.any(sign <= 0):
-                raise ConvergenceError("forward-map Jacobian is not orientation preserving")
-        else:
-            logdet = _roulette_logdet_batch(np.eye(free_idx.size) - B, logdet_cfg, rng)[0]
-        ll[rows] += logdet
+        ll[rows] += _logdet(B)
     return ll
-
-
-def latent_logpdf(params: ModelParams, mask, regime: InterventionRegime,
-                  intervention_var: float, x: np.ndarray,
-                  logdet_mode: str = "exact",
-                  logdet_cfg: LogDetConfig = LogDetConfig(), seed=None) -> float:
-    return float(latent_logpdf_batch(params, mask, regime, intervention_var,
-                                     np.atleast_2d(x), logdet_mode, logdet_cfg, seed)[0])
-
-
-def _roulette_logdet_batch(jac: np.ndarray, cfg: LogDetConfig, rng):
-    """Roulette log-det draws for a (n, d, d) Jacobian stack.
-
-    Returns (values, trace). ``trace`` carries the frozen randomness
-    (cutoffs, probes, tail weights) so the gradient of the same draw can be
-    assembled later.
-    """
-    n, d, _ = jac.shape
-    cutoffs = cfg.min_terms + rng.poisson(cfg.poisson_rate, size=n)
-    probes = rng.choice([-1.0, 1.0], size=(n, d, cfg.n_probes))
-    n_max = int(cutoffs.max()) if n else 0
-    tails = np.array([_roulette_tail(cfg, m) for m in range(1, n_max + 1)])
-    values = np.zeros(n)
-    v = probes.copy()
-    for m in range(1, n_max + 1):
-        v = jac @ v
-        active = cutoffs >= m
-        term = np.sum(probes * v, axis=(1, 2)) / (m * cfg.n_probes * tails[m - 1])
-        values -= np.where(active, term, 0.0)
-    return values, (cutoffs, probes, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +371,13 @@ def _roulette_logdet_batch(jac: np.ndarray, cfg: LogDetConfig, rng):
 
 def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
                         intervention_var: float, X: np.ndarray,
-                        weights: np.ndarray | None = None,
-                        logdet_mode: str = "exact",
-                        logdet_cfg: LogDetConfig = LogDetConfig(),
-                        seed=None):
+                        weights: np.ndarray | None = None):
     """Weighted-sum latent log-density and its parameter gradients.
 
     Returns ``(value, grads)`` where value = sum_s weights[s] * logpdf(x_s)
     (weights default to 1/n) and grads holds arrays for ``w_in``, ``b_in``,
     ``w_out``, ``b_out``, ``mask`` and, when ``mask`` is a MaskSample,
-    ``edge_logits`` chained through the relaxed Bernoulli entries. The
-    stochastic log-det mode differentiates the sampled estimator with its
-    cutoffs and probes frozen, so the gradient matches finite differences of
-    the identically-seeded value.
+    ``edge_logits`` chained through the relaxed Bernoulli entries.
     """
     M = _mask_values(mask)
     soft = mask.soft if isinstance(mask, MaskSample) else None
@@ -541,20 +400,8 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
 
     # dD = d value / d J_FF; det(I - J) = det(B_FF), so the clamped rows and
     # the free-from-clamped columns of J get no gradient.
-    if logdet_mode == "exact":
-        sign, logdet = np.linalg.slogdet(B)
-        if np.any(sign <= 0):
-            raise ConvergenceError("forward-map Jacobian is not orientation preserving")
-        value += float(weights @ logdet)
-        dD = -weights[:, None, None] * np.transpose(np.linalg.inv(B), (0, 2, 1))
-    elif logdet_mode == "unbiased":
-        rng = np.random.default_rng(seed)
-        jac_ff = np.eye(f) - B
-        logdet, (cutoffs, probes, tails) = _roulette_logdet_batch(jac_ff, logdet_cfg, rng)
-        value += float(weights @ logdet)
-        dD = _roulette_logdet_grad(jac_ff, logdet_cfg, cutoffs, probes, tails, weights)
-    else:
-        raise ParameterError(f"unknown logdet_mode {logdet_mode!r}")
+    value += float(weights @ _logdet(B))
+    dD = -weights[:, None, None] * np.transpose(np.linalg.inv(B), (0, 2, 1))
 
     # z-term pull-back into the free outputs
     dF = weights[:, None] * Z / params.sigma_z[F] ** 2
@@ -593,61 +440,8 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
     return value, grads
 
 
-def _roulette_logdet_grad(jac, cfg, cutoffs, probes, tails, weights):
-    """d/d(jac) of the frozen roulette draws, weighted per sample."""
-    n, d, _ = jac.shape
-    n_max = int(cutoffs.max()) if n else 0
-    jac_t = np.transpose(jac, (0, 2, 1))
-    rights = [probes]
-    lefts = [probes]
-    for _ in range(n_max - 1):
-        rights.append(jac @ rights[-1])
-        lefts.append(jac_t @ lefts[-1])
-    dD = np.zeros_like(jac)
-    for m in range(1, n_max + 1):
-        coeff = np.where(cutoffs >= m, weights, 0.0) / (m * cfg.n_probes * tails[m - 1])
-        if not np.any(coeff):
-            continue
-        block = np.zeros_like(jac)
-        for r in range(m):
-            block += np.einsum("sak,sbk->sab", lefts[r], rights[m - 1 - r])
-        dD -= coeff[:, None, None] * block
-    return dD
-
-
 # ---------------------------------------------------------------------------
-# model-side equilibrium and checkpointing
-
-
-def solve_model_fixed_point(params: ModelParams, mask, z: np.ndarray,
-                            regime: InterventionRegime = InterventionRegime(),
-                            values=None, tol: float = FIXED_POINT_TOL,
-                            max_iter: int = FIXED_POINT_MAX_ITER) -> np.ndarray:
-    """Equilibrium of the learned mechanism for exogenous noise z."""
-    M = _mask_values(mask)
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    Z = np.atleast_2d(z)
-    n, d = Z.shape
-    free = _free_vector(d, regime.targets)
-    C = np.zeros((n, d))
-    if regime.targets:
-        v = np.atleast_2d(np.asarray(values, dtype=float))
-        C[:, list(regime.targets)] = v
-    X = Z.copy()
-    for _ in range(max_iter):
-        out, _ = _forward_core(params, M, X)
-        nxt = free * (out + Z) + C
-        delta = np.max(np.abs(nxt - X))
-        X = nxt
-        if delta <= tol:
-            break
-    out, _ = _forward_core(params, M, X)
-    residual = np.max(np.abs(X - (free * (out + Z) + C)))
-    if residual > tol:
-        raise ConvergenceError(
-            f"model fixed point stalled at residual {residual:.3e}", residual=residual)
-    return X[0] if single else X
+# checkpointing
 
 
 def params_to_json(params: ModelParams) -> str:

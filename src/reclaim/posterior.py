@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import Channel, GaussianAdditiveChannel, channel_logpdf
-from .model import LogDetConfig, ModelParams, latent_logpdf_batch
+from .measurement import (Channel, GaussianAdditiveChannel, channel_logpdf,
+                          diag_gauss_logpdf)
+from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
 
@@ -23,10 +24,6 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
     shifted = log_w - np.max(np.where(finite, log_w, -np.inf), axis=1, keepdims=True)
     w = np.where(finite, np.exp(np.where(finite, shifted, -np.inf)), 0.0)
     return w / w.sum(axis=1, keepdims=True)
-
-
-def _proposal_logpdf(xs: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + (xs - mean) ** 2 / var, axis=-1)
 
 
 class GaussianProposal:
@@ -75,7 +72,7 @@ class GaussianProposal:
         mu = self.mean[rows]
         delta = xs - mu[:, None, :]
         if self.chol is None:
-            return _proposal_logpdf(xs, mu[:, None, :], self.diag_var)
+            return diag_gauss_logpdf(delta, self.diag_var)
         quad = np.einsum("ksi,ij,ksj->ks", delta, self.precision, delta)
         return -0.5 * (self.d * np.log(2.0 * np.pi) + self.logdet_cov + quad)
 
@@ -83,8 +80,6 @@ class GaussianProposal:
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
                      regime: InterventionRegime, intervention_var: float,
                      n_proposals: int, n_resample: int, seed=None,
-                     logdet_mode: str = "exact",
-                     logdet_cfg: LogDetConfig = LogDetConfig(),
                      chunk: int = 65536):
     """Vectorized SIR across a regime's observations.
 
@@ -111,9 +106,7 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
             rows = pending[start:start + max(1, chunk // S)]
             xs = proposal.draw(rng, rows, S)
             flat = xs.reshape(-1, d)
-            log_latent = latent_logpdf_batch(params, mask, regime, intervention_var,
-                                             flat, logdet_mode, logdet_cfg,
-                                             seed=rng.integers(2 ** 63))
+            log_latent = latent_logpdf_batch(params, mask, regime, intervention_var, flat)
             log_chan = channel_logpdf(channel, Y[rows][:, None, :], xs)
             log_q = proposal.logpdf(xs, rows)
             log_w[rows] = log_latent.reshape(rows.size, S) + log_chan - log_q

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reclaim import cli, em, model
+from reclaim import cli, em, model, scm
 from reclaim.errors import ConvergenceError, DegeneratePosteriorError, EStepError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
@@ -81,3 +81,48 @@ def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monk
     expected = [int(np.random.SeedSequence((5, trial)).generate_state(1)[0]) for trial in (0, 1)]
     assert sim_seeds == expected  # RECLAIM_SEED still sets the sweep's base seed
     assert fit_seeds == sim_seeds and fit_seeds[0] != fit_seeds[1]
+
+
+def test_unknown_em_config_key_exits_2(tmp_path, capsys):
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")
+    config = tmp_path / "em.json"
+    config.write_text(json.dumps({"em_rounds": 1, "logdet_mode": "unbiased"}))
+    code = cli.main(["fit", "--data-dir", str(tmp_path / "data"), "--config", str(config)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert capsys.readouterr().err == "error: unknown EM config keys: logdet_mode\n"
+
+
+def test_fit_with_missing_data_dir_exits_3(tmp_path, capsys):
+    config = tmp_path / "em.json"
+    config.write_text(json.dumps(TINY_EM))
+    missing = tmp_path / "missing"
+    code = cli.main(["fit", "--data-dir", str(missing), "--config", str(config)])
+    assert code == cli.EXIT_IO == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert not missing.exists()  # a failed fit does not create the directory it read
+
+
+def test_estimate_noise_without_coverage_of_a_node_exits_4(tmp_path, capsys):
+    cli.run_simulate({"d": 3, "n_per_regime": 20}, tmp_path / "full")
+    datasets, family = scm.read_dataset(tmp_path / "full")
+    # Drop the regime that clamps node 2: no regime targets it any more.
+    keep = [k for k, r in enumerate(family.regimes) if 2 not in r.targets]
+    scm.write_dataset(tmp_path / "data", [datasets[k] for k in keep],
+                      scm.InterventionFamily(tuple(family.regimes[k] for k in keep)))
+    channel = (tmp_path / "full" / "channel.json").read_text()
+    (tmp_path / "data" / "channel.json").write_text(channel)
+    code = cli.main(["estimate-noise", "--data-dir", str(tmp_path / "data")])
+    assert code == cli.EXIT_IDENTIFIABILITY == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[2]" in err and err.count("\n") == 1
+
+
+def test_em_config_takes_its_fields_and_leaves_use_true_noise_to_the_fit():
+    cfg = cli._em_config_from_dict({"em_rounds": 3, "seed": 7, "use_true_noise": True})
+    assert cfg == em.EmConfig(em_rounds=3, seed=7)
+
+
+def test_em_config_names_every_unknown_key():
+    with pytest.raises(cli.ConfigError, match=r"^unknown EM config keys: em_round, logdet$"):
+        cli._em_config_from_dict({"logdet": {"n_probes": 2}, "em_round": 3, "seed": 1})

@@ -82,3 +82,87 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, dropped_pe
         cache = em.e_step(theta, channel, datasets, family, cfg)
         assert cache.n_skipped == 5 and cache.n_observations == 100
         assert all(rc.particles.shape == (19, 4, 4) for rc in cache.regimes)
+
+
+class TestMStepRecovery:
+    """m_step under a latent_logpdf_grads that returns NaN on chosen steps."""
+
+    LR = 0.05
+
+    def _run(self, data, monkeypatch, nan_steps):
+        datasets, family = data
+        cfg = em.EmConfig(learning_rate=self.LR, m_steps_per_round=6, **{
+            k: v for k, v in TINY.items() if k != "m_steps_per_round"})
+        theta = model.init_params(4, seed=5)
+        cache = em.e_step(theta, GaussianAdditiveChannel(np.full(4, 0.2)), datasets,
+                          family, cfg)
+        grads_fn = em.latent_logpdf_grads
+        masks, thetas = [], []
+
+        def nan_on_chosen_steps(params, mask, *args, **kwargs):
+            if not masks or masks[-1] is not mask:  # a new mask starts a new step
+                masks.append(mask)
+                thetas.append(params)
+            value, grads = grads_fn(params, mask, *args, **kwargs)
+            return (np.nan if len(masks) - 1 in nan_steps else value), grads
+
+        monkeypatch.setattr(em, "latent_logpdf_grads", nan_on_chosen_steps)
+        return em.m_step(theta, cache, cfg), thetas
+
+    @staticmethod
+    def _logit_step(before, after):
+        off = ~np.eye(before.d, dtype=bool)
+        return np.abs(after.edge_logits[off] - before.edge_logits[off])
+
+    def test_nan_restores_last_finite_theta_and_halves_the_rate(self, data, monkeypatch):
+        _, thetas = self._run(data, monkeypatch, nan_steps={2})
+        assert len(thetas) == 6
+        # Step 2 saw NaN at thetas[2]: step 3 starts again from thetas[1].
+        assert thetas[3] is thetas[1]
+        # Adam's first step moves each logit by lr * |g| / (|g| + eps), about lr; the
+        # restarted optimizer's by about lr / 2. Spectral normalization leaves logits alone.
+        assert np.allclose(self._logit_step(thetas[0], thetas[1]), self.LR, rtol=0.02)
+        assert np.allclose(self._logit_step(thetas[3], thetas[4]), self.LR / 2, rtol=0.02)
+
+    def test_second_nan_returns_last_finite_theta(self, data, monkeypatch):
+        result, thetas = self._run(data, monkeypatch, nan_steps={2, 4})
+        assert len(thetas) == 5  # the round stops at the second NaN
+        assert result is thetas[3] and thetas[3] is thetas[1]
+        assert not np.array_equal(result.edge_logits, thetas[0].edge_logits)
+
+
+def test_elbo_matches_closed_form_marginal_likelihood():
+    """Identity activation, zero biases, additive channel: y is exactly Gaussian.
+
+    The latent law is x = B^-1 u, B = I - diag(free) W', W = M o (w_in w_out),
+    with u ~ N(mu_u, diag(var_u)); so y = x + eps ~ N(B^-1 mu_u, B^-1 diag(var_u) B^-T + D).
+    """
+    from scipy.stats import multivariate_normal
+
+    d = 3
+    rng = np.random.default_rng(8)
+    W = rng.normal(size=(d, d))
+    W *= 0.8 / np.linalg.norm(W, 2)
+    theta = model.ModelParams(w_in=np.eye(d), b_in=np.zeros(d), w_out=W, b_out=np.zeros(d),
+                              edge_logits=rng.normal(1.0, 1.0, size=(d, d)),
+                              sigma_z=np.array([1.0, 0.8, 1.2]), activation="identity")
+    mask = model.expected_mask(theta.edge_logits)
+    channel = GaussianAdditiveChannel(np.array([0.05, 0.08, 0.06]))
+    family = scm.InterventionFamily((scm.InterventionRegime(),
+                                     scm.InterventionRegime((1,), 1.5, mean=0.4)))
+    datasets, exact = [], 0.0
+    for regime in family.regimes:
+        free = regime.free_mask(d)
+        B = np.eye(d) - free[:, None] * (mask * (theta.w_in @ theta.w_out)).T
+        B_inv = np.linalg.inv(B)
+        mean = B_inv @ np.where(free, 0.0, regime.mean)
+        cov = B_inv @ np.diag(np.where(free, theta.sigma_z ** 2, regime.variance)) @ B_inv.T
+        marginal = multivariate_normal(mean, cov + np.diag(channel.noise_var))
+        Y = marginal.rvs(size=40, random_state=rng)
+        datasets.append(Y)
+        exact += float(np.sum(marginal.logpdf(Y)))
+
+    cfg = em.EmConfig(seed=3, elbo_proposals=256)
+    estimate, se = em.elbo_estimate(theta, channel, datasets, family, cfg, return_se=True)
+    assert 0.0 < se < 1.0
+    assert abs(estimate - exact) <= 4.0 * se

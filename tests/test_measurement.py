@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from reclaim import measurement as ms
 from reclaim.errors import ParameterError, RankError
@@ -96,3 +97,14 @@ class TestChannelLogpdf:
         avg = float(np.mean(ms.channel_logpdf(chan, ys, np.tile(x, (40_000, 1)))))
         expected = -0.5 * np.sum(np.log(2 * np.pi * chan.noise_var) + 1.0)
         assert avg == pytest.approx(expected, abs=0.02)
+
+
+class TestDiagGaussLogpdf:
+    @pytest.mark.parametrize("var", [0.7, np.array([0.3, 1.0, 2.5])],
+                             ids=["scalar-var", "vector-var"])
+    def test_matches_sum_of_univariate_densities(self, var):
+        resid = np.random.default_rng(5).normal(size=(4, 2, 3))
+        expected = norm.logpdf(resid, scale=np.sqrt(var)).sum(axis=-1)
+        got = ms.diag_gauss_logpdf(resid, var)
+        assert got.shape == (4, 2)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from reclaim import model
-from reclaim.errors import ParameterError
+from reclaim.errors import ConvergenceError, ParameterError
 from reclaim.scm import InterventionRegime
 
 
@@ -61,9 +61,13 @@ class TestSpectralNormalize:
         assert np.array_equal(out.w_in, W)
 
     def test_lipschitz_probe_bound(self):
+        # The unmasked network x -> w_out' tanh(w_in' x + b_in): its Jacobian
+        # w_out' diag(tanh') w_in' at any probe stays within the target.
         p = model.init_params(4, seed=2, weight_scale=1.0)
-        est = model.lipschitz_estimate(p, n_probes=1000, seed=0)
-        assert est <= p.lipschitz_target + 1e-3
+        X = np.random.default_rng(0).normal(scale=3.0, size=(1000, 4))
+        deriv = 1.0 - np.tanh(X @ p.w_in + p.b_in) ** 2
+        jacs = np.einsum("hi,sh,jh->sij", p.w_out, deriv, p.w_in)
+        assert np.max(np.linalg.norm(jacs, 2, axis=(1, 2))) <= p.lipschitz_target + 1e-3
 
 
 class TestSampleMask:
@@ -187,103 +191,45 @@ class TestJacobian:
         assert np.max(np.abs(jac - num)) <= 1e-5
 
 
+def noise_logpdf(p, mask, x):
+    """Closed-form noise term of an observational row: sum log N(x - F(x); 0, sigma_z^2)."""
+    z = x - model.masked_forward(p, mask, x)
+    return np.sum(-0.5 * (np.log(2 * np.pi * p.sigma_z ** 2) + z ** 2 / p.sigma_z ** 2))
+
+
 class TestLogDetExact:
+    """The log-det term of a one-row latent_logpdf_batch: its value minus the noise term."""
+
     def test_zero_mask_gives_zero(self):
         p = model.init_params(3, seed=11)
-        assert model.log_det_exact(p, np.zeros((3, 3)), np.zeros(3)) == pytest.approx(0.0)
+        x = np.array([0.4, -1.1, 0.7])
+        M = np.zeros((3, 3))
+        val = model.latent_logpdf_batch(p, M, InterventionRegime(), 1.0, x[None])[0]
+        assert val - noise_logpdf(p, M, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_linear_example(self):
         p = linear_map_params(two_node_weights())
-        val = model.log_det_exact(p, full_mask(2), np.zeros(2))
-        assert val == pytest.approx(np.log(1.56), abs=1e-9)
+        x = np.array([0.3, -0.4])
+        val = model.latent_logpdf_batch(p, full_mask(2), InterventionRegime(), 1.0, x[None])[0]
+        assert val - noise_logpdf(p, full_mask(2), x) == pytest.approx(np.log(1.56), abs=1e-9)
 
     def test_full_intervention_masks_everything(self):
         p = model.init_params(3, seed=12)
         ms = model.sample_mask(p.edge_logits, seed=13)
-        val = model.log_det_exact(p, ms, np.ones(3), targets=(0, 1, 2))
-        assert val == pytest.approx(0.0)
+        x = np.ones(3)
+        val = model.latent_logpdf_batch(p, ms, InterventionRegime((0, 1, 2), 1.0), 1.0,
+                                        x[None])[0]
+        clamp = np.sum(-0.5 * (np.log(2 * np.pi) + x ** 2))
+        assert val - clamp == pytest.approx(0.0, abs=1e-12)
 
-
-def random_contractive_linear(d, norm, seed):
-    rng = np.random.default_rng(seed)
-    W = rng.normal(size=(d, d))
-    np.fill_diagonal(W, 0.0)
-    W *= norm / np.linalg.norm(W, 2)
-    return linear_map_params(W)
-
-
-class TestLogDetSeries:
-    def test_zero_mask(self):
-        p = model.init_params(3, seed=14)
-        val = model.log_det_series(p, np.zeros((3, 3)), np.zeros(3), n_terms=7,
-                                   n_probes=2, seed=0)
-        assert val == pytest.approx(0.0)
-
-    def test_long_series_exact_probes_matches_dense(self):
-        p = random_contractive_linear(4, 0.5, seed=15)
-        x = np.zeros(4)
-        exact = model.log_det_exact(p, full_mask(4), x)
-        series = model.log_det_series(p, full_mask(4), x, n_terms=50, exact_probes=True)
-        assert series == pytest.approx(exact, abs=1e-6)
-
-    def test_truncation_bias_within_tail_bound(self):
-        # seeds chosen with eigenvalue spread so the norm-power tail bound
-        # holds without the dimensional factor
-        for seed in (16, 17, 18):
-            p = random_contractive_linear(5, 0.6, seed=seed)
-            x = np.zeros(5)
-            jac_norm = np.linalg.norm(model.jacobian(p, full_mask(5), x), 2)
-            exact = model.log_det_exact(p, full_mask(5), x)
-            series = model.log_det_series(p, full_mask(5), x, n_terms=3, exact_probes=True)
-            bound = jac_norm ** 4 / (4 * (1 - jac_norm))
-            assert abs(series - exact) <= bound
-
-    def test_dimension_scaled_tail_bound_always_holds(self):
-        for seed in range(30):
-            p = random_contractive_linear(5, 0.6, seed=100 + seed)
-            x = np.zeros(5)
-            jac = model.jacobian(p, full_mask(5), x)
-            norm = np.linalg.norm(jac, 2)
-            exact = model.log_det_exact(p, full_mask(5), x)
-            series = model.log_det_series(p, full_mask(5), x, n_terms=3, exact_probes=True)
-            bound = 5 * norm ** 4 / (4 * (1 - norm))
-            assert abs(series - exact) <= bound
-
-
-class TestLogDetUnbiased:
-    def test_zero_mask_every_draw(self):
-        p = model.init_params(3, seed=19)
-        for s in range(20):
-            val = model.log_det_unbiased(p, np.zeros((3, 3)), np.zeros(3), seed=s)
-            assert val == 0.0
-
-    def test_mean_matches_exact_within_three_se(self):
-        p = random_contractive_linear(5, 0.5, seed=20)
-        x = np.random.default_rng(0).normal(size=5)
-        exact = model.log_det_exact(p, full_mask(5), x)
-        draws = np.array([model.log_det_unbiased(p, full_mask(5), x, seed=s)
-                          for s in range(20_000)])
-        se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - exact) <= 3 * se
-
-    def test_minimum_terms_enter_unweighted(self):
-        cfg = model.LogDetConfig(poisson_rate=4.0, min_terms=3)
-        from reclaim.model import _roulette_tail
-        assert _roulette_tail(cfg, 1) == 1.0
-        assert _roulette_tail(cfg, 3) == 1.0
-        assert _roulette_tail(cfg, 4) < 1.0
-
-    def test_unbiased_converges_on_random_instances(self):
-        hits = 0
-        for inst in range(20):
-            p = random_contractive_linear(4, 0.5, seed=200 + inst)
-            x = np.random.default_rng(inst).normal(size=4)
-            exact = model.log_det_exact(p, full_mask(4), x)
-            draws = np.array([model.log_det_unbiased(p, full_mask(4), x, seed=s)
-                              for s in range(4000)])
-            se = draws.std(ddof=1) / np.sqrt(draws.size)
-            hits += abs(draws.mean() - exact) <= 3 * se
-        assert hits >= 18  # 3-SE criterion leaves a small failure rate
+    def test_orientation_reversing_jacobian_raises(self):
+        # det(I - J) = 1 - 1.5 * 1.5 < 0: the map x -> x - F(x) flips orientation.
+        p = linear_map_params(np.array([[0.0, 1.5], [1.5, 0.0]]))
+        x = np.array([[0.2, -0.1]])
+        with pytest.raises(ConvergenceError):
+            model.latent_logpdf_batch(p, full_mask(2), InterventionRegime(), 1.0, x)
+        with pytest.raises(ConvergenceError):
+            model.latent_logpdf_grads(p, full_mask(2), InterventionRegime(), 1.0, x)
 
 
 class TestLatentLogpdf:
@@ -291,7 +237,7 @@ class TestLatentLogpdf:
         p = model.init_params(3, seed=21)
         p = dataclasses.replace(p, w_out=np.zeros((3, 3)), b_out=np.zeros(3))
         x = np.random.default_rng(1).normal(size=3)
-        val = model.latent_logpdf(p, full_mask(3), InterventionRegime(), 1.0, x)
+        val = model.latent_logpdf_batch(p, full_mask(3), InterventionRegime(), 1.0, x[None])[0]
         expected = np.sum(-0.5 * (np.log(2 * np.pi) + x ** 2))
         assert val == pytest.approx(expected)
 
@@ -308,7 +254,7 @@ class TestLatentLogpdf:
             regime = InterventionRegime(targets, 1.3, mean=0.2)
             x = rng.normal(size=d)
             p = linear_map_params(W, sigma_z=sigma_z)
-            ours = model.latent_logpdf(p, full_mask(d), regime, 1.3, x)
+            ours = model.latent_logpdf_batch(p, full_mask(d), regime, 1.3, x[None])[0]
             oracle = linear_latent_logpdf_oracle(W, sigma_z, regime, x)
             assert ours == pytest.approx(oracle, abs=1e-8)
 
@@ -316,7 +262,7 @@ class TestLatentLogpdf:
         p = model.init_params(2, seed=23)
         regime = InterventionRegime((0, 1), 2.0, mean=-0.3)
         x = np.array([0.5, 1.0])
-        val = model.latent_logpdf(p, full_mask(2), regime, 2.0, x)
+        val = model.latent_logpdf_batch(p, full_mask(2), regime, 2.0, x[None])[0]
         expected = np.sum(-0.5 * (np.log(2 * np.pi * 2.0) + (x + 0.3) ** 2 / 2.0))
         assert val == pytest.approx(expected)
 
@@ -336,32 +282,28 @@ class TestGradients:
                         - value_fn(dataclasses.replace(p, **{name: minus}))) / (2 * eps)
         return out
 
-    @pytest.mark.parametrize("mode,d,hidden,activation,targets", [
-        pytest.param("exact", 3, 3, "tanh", (2,), id="exact"),
-        pytest.param("unbiased", 3, 3, "tanh", (2,), id="unbiased"),
-        *[pytest.param("exact", d, h, act, targets,
+    @pytest.mark.parametrize("d,hidden,activation,targets", [
+        pytest.param(3, 3, "tanh", (2,), id="exact"),
+        *[pytest.param(d, h, act, targets,
                        id=f"exact-d{d}h{h}-{act}-{'int' if targets else 'obs'}")
           for d, h in ((3, 5), (4, 2))
           for act in ("tanh", "identity")
           for targets in ((), (2,))],
-        pytest.param("unbiased", 3, 5, "identity", (), id="unbiased-d3h5-identity-obs"),
-        pytest.param("unbiased", 4, 2, "tanh", (2,), id="unbiased-d4h2-tanh-int"),
+        pytest.param(4, 3, "tanh", (1, 3), id="exact-d4h3-tanh-two-targets"),
+        pytest.param(3, 3, "tanh", (0, 1, 2), id="exact-d3h3-tanh-full"),
     ])
-    def test_parameter_gradients_match_finite_differences(self, mode, d, hidden,
-                                                           activation, targets):
+    def test_parameter_gradients_match_finite_differences(self, d, hidden, activation,
+                                                           targets):
         p = model.init_params(d, hidden=hidden, seed=24, activation=activation)
         ms = model.sample_mask(p.edge_logits, seed=25)
         regime = InterventionRegime(targets, 1.0)
         X = np.random.default_rng(2).normal(size=(5, d))
-        cfg = model.LogDetConfig(poisson_rate=3.0, n_probes=2)
 
         def value(pp):
-            v, _ = model.latent_logpdf_grads(pp, ms, regime, 1.0, X,
-                                             logdet_mode=mode, logdet_cfg=cfg, seed=77)
+            v, _ = model.latent_logpdf_grads(pp, ms, regime, 1.0, X)
             return v
 
-        _, grads = model.latent_logpdf_grads(p, ms, regime, 1.0, X,
-                                             logdet_mode=mode, logdet_cfg=cfg, seed=77)
+        _, grads = model.latent_logpdf_grads(p, ms, regime, 1.0, X)
         for name in ("w_in", "b_in", "w_out", "b_out"):
             num = self._numeric_grad(p, name, value)
             scale = max(np.max(np.abs(num)), 1e-8)
@@ -543,27 +485,6 @@ class TestKernelsMatchReference:
         ours = model.latent_logpdf_batch(p, mask, regime, regime.variance, X)
         oracle = [linear_latent_logpdf_oracle(weights, p.sigma_z, regime, x) for x in X]
         _assert_rel_close(ours, oracle)
-
-
-class TestModelFixedPoint:
-    def test_round_trip_recovers_noise(self):
-        p = model.init_params(4, seed=27, weight_scale=0.6)
-        ms = model.sample_mask(p.edge_logits, seed=28)
-        rng = np.random.default_rng(4)
-        Z = rng.normal(size=(20, 4))
-        X = model.solve_model_fixed_point(p, ms, Z)
-        free = np.ones(4)
-        out = model.masked_forward(p, ms, X)
-        back = X - free * out
-        assert np.max(np.abs(back - Z)) <= 1e-6
-
-    def test_intervened_coordinates_clamped(self):
-        p = model.init_params(3, seed=29)
-        ms = model.sample_mask(p.edge_logits, seed=30)
-        regime = InterventionRegime((1,), 1.0)
-        x = model.solve_model_fixed_point(p, ms, np.zeros(3), regime,
-                                          values=np.array([2.5]))
-        assert x[1] == 2.5
 
 
 class TestCheckpointIO:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from reclaim import posterior
-from reclaim.measurement import GaussianAdditiveChannel
+from reclaim.measurement import GaussianAdditiveChannel, LinearChannel
 from reclaim.model import ModelParams
 from reclaim.scm import InterventionRegime
 
@@ -105,3 +106,29 @@ class TestSirSampleBatch:
         assert np.all(np.abs(err) <= 4.0 * se)
         # the proposal centre y, a wrong answer, lies far outside that band
         assert np.max(np.abs(linear_gaussian["Y"] - linear_gaussian["post_mean"]) / se) > 8.0
+
+
+class TestGaussianProposal:
+    @pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
+    def test_logpdf_is_the_gaussian_it_defines(self, linear):
+        """Additive: N(y, scale * D). Linear: precision A'D^-1 A / scale + diag(1/prior_var),
+        mean cov A'D^-1 y."""
+        rng = np.random.default_rng(9)
+        scale, prior_var = 1.5, 0.8
+        if linear:
+            A, noise_var = rng.normal(size=(5, 3)), rng.uniform(0.2, 0.6, 5)
+            channel = LinearChannel(A, noise_var)
+            cov = np.linalg.inv(A.T @ np.diag(1.0 / noise_var) @ A / scale
+                                + np.eye(3) / prior_var)
+        else:
+            channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
+            cov = np.diag(channel.noise_var * scale)
+        Y = rng.normal(size=(4, channel.p))
+        proposal = posterior.GaussianProposal(channel, Y, scale=scale, prior_var=prior_var)
+        rows = np.array([2, 0])
+        xs = proposal.draw(rng, rows, 6)
+        got = proposal.logpdf(xs, rows)
+        for k, r in enumerate(rows):
+            mean = cov @ A.T @ (Y[r] / noise_var) if linear else Y[r]
+            assert np.allclose(got[k], multivariate_normal(mean, cov).logpdf(xs[k]),
+                               rtol=1e-10, atol=0.0)
