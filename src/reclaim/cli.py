@@ -1,9 +1,11 @@
 """Command-line harness: simulate | estimate-noise | fit | evaluate | sweep.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O failure,
-4 unmet interventional-coverage requirement, 5 numerical failure (too many
-degenerate observations in an E-step, a solver that did not converge, or a
-collapsed importance-weight posterior).
+Exit codes: 0 success, 2 usage/config error (including a channel.json that
+is malformed, names an unknown type, lacks a key or has a rank-deficient
+mixing matrix, and an evaluation against a truth graph with no edges),
+3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
+failure (too many degenerate observations in an E-step, or a solver that did
+not converge).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import em, graphs, measurement, noise, scm
-from .errors import (ConvergenceError, DegeneratePosteriorError, EStepError,
-                     IdentifiabilityError, ParameterError)
+from . import em, graphs, measurement, scm
+from .errors import (ConvergenceError, EStepError, IdentifiabilityError,
+                     ParameterError, RankError, UndefinedMetricError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,6 +61,7 @@ def _resolve_seed(config_seed, flag_seed):
 
 def _atomic_write(path, text):
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(path)
@@ -69,26 +72,15 @@ def _atomic_write(path, text):
 
 
 def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.Channel:
-    ctype = channel_cfg.get("type", "gan")
-    sigma_min = channel_cfg.get("sigma_min", 0.3)
-    sigma_max = channel_cfg.get("sigma_max", 0.6)
-    if ctype == "gan":
-        if "sigma_sq" in channel_cfg:
-            return measurement.GaussianAdditiveChannel(np.asarray(channel_cfg["sigma_sq"], float))
-        sigma = rng.uniform(sigma_min, sigma_max, size=d)
-        return measurement.GaussianAdditiveChannel(sigma ** 2)
-    if ctype == "linear":
-        p = int(channel_cfg.get("p", d))
-        if "A" in channel_cfg:
-            A = np.asarray(channel_cfg["A"], dtype=float)
-        else:
-            A = rng.normal(0.0, np.sqrt(channel_cfg.get("mixing_var", 1.5)), size=(p, d))
-        if "sigma_sq" in channel_cfg:
-            var = np.asarray(channel_cfg["sigma_sq"], dtype=float)
-        else:
-            var = rng.uniform(sigma_min, sigma_max, size=p) ** 2
-        return measurement.LinearChannel(A, var)
-    raise ConfigError(f"unknown channel type {ctype!r}")
+    """The simulated channel: the config's "A" and "sigma_sq", or random draws."""
+    spec = {"type": "gan", **channel_cfg}
+    p = int(spec.get("p", d)) if spec["type"] == "linear" else d
+    if spec["type"] == "linear" and "A" not in spec:
+        spec["A"] = rng.normal(0.0, np.sqrt(spec.get("mixing_var", 1.5)), size=(p, d))
+    if "sigma_sq" not in spec:
+        spec["sigma_sq"] = rng.uniform(spec.get("sigma_min", 0.3), spec.get("sigma_max", 0.6),
+                                       size=p) ** 2
+    return measurement.channel_from_dict(spec)
 
 
 def run_simulate(config: dict, out_dir) -> None:
@@ -134,16 +126,23 @@ def run_simulate(config: dict, out_dir) -> None:
 # estimate-noise
 
 
+def _read_channel_spec(data_dir: Path) -> dict:
+    """The data directory's ``channel.json`` object; a missing file is an I/O error."""
+    path = data_dir / "channel.json"
+    try:
+        spec = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return spec
+
+
 def run_estimate_noise(data_dir, out_path=None) -> None:
     data_dir = Path(data_dir)
     datasets, family = scm.read_dataset(data_dir)
-    channel = measurement.channel_from_json((data_dir / "channel.json").read_text())
-    if isinstance(channel, measurement.GaussianAdditiveChannel):
-        var = noise.estimate_channel_noise(datasets, family, "gan")
-        estimated = measurement.GaussianAdditiveChannel(var)
-    else:
-        var = noise.estimate_channel_noise(datasets, family, "linear", channel.mixing)
-        estimated = measurement.LinearChannel(channel.mixing, var)
+    spec = _read_channel_spec(data_dir)
+    estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family, seed=0)
     out_path = Path(out_path) if out_path else data_dir / "phi_hat.json"
     _atomic_write(out_path, measurement.channel_to_json(estimated))
 
@@ -168,15 +167,12 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
         datasets, family = scm.read_dataset(data_dir)
     except ValueError as exc:
         raise ConfigError(f"malformed regime data: {exc}") from exc
-    channel = measurement.channel_from_json((data_dir / "channel.json").read_text())
+    spec = _read_channel_spec(data_dir)
+    if not em_config.get("use_true_noise"):
+        spec.pop("sigma_sq", None)
+    # The output directory is made by the first write, after the channel is built.
     out_dir = Path(out_dir) if out_dir else data_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     cfg = _em_config_from_dict(em_config)
-    spec = {"type": "gan"} if isinstance(channel, measurement.GaussianAdditiveChannel) \
-        else {"type": "linear", "A": channel.mixing.tolist()}
-    if em_config.get("use_true_noise"):
-        spec["sigma_sq"] = channel.noise_var.tolist()
 
     init_theta, start_round, q_history, trace = None, 0, None, None
     ckpt_path = out_dir / "checkpoint.json"
@@ -383,13 +379,13 @@ def main(argv=None) -> int:
             base = config.setdefault("base", {})
             base["seed"] = _resolve_seed(int(base.get("seed", 0)), args.seed)
             run_sweep(config, jobs=args.jobs)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, RankError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY
-    except (EStepError, ConvergenceError, DegeneratePosteriorError) as exc:
+    except (EStepError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import noise
 from .errors import EStepError, ParameterError
 from .graphs import DirectedGraph
-from .measurement import (Channel, GaussianAdditiveChannel, LinearChannel,
-                          channel_logpdf)
+from .measurement import Channel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, sample_mask,
                     spectral_normalize)
-from .posterior import GaussianProposal, sir_sample_batch
+from .posterior import CHUNK_ROWS, GaussianProposal, sir_sample_batch
 from .scm import InterventionFamily
 
 logger = logging.getLogger(__name__)
@@ -55,6 +55,16 @@ class EmConfig:
     init_weight_scale: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text: "int", "float", "int | None"
+            value = getattr(self, f.name)
+            integral = f.type.startswith("int")
+            if value is None and f.type.endswith("None"):
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise ParameterError(f"{f.name} must be "
+                                     f"{'an integer' if integral else 'a real number'}, "
+                                     f"got {value!r}")
         if self.sparsity_lambda < 0:
             raise ParameterError("sparsity_lambda must be >= 0")
         for name in ("learning_rate", "m_steps_per_round", "batch_size",
@@ -284,30 +294,20 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     return current
 
 
-def _build_channel(channel_spec: dict, datasets, family: InterventionFamily,
-                   seed) -> Channel:
-    """Construct the channel from a spec dict, estimating noise if needed.
+def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
+                  seed) -> Channel:
+    """The measurement channel a ``channel.json`` object describes.
 
-    ``channel_spec``: {"type": "gan"} or {"type": "linear", "A": [[...]]};
-    a "sigma_sq" entry pins the noise variances and skips estimation.
+    ``channel_spec`` is {"type": "gan", "sigma_sq": [...]} or {"type":
+    "linear", "A": [[...]], "sigma_sq": [...]}. A given "sigma_sq" pins the
+    noise variances; a missing or null one is estimated from the regime
+    data, with ``seed`` driving the linear channel's projection sampling.
     """
-    ctype = channel_spec.get("type")
-    if ctype == "gan":
-        if "sigma_sq" in channel_spec and channel_spec["sigma_sq"] is not None:
-            var = np.asarray(channel_spec["sigma_sq"], dtype=float)
-        else:
-            var = noise.estimate_gan_variances(datasets, family)
-        return GaussianAdditiveChannel(var)
-    if ctype == "linear":
-        if "A" not in channel_spec:
-            raise ParameterError("linear channel spec needs the mixing matrix 'A'")
-        A = np.asarray(channel_spec["A"], dtype=float)
-        if "sigma_sq" in channel_spec and channel_spec["sigma_sq"] is not None:
-            var = np.asarray(channel_spec["sigma_sq"], dtype=float)
-        else:
-            var = noise.estimate_channel_noise(datasets, family, "linear", A, seed=seed)
-        return LinearChannel(A, var)
-    raise ParameterError(f"unknown channel type {ctype!r}")
+    if channel_spec.get("sigma_sq") is None:
+        var = noise.estimate_channel_noise(datasets, family, channel_spec.get("type"),
+                                           channel_spec.get("A"), seed=seed)
+        channel_spec = {**channel_spec, "sigma_sq": var}
+    return channel_from_dict(channel_spec)
 
 
 def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
@@ -316,14 +316,16 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
         round_callback=None) -> FitReport:
     """Full pipeline: estimate channel noise, then alternate E and M steps.
 
-    Stops after ``cfg.em_rounds`` rounds or once the surrogate's relative
-    change drops below ``cfg.convergence_tol``. Resuming is supported by
-    passing the checkpointed parameters, start round, and histories; round
-    seeds derive from (cfg.seed, round), so a resumed run reproduces the
-    uninterrupted one.
+    ``channel_spec`` is a ``channel.json`` object whose "sigma_sq" may be
+    missing or null, in which case ``build_channel`` estimates it from the
+    data. Stops after ``cfg.em_rounds`` rounds or once the surrogate's
+    relative change drops below ``cfg.convergence_tol``. Resuming is
+    supported by passing the checkpointed parameters, start round, and
+    histories; round seeds derive from (cfg.seed, round), so a resumed run
+    reproduces the uninterrupted one.
     """
     init_seed = int(np.random.SeedSequence((cfg.seed, 0)).generate_state(1)[0])
-    phi_hat = _build_channel(channel_spec, datasets, family, seed=init_seed)
+    phi_hat = build_channel(channel_spec, datasets, family, seed=init_seed)
     d = phi_hat.d
 
     theta = init_theta
@@ -371,16 +373,15 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
 
 
 def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
-                  family: InterventionFamily, cfg: EmConfig,
-                  n_proposals: int | None = None, seed=None,
+                  family: InterventionFamily, cfg: EmConfig, seed=None,
                   return_se: bool = False):
     """Self-normalized importance estimate of sum_k sum_l log p(y | theta, phi).
 
     Per observation: log-mean-exp of (latent + channel - proposal) log ratios
-    over fresh proposal draws. ``return_se`` adds a delta-method standard
-    error for the Monte-Carlo noise of the total.
+    over ``cfg.elbo_proposals`` fresh proposal draws. ``return_se`` adds a
+    delta-method standard error for the Monte-Carlo noise of the total.
     """
-    S = cfg.elbo_proposals if n_proposals is None else n_proposals
+    S = cfg.elbo_proposals
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     mask = expected_mask(theta.edge_logits)
     total = 0.0
@@ -390,7 +391,7 @@ def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
         if Y.shape[0] == 0:
             continue
         proposal = GaussianProposal(phi_hat, Y, prior_var=theta.sigma_z ** 2)
-        step = max(1, 65536 // S)
+        step = max(1, CHUNK_ROWS // S)
         for start in range(0, Y.shape[0], step):
             rows = np.arange(start, min(start + step, Y.shape[0]))
             xs = proposal.draw(rng, rows, S)

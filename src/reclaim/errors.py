@@ -45,9 +45,5 @@ class SamplingFailureError(RuntimeError):
         self.achieved_rank = achieved_rank
 
 
-class DegeneratePosteriorError(RuntimeError):
-    """All importance weights collapsed; the posterior cannot be resampled."""
-
-
 class EStepError(RuntimeError):
     """Too many observations were skipped while building the particle cache."""

@@ -122,11 +122,24 @@ def channel_to_json(channel: Channel) -> str:
     })
 
 
+def channel_from_dict(spec: dict) -> Channel:
+    """The channel a ``channel.json`` object describes.
+
+    ``{"type": "gan", "sigma_sq": [...]}`` or ``{"type": "linear", "A": [[...]],
+    "sigma_sq": [...]}``; other keys are ignored. This is the one place a
+    channel type name becomes a class.
+    """
+    kind = spec.get("type")
+    try:
+        if kind == "gan":
+            return GaussianAdditiveChannel(np.asarray(spec["sigma_sq"], dtype=float))
+        if kind == "linear":
+            return LinearChannel(np.asarray(spec["A"], dtype=float),
+                                 np.asarray(spec["sigma_sq"], dtype=float))
+    except KeyError as exc:
+        raise ParameterError(f"{kind} channel spec has no {exc.args[0]!r}") from exc
+    raise ParameterError(f"unknown channel type {kind!r}; expected 'gan' or 'linear'")
+
+
 def channel_from_json(text: str) -> Channel:
-    obj = json.loads(text)
-    if obj["type"] == "gan":
-        return GaussianAdditiveChannel(np.asarray(obj["sigma_sq"], dtype=float))
-    if obj["type"] == "linear":
-        return LinearChannel(np.asarray(obj["A"], dtype=float),
-                             np.asarray(obj["sigma_sq"], dtype=float))
-    raise ParameterError(f"unknown channel type {obj['type']!r}")
+    return channel_from_dict(json.loads(text))

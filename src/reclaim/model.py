@@ -110,15 +110,12 @@ class ModelParams:
 class MaskSample:
     """One relaxed-Bernoulli draw of the dependency mask.
 
-    ``values`` enters the forward pass (hard samples use the 0.5-thresholded
-    matrix); ``soft`` keeps the relaxed probabilities so gradients can flow
-    straight-through to the logits.
+    ``values`` holds the relaxed entries, which enter the forward pass and
+    through which gradients flow to the logits at ``temperature``.
     """
 
     values: np.ndarray
-    soft: np.ndarray
     temperature: float
-    hard: bool = False
 
 
 def init_params(d: int, hidden: int | None = None, lipschitz_target: float = 0.9,
@@ -189,12 +186,11 @@ def spectral_normalize(params: ModelParams) -> ModelParams:
 
 
 def sample_mask(edge_logits: np.ndarray, temperature: float = 1.0,
-                hard: bool = False, seed=None) -> MaskSample:
+                seed=None) -> MaskSample:
     """Binary-concrete relaxation of the Bernoulli mask entries.
 
     Each off-diagonal entry is sigmoid((logit + g1 - g0) / temperature) with
-    independent standard Gumbel draws; ``hard`` thresholds at 0.5 while the
-    soft matrix is retained for straight-through gradients.
+    independent standard Gumbel draws.
     """
     if temperature <= 0:
         raise ParameterError("temperature must be positive")
@@ -202,10 +198,9 @@ def sample_mask(edge_logits: np.ndarray, temperature: float = 1.0,
     rng = np.random.default_rng(seed)
     g1 = rng.gumbel(size=logits.shape)
     g0 = rng.gumbel(size=logits.shape)
-    soft = expit((logits + g1 - g0) / temperature)
-    np.fill_diagonal(soft, 0.0)
-    values = (soft > 0.5).astype(float) if hard else soft
-    return MaskSample(values=values, soft=soft, temperature=temperature, hard=hard)
+    values = expit((logits + g1 - g0) / temperature)
+    np.fill_diagonal(values, 0.0)
+    return MaskSample(values=values, temperature=temperature)
 
 
 def expected_mask(edge_logits: np.ndarray) -> np.ndarray:
@@ -380,8 +375,6 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
     ``edge_logits`` chained through the relaxed Bernoulli entries.
     """
     M = _mask_values(mask)
-    soft = mask.soft if isinstance(mask, MaskSample) else None
-    temperature = mask.temperature if isinstance(mask, MaskSample) else None
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if weights is None:
@@ -433,8 +426,8 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
     dM[:, F] += np.sum(P * params.w_in[:, None, :], axis=2)
 
     grads = {"w_in": dw_in, "b_in": db_in, "w_out": dw_out, "b_out": db_out, "mask": dM}
-    if soft is not None:
-        dlogits = dM * soft * (1.0 - soft) / temperature
+    if isinstance(mask, MaskSample):
+        dlogits = dM * M * (1.0 - M) / mask.temperature
         np.fill_diagonal(dlogits, 0.0)
         grads["edge_logits"] = dlogits
     return value, grads

@@ -43,8 +43,7 @@ def _covering_regimes(family, node):
     return [k for k, regime in enumerate(family.regimes) if node in regime.targets]
 
 
-def estimate_gan_variances(datasets, family: InterventionFamily,
-                           intervention_var: float | None = None) -> np.ndarray:
+def estimate_gan_variances(datasets, family: InterventionFamily) -> np.ndarray:
     """Per-coordinate noise variances for the additive channel.
 
     For each node, the sample variance of its measurement column under a
@@ -58,9 +57,8 @@ def estimate_gan_variances(datasets, family: InterventionFamily,
     for i in range(d):
         ests = []
         for k in _covering_regimes(family, i):
-            pinned = family.regimes[k].variance if intervention_var is None else intervention_var
             col = np.asarray(datasets[k], dtype=float)[:, i]
-            ests.append(np.var(col, ddof=1) - pinned)
+            ests.append(np.var(col, ddof=1) - family.regimes[k].variance)
         out[i] = np.mean(ests)
     return np.maximum(out, VARIANCE_FLOOR)
 
@@ -85,13 +83,11 @@ class ProjectionSet:
 
     ``vectors`` holds the unit-norm projections row-wise, ``squares`` their
     elementwise squares (the least-squares design matrix), and
-    ``source_node`` the latent index each row isolates. ``rhs`` is filled in
-    by the variance estimator.
+    ``source_node`` the latent index each row isolates.
     """
 
     vectors: np.ndarray
     source_node: np.ndarray
-    rhs: np.ndarray | None = None
 
     @property
     def squares(self) -> np.ndarray:
@@ -107,7 +103,6 @@ def _matrix_rank(rows: np.ndarray) -> int:
 
 
 def sample_projection_vectors(A: np.ndarray, m: int | None = None,
-                              eps_sig: float = EPS_SIG,
                               delta: float = DELTA_DIVERSITY,
                               seed=None,
                               max_streak: int = 500,
@@ -116,12 +111,13 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
 
     Cycles over latent nodes; for node i, draws coefficients against the
     null-space basis of the other columns, keeps unit-norm vectors with
-    enough signal on column i (|a_i' t| >= eps_sig) whose squared vector is
+    enough signal on column i (|a_i' t| >= EPS_SIG) whose squared vector is
     sufficiently different (cosine < 1 - delta) from every accepted row.
     A node that keeps getting rejected (e.g. a one-dimensional null space
     already represented) is passed over, so square systems terminate with
     one row per node. Fails once the total draw budget (1e4 * m) is spent
-    without reaching rank p.
+    without reaching rank p; a rank-deficient A, for which no vector can
+    isolate some latent, is rejected before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
@@ -134,8 +130,11 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         m = 2 * p
     if m < p:
         raise ParameterError(f"need at least p={p} rows, got m={m}")
-    if signal_cap is not None and signal_cap <= eps_sig:
-        raise ParameterError("signal_cap must exceed eps_sig")
+    if signal_cap is not None and signal_cap <= EPS_SIG:
+        raise ParameterError("signal_cap must exceed EPS_SIG")
+    rank = np.linalg.matrix_rank(A)
+    if rank < d:
+        raise RankError(f"mixing matrix is rank deficient (rank {rank} < d={d})")
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
@@ -182,7 +181,7 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
             if sig > best_sig:
                 best_sig, best_t = sig, t
             capped = signal_cap is not None and sig > signal_cap
-            if sig < eps_sig or capped or not diverse(t ** 2):
+            if sig < EPS_SIG or capped or not diverse(t ** 2):
                 if r == 1:
                     break  # redraws cannot change a fixed direction
                 streak += 1
@@ -256,9 +255,7 @@ def kkt_residual(design: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
 
 
 def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarray,
-                              intervention_var: float | None,
-                              proj: ProjectionSet,
-                              row_weighting: bool = True) -> np.ndarray:
+                              proj: ProjectionSet) -> np.ndarray:
     """Per-measurement noise variances for the linear channel.
 
     Each projection row yields one linear equation: the sample variance of
@@ -266,12 +263,12 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
     the squared projection applied to the noise variances. The stacked
     system is solved under non-negativity and floored.
 
-    With ``row_weighting`` each (row, rhs) pair is rescaled by the inverse
-    of the projected sample variance. Rescaling a projection vector scales
-    its row and right-hand side together, so the ideal solution is
-    unchanged, but on finite samples it equalizes the rows' noise levels
-    (the sampling error of a variance estimate is proportional to the
-    variance itself), which sharply reduces the estimation error.
+    Each (row, rhs) pair is rescaled by the inverse of the projected sample
+    variance. Rescaling a projection vector scales its row and right-hand
+    side together, so the ideal solution is unchanged, but on finite samples
+    it equalizes the rows' noise levels (the sampling error of a variance
+    estimate is proportional to the variance itself), which sharply reduces
+    the estimation error.
     """
     A = np.asarray(A, dtype=float)
     p = A.shape[0]
@@ -287,19 +284,14 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
         gain = (t @ A[:, node]) ** 2
         contributions = []
         for k in _covering_regimes(family, node):
-            pinned = family.regimes[k].variance if intervention_var is None else intervention_var
             var_k = np.var(np.asarray(datasets[k], dtype=float) @ t, ddof=1)
-            contributions.append((var_k, var_k - gain * pinned))
+            contributions.append((var_k, var_k - gain * family.regimes[k].variance))
         if not contributions:
             raise IdentifiabilityError(f"no regime covers node {node}")
         proj_var[r] = np.mean([c[0] for c in contributions])
         rhs[r] = np.mean([c[1] for c in contributions])
-    proj.rhs = rhs
-    if row_weighting:
-        w = 1.0 / np.maximum(proj_var, VARIANCE_FLOOR)
-        sigma_sq = nnls_projected_gradient(proj.squares * w[:, None], rhs * w)
-    else:
-        sigma_sq = nnls_projected_gradient(proj.squares, rhs)
+    w = 1.0 / np.maximum(proj_var, VARIANCE_FLOOR)
+    sigma_sq = nnls_projected_gradient(proj.squares * w[:, None], rhs * w)
     return np.maximum(sigma_sq, VARIANCE_FLOOR)
 
 
@@ -311,8 +303,7 @@ PIPELINE_DELTA = 0.001
 
 
 def estimate_channel_noise(datasets, family: InterventionFamily,
-                           channel_type: str, A: np.ndarray | None = None,
-                           intervention_var: float | None = None, seed=0):
+                           channel_type: str, A: np.ndarray | None = None, seed=0):
     """Estimate a measurement channel's noise variances from regime data.
 
     Returns the estimated variance vector (length d for ``"gan"``, length p
@@ -321,7 +312,7 @@ def estimate_channel_noise(datasets, family: InterventionFamily,
     non-negative system.
     """
     if channel_type == "gan":
-        return estimate_gan_variances(datasets, family, intervention_var)
+        return estimate_gan_variances(datasets, family)
     if channel_type == "linear":
         if A is None:
             raise ParameterError("linear channel estimation needs the mixing matrix")
@@ -330,5 +321,5 @@ def estimate_channel_noise(datasets, family: InterventionFamily,
         proj = sample_projection_vectors(
             A, m=PIPELINE_ROWS_PER_MEASUREMENT * p,
             delta=PIPELINE_DELTA, signal_cap=PIPELINE_SIGNAL_CAP, seed=seed)
-        return estimate_linear_variances(datasets, family, A, intervention_var, proj)
-    raise ParameterError(f"unknown channel type {channel_type!r}")
+        return estimate_linear_variances(datasets, family, A, proj)
+    raise ParameterError(f"unknown channel type {channel_type!r}; expected 'gan' or 'linear'")

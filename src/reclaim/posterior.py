@@ -14,6 +14,10 @@ from .measurement import (Channel, GaussianAdditiveChannel, channel_logpdf,
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
+# Proposal draws (observations x proposals) scored per latent_logpdf_batch
+# call, here and in the ELBO estimate.
+CHUNK_ROWS = 65536
+
 
 def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
     """Row-wise normalized weights exp(log_w) / sum(exp(log_w)).
@@ -79,8 +83,7 @@ class GaussianProposal:
 
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
                      regime: InterventionRegime, intervention_var: float,
-                     n_proposals: int, n_resample: int, seed=None,
-                     chunk: int = 65536):
+                     n_proposals: int, n_resample: int, seed=None):
     """Vectorized SIR across a regime's observations.
 
     Returns ``(particles, ess, kept)``: resampled particles of shape
@@ -94,6 +97,7 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
     d = params.d
 
     S = n_proposals
+    step = max(1, CHUNK_ROWS // S)
     log_w = np.full((n, S), -np.inf)
     xs_all = np.empty((n, S, d))
     pending = np.arange(n)
@@ -102,8 +106,8 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
             break
         proposal = GaussianProposal(channel, Y, scale=scale,
                                     prior_var=params.sigma_z ** 2)
-        for start in range(0, pending.size, max(1, chunk // S)):
-            rows = pending[start:start + max(1, chunk // S)]
+        for start in range(0, pending.size, step):
+            rows = pending[start:start + step]
             xs = proposal.draw(rng, rows, S)
             flat = xs.reshape(-1, d)
             log_latent = latent_logpdf_batch(params, mask, regime, intervention_var, flat)

@@ -1,0 +1,46 @@
+"""The benchmark harness's calls into the package, on tiny one-round fits.
+
+``perfbench/run.py`` is loaded as it stands and never written to, so a
+change of signature that would break the benchmark fails here first.
+"""
+
+import dataclasses
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from reclaim import cli, em, graphs, measurement, model, noise, posterior, scm
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+MODULES = {"cli": cli, "em": em, "graphs": graphs, "measurement": measurement,
+           "model": model, "noise": noise, "posterior": posterior, "scm": scm}
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    # Loading run.py pins the BLAS thread variables; monkeypatch restores them.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, ""))
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclass looks itself up there
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
+def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, workload):
+    s = harness.set_up(MODULES, workload, seed=1, data_dir=tmp_path)
+    assert type(measurement.channel_from_dict(s.spec)) is type(s.channel)
+    tiny = em.EmConfig(em_rounds=1, m_steps_per_round=2, batch_size=16, n_proposals=16,
+                       n_resample=2, seed=s.cfg.seed)
+    out = harness.fit_cycle(MODULES, dataclasses.replace(s, cfg=tiny), tmp_path)
+
+    assert out["error"] is None
+    assert len(out["thetas"]) == 1  # the (r, theta, *_) callback ran once
+    assert np.array_equal(out["report"].phi_hat.noise_var, s.spec["sigma_sq"])
+    assert 0.0 <= out["evaluation"]["auprc"] <= 1.0

@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from reclaim import cli, em, model, scm
-from reclaim.errors import ConvergenceError, DegeneratePosteriorError, EStepError
+from reclaim import cli, em, graphs, measurement, model, scm
+from reclaim.errors import ConvergenceError, EStepError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
            "n_proposals": 8, "n_resample": 2}
 
 
 @pytest.mark.parametrize("exc", [EStepError("12/40 observations degenerate (> 5%)"),
-                                 ConvergenceError("model fixed point stalled"),
-                                 DegeneratePosteriorError("all weights collapsed")],
+                                 ConvergenceError("model fixed point stalled")],
                          ids=lambda e: type(e).__name__)
 def test_numerical_failure_exits_5_with_one_line_error(tmp_path, monkeypatch, capsys, exc):
     cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")
@@ -123,6 +122,101 @@ def test_em_config_takes_its_fields_and_leaves_use_true_noise_to_the_fit():
     assert cfg == em.EmConfig(em_rounds=3, seed=7)
 
 
+@pytest.mark.parametrize("use_true_noise", [False, True])
+def test_fit_uses_channel_json_noise_only_under_use_true_noise(tmp_path, use_true_noise):
+    data = tmp_path / "data"
+    cli.run_simulate({"d": 3, "n_per_regime": 50}, data)
+    report = cli.run_fit(data, {**TINY_EM, "em_rounds": 0, "use_true_noise": use_true_noise},
+                         tmp_path / "out")
+    cli.run_estimate_noise(data)
+    want = "channel.json" if use_true_noise else "phi_hat.json"
+    assert measurement.channel_to_json(report.phi_hat) == (data / want).read_text()
+
+
 def test_em_config_names_every_unknown_key():
     with pytest.raises(cli.ConfigError, match=r"^unknown EM config keys: em_round, logdet$"):
         cli._em_config_from_dict({"logdet": {"n_probes": 2}, "em_round": 3, "seed": 1})
+
+
+def _fit_argv(tmp_path, data, out, **config):
+    path = tmp_path / "em.json"
+    path.write_text(json.dumps({**TINY_EM, **config}))
+    return ["fit", "--data-dir", str(data), "--config", str(path), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("em_rounds", "2", "em_rounds must be an integer, got '2'"),
+    ("learning_rate", "0.01", "learning_rate must be a real number, got '0.01'"),
+    ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+])
+def test_em_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, key, value, message):
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")
+    code = cli.main(_fit_argv(tmp_path, tmp_path / "data", tmp_path / "out", **{key: value}))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-true-noise", "estimate-noise"])
+def test_rank_deficient_mixing_exits_2_before_any_output(tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 20, "channel": {"type": "linear", "p": 4}}, data)
+    spec = json.loads((data / "channel.json").read_text())
+    A = np.asarray(spec["A"])
+    A[:, 2] = A[:, 0] + A[:, 1]
+    (data / "channel.json").write_text(json.dumps({**spec, "A": A.tolist()}))
+    if command == "estimate-noise":
+        argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    else:
+        argv = _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: mixing matrix is rank deficient") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sigma_sq": [0.1, 0.2, 0.3]}', "error: unknown channel type None"),
+    ('{"type": "gan", "sigma_sq": [0.1, ', "error: malformed JSON in "),
+], ids=["no-type", "malformed-json"])
+@pytest.mark.parametrize("command", ["fit", "estimate-noise"])
+def test_bad_channel_json_exits_2(tmp_path, capsys, text, message, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    (data / "channel.json").write_text(text)
+    argv = _fit_argv(tmp_path, data, out) if command == "fit" else \
+        ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
+    report, truth = tmp_path / "report.json", tmp_path / "truth_graph.json"
+    scores = np.full((3, 3), 0.5)
+    np.fill_diagonal(scores, 0.0)
+    report.write_text(json.dumps({"edge_scores": scores.tolist()}))
+    truth.write_text(graphs.graph_to_json(graphs.DirectedGraph(np.zeros((3, 3), dtype=bool))))
+    code = cli.main(["evaluate", "--report", str(report), "--truth", str(truth)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: truth graph has no edges; AUPRC is undefined\n"
+
+
+def test_resumed_cli_fit_writes_the_straight_fits_files_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    data = tmp_path / "data"
+    cli.run_simulate({"d": 3, "n_per_regime": 20, "seed": 2}, data)
+    config = {"n_proposals": 32, "convergence_tol": 1e-12, "elbo_every": 2, "seed": 4}
+
+    def fit(out, em_rounds, *flags):
+        argv = _fit_argv(tmp_path, data, tmp_path / out, em_rounds=em_rounds, **config)
+        assert cli.main([*argv, *flags]) == cli.EXIT_OK
+
+    fit("straight", 3)
+    fit("resumed", 1)
+    fit("resumed", 3, "--resume")
+    assert json.loads((tmp_path / "resumed" / "report.json").read_text())[
+        "diagnostics"]["rounds_completed"] == 3
+    for name in ("report.json", "checkpoint.json", "trace.csv"):
+        assert (tmp_path / "resumed" / name).read_bytes() == \
+            (tmp_path / "straight" / name).read_bytes()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -26,6 +28,29 @@ class TestChannelConstruction:
         back = ms.channel_from_json(ms.channel_to_json(chan))
         assert np.allclose(back.mixing, chan.mixing)
         assert np.allclose(back.noise_var, chan.noise_var)
+
+
+class TestChannelFromDict:
+    @pytest.mark.parametrize("chan", [
+        ms.GaussianAdditiveChannel(np.array([0.1, 0.2, 0.3])),
+        ms.LinearChannel(np.random.default_rng(1).normal(size=(5, 3)), np.linspace(0.1, 0.5, 5)),
+    ], ids=["gan", "linear"])
+    def test_round_trip_through_channel_to_json(self, chan):
+        back = ms.channel_from_dict(json.loads(ms.channel_to_json(chan)))
+        assert type(back) is type(chan)
+        assert ms.channel_to_json(back) == ms.channel_to_json(chan)
+
+    @pytest.mark.parametrize("spec", [{"type": "probit", "sigma_sq": [0.1]},
+                                      {"sigma_sq": [0.1]}], ids=["unknown", "missing"])
+    def test_rejects_a_type_it_does_not_know(self, spec):
+        with pytest.raises(ParameterError, match=r"^unknown channel type (None|'probit')"):
+            ms.channel_from_dict(spec)
+
+    @pytest.mark.parametrize("spec, key", [({"type": "gan"}, "sigma_sq"),
+                                           ({"type": "linear", "sigma_sq": [0.1, 0.2]}, "A")])
+    def test_names_the_missing_key(self, spec, key):
+        with pytest.raises(ParameterError, match=f"has no '{key}'$"):
+            ms.channel_from_dict(spec)
 
 
 class TestMeasure:

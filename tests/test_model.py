@@ -83,13 +83,6 @@ class TestSampleMask:
         ms = model.sample_mask(np.zeros((4, 4)), seed=1)
         assert np.all(np.diag(ms.values) == 0.0)
 
-    def test_zero_logit_hard_rate_near_half(self):
-        hits = []
-        for s in range(10_000):
-            ms = model.sample_mask(np.zeros((2, 2)), hard=True, seed=s)
-            hits.append(ms.values[0, 1])
-        assert 0.48 <= np.mean(hits) <= 0.52
-
     def test_temperature_must_be_positive(self):
         with pytest.raises(ParameterError):
             model.sample_mask(np.zeros((2, 2)), temperature=0.0)
@@ -320,7 +313,7 @@ class TestGradients:
         def mask_for(logits):
             soft = expit((logits + g1 - g0) / 1.0)
             np.fill_diagonal(soft, 0.0)
-            return model.MaskSample(soft, soft, 1.0, False)
+            return model.MaskSample(soft, 1.0)
 
         ms = mask_for(p.edge_logits)
         _, grads = model.latent_logpdf_grads(p, ms, regime, 1.0, X)
@@ -362,7 +355,7 @@ def _reference_jacobian(p, M, hid, free):
 
 def _reference_grads(p, mask, regime, var, X, weights):
     """Per-row log-densities, their weighted sum and its gradients (exact log-det)."""
-    M, soft = mask.values, mask.soft
+    M = mask.values
     n, d = X.shape
     free = regime.free_mask(d).astype(float)
     out, hid = _reference_forward(p, M, X)
@@ -393,7 +386,7 @@ def _reference_grads(p, mask, regime, var, X, weights):
     dpre = dhid * deriv if p.activation == "tanh" else dhid
     dw_in += np.einsum("sih,sj,ji->jh", dpre, X, M)
     dM += np.einsum("sih,sj,jh->ji", dpre, X, p.w_in)
-    dlogits = dM * soft * (1.0 - soft) / mask.temperature
+    dlogits = dM * M * (1.0 - M) / mask.temperature
     np.fill_diagonal(dlogits, 0.0)
     grads = {"w_in": dw_in, "b_in": dpre.sum(axis=(0, 1)), "w_out": dw_out,
              "b_out": dF.sum(axis=0), "mask": dM, "edge_logits": dlogits}

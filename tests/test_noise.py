@@ -51,7 +51,7 @@ class TestGanEstimator:
             for i in reg.targets:
                 X[:, i] /= X[:, i].std(ddof=1)  # unit sample variance, no noise
             datasets.append(X)
-        est = noise.estimate_gan_variances(datasets, fam, 1.0)
+        est = noise.estimate_gan_variances(datasets, fam)
         assert np.all(est == noise.VARIANCE_FLOOR)
 
     def test_subtraction_identity(self):
@@ -60,7 +60,7 @@ class TestGanEstimator:
         col = rng.normal(0, np.sqrt(1.25), size=200_000)
         datasets = [np.column_stack([col, rng.normal(size=200_000)])]
         fam = make_family(2, [(0, 1)])
-        est = noise.estimate_gan_variances(datasets, fam, 1.0)
+        est = noise.estimate_gan_variances(datasets, fam)
         assert est[0] == pytest.approx(0.25, abs=0.01)
 
     def test_monte_carlo_consistency(self):
@@ -69,7 +69,7 @@ class TestGanEstimator:
         rng = np.random.default_rng(5)
         sigma = rng.uniform(0.3, 0.6, 10)
         datasets, fam, true_var = simulate_gan(10, sigma, 100_000, seed=2)
-        est = noise.estimate_gan_variances(datasets, fam, 1.0)
+        est = noise.estimate_gan_variances(datasets, fam)
         assert np.max(np.abs(est - true_var) / true_var) <= 0.05
 
     def test_error_shrinks_with_sample_size(self):
@@ -80,14 +80,14 @@ class TestGanEstimator:
             per_seed = []
             for seed in range(8):
                 datasets, fam, true_var = simulate_gan(4, sigma, n, seed=seed + 1)
-                est = noise.estimate_gan_variances(datasets, fam, 1.0)
+                est = noise.estimate_gan_variances(datasets, fam)
                 per_seed.append(np.median(np.abs(est - true_var) / true_var))
             errs.append(np.median(per_seed))
         assert errs[1] < errs[0]
 
     def test_identifiability_enforced(self):
         with pytest.raises(IdentifiabilityError):
-            noise.estimate_gan_variances([np.zeros((10, 2))], make_family(2, [(0,)]), 1.0)
+            noise.estimate_gan_variances([np.zeros((10, 2))], make_family(2, [(0,)]))
 
 
 class TestNullSpaceBasis:
@@ -160,6 +160,15 @@ class TestProjectionSampler:
         with pytest.raises(ParameterError):
             noise.sample_projection_vectors(A, m=4, seed=0)
 
+    def test_rank_deficient_mixing_rejected_before_any_draw(self):
+        # Column 2 is column 0 plus column 1: every column-deleted matrix keeps
+        # full rank, yet no vector can isolate a latent, so sampling would
+        # spend its whole draw budget.
+        A = np.random.default_rng(1).normal(size=(5, 2))
+        A = np.column_stack([A, A.sum(axis=1)])
+        with pytest.raises(RankError, match=r"rank 2 < d=3"):
+            noise.sample_projection_vectors(A, seed=0)
+
     def test_budget_exhaustion_reports_rank(self):
         # two identical-direction columns leave a genuinely deficient system
         A = np.column_stack([np.eye(3)[:, :2], np.eye(3)[:, :2] @ [1.0, 1e-7]])
@@ -215,8 +224,8 @@ class TestLinearEstimator:
                                         seed=100 + k)
                     for k, reg in enumerate(fam)]
         proj = noise.ProjectionSet(vectors=np.eye(d), source_node=np.arange(d))
-        lin = noise.estimate_linear_variances(datasets, fam, np.eye(d), 1.0, proj)
-        gan = noise.estimate_gan_variances(datasets, fam, 1.0)
+        lin = noise.estimate_linear_variances(datasets, fam, np.eye(d), proj)
+        gan = noise.estimate_gan_variances(datasets, fam)
         assert np.allclose(lin, gan, atol=1e-8)
 
     def test_exact_interpolation_on_consistent_system(self):
@@ -263,5 +272,4 @@ class TestLinearEstimator:
         proj = noise.ProjectionSet(vectors=np.array([[1.0, 0.0], [1.0, 0.0]]),
                                    source_node=np.array([0, 1]))
         with pytest.raises(RankError):
-            noise.estimate_linear_variances([np.zeros((10, 2))] * 3, fam,
-                                            np.eye(2), 1.0, proj)
+            noise.estimate_linear_variances([np.zeros((10, 2))] * 3, fam, np.eye(2), proj)
