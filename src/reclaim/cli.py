@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -46,8 +47,27 @@ def _load_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _resolve_seed(config_seed, flag_seed):
-    """Precedence: RECLAIM_SEED env var, then --seed flag, then config."""
+def _config_number(config: dict, key: str, default=None, integral: bool = False):
+    """The number ``config[key]``, or ``default`` when the key is absent.
+
+    A key without a default is required. A missing required key, or a value
+    that is not an integer (``integral``) or a real number, is a ConfigError.
+    """
+    if key not in config:
+        if default is None:
+            raise ConfigError(f"config has no {key!r}")
+        return default
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ConfigError(f"{key} must be {'an integer' if integral else 'a real number'}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _resolve_seed(config: dict, flag_seed):
+    """Precedence: RECLAIM_SEED env var, then --seed flag, then config["seed"] (default 0)."""
+    config_seed = _config_number(config, "seed", 0, integral=True)
     env = os.environ.get("RECLAIM_SEED")
     if env is not None:
         try:
@@ -74,7 +94,7 @@ def _atomic_write(path, text):
 def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.Channel:
     """The simulated channel: the config's "A" and "sigma_sq", or random draws."""
     spec = {"type": "gan", **channel_cfg}
-    p = int(spec.get("p", d)) if spec["type"] == "linear" else d
+    p = _config_number(spec, "p", d, integral=True) if spec["type"] == "linear" else d
     if spec["type"] == "linear" and "A" not in spec:
         spec["A"] = rng.normal(0.0, np.sqrt(spec.get("mixing_var", 1.5)), size=(p, d))
     if "sigma_sq" not in spec:
@@ -84,21 +104,21 @@ def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.Channel:
 
 
 def run_simulate(config: dict, out_dir) -> None:
-    seed = int(config.get("seed", 0))
-    d = int(config["d"])
-    density = float(config.get("graph_density", 2.0))
-    n = int(config.get("n_per_regime", 1000))
+    seed = _config_number(config, "seed", 0, integral=True)
+    d = _config_number(config, "d", integral=True)
+    density = _config_number(config, "graph_density", 2.0)
+    n = _config_number(config, "n_per_regime", 1000, integral=True)
     root = np.random.SeedSequence((seed, 2026))
     graph_seed, scm_seed, chan_seed, *_ = root.generate_state(4)
 
     graph = graphs.erdos_renyi(d, density, seed=int(graph_seed))
     truth = scm.sample_benchmark_scm(
-        graph, seed=int(scm_seed), beta=float(config.get("beta", 1.0)),
+        graph, seed=int(scm_seed), beta=_config_number(config, "beta", 1.0),
         weight_range=tuple(config.get("weight_range", (0.2, 0.9))),
-        target_lipschitz=float(config.get("target_lipschitz", 0.9)),
+        target_lipschitz=_config_number(config, "target_lipschitz", 0.9),
         noise_std=config.get("sigma_z", 1.0))
     family = scm.single_node_family(
-        d, variance=float(config.get("sigma_I_sq", 1.0)),
+        d, variance=_config_number(config, "sigma_I_sq", 1.0),
         include_observational=bool(config.get("include_observational", True)))
     channel = _build_true_channel(config.get("channel", {"type": "gan"}),
                                   d, np.random.default_rng(int(chan_seed)))
@@ -157,7 +177,6 @@ def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
     unknown = sorted(set(kwargs) - set(em.EmConfig.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown EM config keys: {', '.join(unknown)}")
-    kwargs["seed"] = int(cfg_dict.get("seed", 0))
     return em.EmConfig(**kwargs)
 
 
@@ -285,7 +304,7 @@ def _run_cell(args):
 def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     kind = config.get("sweep")
     grid = config.get("grid", [])
-    n_trials = int(config.get("n_trials", 1))
+    n_trials = _config_number(config, "n_trials", 1, integral=True)
     out_dir = Path(config.get("out_dir", "sweep_out"))
     base = config.get("base", {})
     if kind not in SWEEP_KINDS:
@@ -295,7 +314,7 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = int(base.get("seed", 0))
+    base_seed = _config_number(base, "seed", 0, integral=True)
 
     tasks = []
     for value in grid:
@@ -363,13 +382,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             config = _load_json(args.config)
-            config["seed"] = _resolve_seed(int(config.get("seed", 0)), args.seed)
+            config["seed"] = _resolve_seed(config, args.seed)
             run_simulate(config, args.out_dir)
         elif args.command == "estimate-noise":
             run_estimate_noise(args.data_dir, args.out)
         elif args.command == "fit":
             config = _load_json(args.config)
-            config["seed"] = _resolve_seed(int(config.get("seed", 0)), args.seed)
+            config["seed"] = _resolve_seed(config, args.seed)
             run_fit(args.data_dir, config, args.out_dir, resume=args.resume)
         elif args.command == "evaluate":
             metrics = run_evaluate(args.report, args.truth, args.out, args.threshold)
@@ -377,7 +396,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             config = _load_json(args.config)
             base = config.setdefault("base", {})
-            base["seed"] = _resolve_seed(int(base.get("seed", 0)), args.seed)
+            base["seed"] = _resolve_seed(base, args.seed)
             run_sweep(config, jobs=args.jobs)
     except (ConfigError, ParameterError, RankError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)

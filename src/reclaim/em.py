@@ -390,16 +390,15 @@ def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
         Y = np.atleast_2d(np.asarray(datasets[k], dtype=float))
         if Y.shape[0] == 0:
             continue
-        proposal = GaussianProposal(phi_hat, Y, prior_var=theta.sigma_z ** 2)
+        proposal = GaussianProposal(phi_hat, Y, regime, theta.sigma_z)
         step = max(1, CHUNK_ROWS // S)
         for start in range(0, Y.shape[0], step):
             rows = np.arange(start, min(start + step, Y.shape[0]))
-            xs = proposal.draw(rng, rows, S)
+            xs, log_q = proposal.draw(rng, rows, S)
             flat = xs.reshape(-1, theta.d)
             log_latent = latent_logpdf_batch(theta, mask, regime, regime.variance, flat)
             lw = (log_latent.reshape(rows.size, S)
-                  + channel_logpdf(phi_hat, Y[rows][:, None, :], xs)
-                  - proposal.logpdf(xs, rows))
+                  + channel_logpdf(phi_hat, Y[rows][:, None, :], xs) - log_q)
             m = np.max(lw, axis=1)
             w = np.exp(lw - m[:, None])
             mean_w = w.mean(axis=1)

@@ -38,6 +38,11 @@ class GaussianAdditiveChannel:
     def p(self) -> int:
         return self.noise_var.shape[0]
 
+    @property
+    def mixing(self) -> np.ndarray:
+        """The identity: y = I x + eps."""
+        return np.eye(self.d)
+
 
 @dataclass(frozen=True)
 class LinearChannel:

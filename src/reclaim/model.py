@@ -44,7 +44,7 @@ from scipy.special import expit
 
 from .errors import ConvergenceError, ParameterError
 from .measurement import diag_gauss_logpdf
-from .scm import InterventionRegime
+from .scm import InterventionRegime, rescale_to_contractive
 
 NEG_INF = -np.inf
 
@@ -66,8 +66,6 @@ class ModelParams:
     lipschitz_target: float = 0.9
     sigma_z: np.ndarray | float = 1.0
     activation: str = "tanh"
-    pow_u_in: np.ndarray | None = None
-    pow_u_out: np.ndarray | None = None
 
     def __post_init__(self):
         w_in = np.asarray(self.w_in, dtype=float)
@@ -92,10 +90,6 @@ class ModelParams:
         object.__setattr__(self, "b_out", np.asarray(self.b_out, dtype=float))
         object.__setattr__(self, "edge_logits", logits)
         object.__setattr__(self, "sigma_z", sigma)
-        object.__setattr__(self, "pow_u_in",
-                           None if self.pow_u_in is None else np.asarray(self.pow_u_in, dtype=float))
-        object.__setattr__(self, "pow_u_out",
-                           None if self.pow_u_out is None else np.asarray(self.pow_u_out, dtype=float))
 
     @property
     def d(self) -> int:
@@ -142,43 +136,17 @@ def init_params(d: int, hidden: int | None = None, lipschitz_target: float = 0.9
 # spectral normalization
 
 
-def _power_iteration(W: np.ndarray, u: np.ndarray | None, n_steps: int = 5):
-    """Estimate the top singular value; returns (sigma, refreshed u)."""
-    a, b = W.shape
-    if u is None or u.shape != (a,):
-        u = np.ones(a) / np.sqrt(a)
-    sigma = 0.0
-    for _ in range(n_steps):
-        v = W.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0, u
-        v = v / nv
-        u_new = W @ v
-        nu = np.linalg.norm(u_new)
-        if nu == 0.0:
-            return 0.0, u
-        u = u_new / nu
-        sigma = float(u @ W @ v)
-    return abs(sigma), u
-
-
 def spectral_normalize(params: ModelParams) -> ModelParams:
     """Scale each layer into the per-layer budget sqrt(lipschitz_target).
 
-    Uses a few persistent-vector power-iteration steps per layer; matrices
-    already inside the budget are left untouched, so the layer product stays
-    below the overall Lipschitz target.
+    Uses the exact spectral norm of each layer; a layer already inside the
+    budget is left untouched, so the product of the two layer norms stays at
+    most the overall Lipschitz target.
     """
     bound = np.sqrt(params.lipschitz_target)
-    sigma_in, u_in = _power_iteration(params.w_in, params.pow_u_in)
-    sigma_out, u_out = _power_iteration(params.w_out, params.pow_u_out)
-    scale_in = 1.0 if sigma_in <= bound else bound / sigma_in
-    scale_out = 1.0 if sigma_out <= bound else bound / sigma_out
     return replace(params,
-                   w_in=params.w_in * scale_in,
-                   w_out=params.w_out * scale_out,
-                   pow_u_in=u_in, pow_u_out=u_out)
+                   w_in=rescale_to_contractive(params.w_in, bound),
+                   w_out=rescale_to_contractive(params.w_out, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +415,13 @@ def params_to_json(params: ModelParams) -> str:
         "lipschitz_target": params.lipschitz_target,
         "sigma_z": params.sigma_z.tolist(),
         "activation": params.activation,
-        "pow_u_in": None if params.pow_u_in is None else params.pow_u_in.tolist(),
-        "pow_u_out": None if params.pow_u_out is None else params.pow_u_out.tolist(),
     }
     return json.dumps(payload)
 
 
 def params_from_json(text: str) -> ModelParams:
+    """Parameters from ``params_to_json`` text; other keys, such as the
+    "pow_u_in"/"pow_u_out" vectors older checkpoints hold, are ignored."""
     obj = json.loads(text)
     return ModelParams(
         w_in=np.asarray(obj["w_in"], dtype=float),
@@ -464,6 +432,4 @@ def params_from_json(text: str) -> ModelParams:
         lipschitz_target=obj["lipschitz_target"],
         sigma_z=np.asarray(obj["sigma_z"], dtype=float),
         activation=obj["activation"],
-        pow_u_in=None if obj["pow_u_in"] is None else np.asarray(obj["pow_u_in"], dtype=float),
-        pow_u_out=None if obj["pow_u_out"] is None else np.asarray(obj["pow_u_out"], dtype=float),
     )

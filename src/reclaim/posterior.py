@@ -1,16 +1,17 @@
 """Sampling Importance Resampling for the latent posterior p(x | y).
 
-Proposals are Gaussians centered at the channel's latent-space pullback of
-y; weights combine the learned latent density, the channel density, and the
-proposal correction, all in log space.
+Proposals are the Gaussian posterior of a linear-Gaussian stand-in for the
+model: a diagonal per-regime prior on x combined in closed form with the
+channel y = A x + eps (A = I for the additive channel). Weights combine the
+learned latent density, the channel density and the proposal correction,
+all in log space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measurement import (Channel, GaussianAdditiveChannel, channel_logpdf,
-                          diag_gauss_logpdf)
+from .measurement import Channel, channel_logpdf
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
@@ -31,54 +32,40 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
 
 
 class GaussianProposal:
-    """Latent-space proposal q(x | y) for a batch of observations.
+    """Latent-space proposal q(x | y) for a batch of one regime's observations.
 
-    Additive channel: N(y, D) with the channel's own noise variances. Linear
-    channel: the Gaussian approximation of the posterior, combining the
-    channel likelihood pulled back through the mixing with a diagonal prior
-    at the latent noise scale: precision A'D^-1 A + diag(1/prior_var). The
-    naive d-dimensional diagonal built from raw measurement variances is
-    orders of magnitude wider than the posterior once the mixing has any
-    redundancy (weights collapse), while the un-ridged pullback explodes
-    along weakly measured directions of ill-conditioned square systems.
+    The prior is diagonal: N(0, sigma_z^2) on the free coordinates and
+    N(regime.mean, regime.variance) on the clamped ones, i.e. N(m, diag(v)).
+    Combined with the channel y = A x + eps, eps ~ N(0, scale * D), it gives
+    the Gaussian with precision A'D^-1 A / scale + diag(1/v) and mean
+    cov (A'D^-1 y / scale + m / v); ``scale`` > 1 widens it for the retry.
+    The prior keeps the draws inside the latent law: the channel alone is as
+    wide as its noise, which is not small against the latent variance, and
+    unbounded along weakly measured directions of an ill-conditioned mixing;
+    in both cases the importance weights would collapse onto a few draws.
     """
 
-    def __init__(self, channel: Channel, Y: np.ndarray, scale: float = 1.0,
-                 prior_var=1.0):
+    def __init__(self, channel: Channel, Y: np.ndarray, regime: InterventionRegime,
+                 sigma_z, scale: float = 1.0):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         self.d = channel.d
-        if isinstance(channel, GaussianAdditiveChannel):
-            self.diag_var = channel.noise_var * scale
-            self.mean = Y.copy()
-            self.chol = None
-        else:
-            A = channel.mixing
-            prior_prec = 1.0 / np.broadcast_to(np.asarray(prior_var, dtype=float),
-                                               (self.d,))
-            precision = (A / channel.noise_var[:, None]).T @ A / scale \
-                + np.diag(prior_prec)
-            cov = np.linalg.inv(precision)
-            cov = 0.5 * (cov + cov.T)
-            self.chol = np.linalg.cholesky(cov)
-            self.precision = precision
-            self.logdet_cov = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-            self.mean = Y @ (A / channel.noise_var[:, None]) @ cov.T
-            self.diag_var = None
+        free = regime.free_mask(self.d)
+        prior_var = np.where(free, np.square(sigma_z), regime.variance)
+        prior_mean = np.where(free, 0.0, regime.mean)
+        A_Dinv = channel.mixing.T / (scale * channel.noise_var)
+        cov = np.linalg.inv(A_Dinv @ channel.mixing + np.diag(1.0 / prior_var))
+        cov = 0.5 * (cov + cov.T)
+        self.chol = np.linalg.cholesky(cov)
+        self.logdet_cov = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        self.mean = (Y @ A_Dinv.T + prior_mean / prior_var) @ cov
 
-    def draw(self, rng, rows, n_samples: int) -> np.ndarray:
-        mu = self.mean[rows]
-        eps = rng.normal(size=(mu.shape[0], n_samples, self.d))
-        if self.chol is None:
-            return mu[:, None, :] + eps * np.sqrt(self.diag_var)
-        return mu[:, None, :] + eps @ self.chol.T
-
-    def logpdf(self, xs: np.ndarray, rows) -> np.ndarray:
-        mu = self.mean[rows]
-        delta = xs - mu[:, None, :]
-        if self.chol is None:
-            return diag_gauss_logpdf(delta, self.diag_var)
-        quad = np.einsum("ksi,ij,ksj->ks", delta, self.precision, delta)
-        return -0.5 * (self.d * np.log(2.0 * np.pi) + self.logdet_cov + quad)
+    def draw(self, rng, rows, n_samples: int):
+        """``(xs, log_q)``: (len(rows), n_samples, d) draws and their log-densities."""
+        eps = rng.normal(size=(len(rows), n_samples, self.d))
+        xs = self.mean[rows][:, None, :] + eps @ self.chol.T
+        log_q = -0.5 * (self.d * np.log(2.0 * np.pi) + self.logdet_cov
+                        + np.sum(eps * eps, axis=-1))
+        return xs, log_q
 
 
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
@@ -104,15 +91,13 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
     for scale in (1.0, 2.0):
         if pending.size == 0:
             break
-        proposal = GaussianProposal(channel, Y, scale=scale,
-                                    prior_var=params.sigma_z ** 2)
+        proposal = GaussianProposal(channel, Y, regime, params.sigma_z, scale=scale)
         for start in range(0, pending.size, step):
             rows = pending[start:start + step]
-            xs = proposal.draw(rng, rows, S)
+            xs, log_q = proposal.draw(rng, rows, S)
             flat = xs.reshape(-1, d)
             log_latent = latent_logpdf_batch(params, mask, regime, intervention_var, flat)
             log_chan = channel_logpdf(channel, Y[rows][:, None, :], xs)
-            log_q = proposal.logpdf(xs, rows)
             log_w[rows] = log_latent.reshape(rows.size, S) + log_chan - log_q
             xs_all[rows] = xs
         finite_max = np.max(np.where(np.isfinite(log_w[pending]), log_w[pending], -np.inf),

@@ -1,7 +1,8 @@
 """The benchmark harness's calls into the package, on tiny one-round fits.
 
-``perfbench/run.py`` is loaded as it stands and never written to, so a
-change of signature that would break the benchmark fails here first.
+``perfbench/run.py`` and ``perfbench/checks.py`` are loaded as they stand
+and never written to, so a change of signature that would break the
+benchmark, or a proposal that would fail its SIR check, fails here first.
 """
 
 import dataclasses
@@ -15,9 +16,17 @@ import pytest
 
 from reclaim import cli, em, graphs, measurement, model, noise, posterior, scm
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {"cli": cli, "em": em, "graphs": graphs, "measurement": measurement,
            "model": model, "noise": noise, "posterior": posterior, "scm": scm}
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # a dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -25,11 +34,7 @@ def harness(monkeypatch):
     # Loading run.py pins the BLAS thread variables; monkeypatch restores them.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, ""))
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclass looks itself up there
-    spec.loader.exec_module(run)
-    return run
+    return _load(monkeypatch, "run")
 
 
 @pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
@@ -44,3 +49,13 @@ def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, workload):
     assert len(out["thetas"]) == 1  # the (r, theta, *_) callback ran once
     assert np.array_equal(out["report"].phi_hat.noise_var, s.spec["sigma_sq"])
     assert 0.0 <= out["evaluation"]["auprc"] <= 1.0
+
+
+def test_sir_matches_the_exact_posterior_on_the_gan_workload(harness, tmp_path, monkeypatch):
+    """The benchmark's SIR-vs-exact-posterior check, on the gan-d10 set-up."""
+    checks = _load(monkeypatch, "checks")
+    s = harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path)
+    rng = np.random.default_rng((1, 7))
+    theta, mask = checks._linear_gaussian_params(MODULES, s.channel.d, rng)
+    ok, detail = checks._sir_posterior_mean(MODULES, s, theta, mask, rng)
+    assert ok, detail

@@ -156,6 +156,27 @@ def test_em_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, key, value,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"d": 3, "n_per_regime": 5, "seed": "one"}, "seed must be an integer, got 'one'"),
+    ("simulate", {"n_per_regime": 5}, "config has no 'd'"),
+    ("fit", {**TINY_EM, "seed": "one"}, "seed must be an integer, got 'one'"),
+    ("sweep", {"sweep": "beta", "grid": [0.5], "base": {"d": 3, "seed": 2.5}},
+     "seed must be an integer, got 2.5"),
+], ids=["simulate-seed", "simulate-no-d", "fit-seed", "sweep-seed"])
+def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, command,
+                                                             config, message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    argv = {"simulate": ["simulate", "--out-dir", str(out)],
+            "fit": ["fit", "--data-dir", str(tmp_path / "data"), "--out-dir", str(out)],
+            "sweep": ["sweep"]}[command]
+    if command == "sweep":
+        config = {**config, "out_dir": str(out)}
+    path.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "fit-true-noise", "estimate-noise"])
 def test_rank_deficient_mixing_exits_2_before_any_output(tmp_path, capsys, command):
     data, out = tmp_path / "data", tmp_path / "out"

@@ -81,10 +81,10 @@ class TestSirSampleBatch:
         draw = posterior.GaussianProposal.draw
 
         def recording_draw(self, rng, rows, n_samples):
-            xs = draw(self, rng, rows, n_samples)
+            xs, log_q = draw(self, rng, rows, n_samples)
             for row, row_xs in zip(rows, xs):
                 drawn[int(row)] = row_xs
-            return xs
+            return xs, log_q
 
         monkeypatch.setattr(posterior.GaussianProposal, "draw", recording_draw)
         particles, _, kept = run_sir(linear_gaussian, 6, 5, seed=3)
@@ -104,31 +104,36 @@ class TestSirSampleBatch:
         se = np.sqrt(np.diag(linear_gaussian["post_cov"])[None, :]
                      * (1.0 / ess[:, None] + 1.0 / R))
         assert np.all(np.abs(err) <= 4.0 * se)
-        # the proposal centre y, a wrong answer, lies far outside that band
+        # y itself, a wrong answer, lies far outside that band
         assert np.max(np.abs(linear_gaussian["Y"] - linear_gaussian["post_mean"]) / se) > 8.0
 
 
-class TestGaussianProposal:
-    @pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
-    def test_logpdf_is_the_gaussian_it_defines(self, linear):
-        """Additive: N(y, scale * D). Linear: precision A'D^-1 A / scale + diag(1/prior_var),
-        mean cov A'D^-1 y."""
-        rng = np.random.default_rng(9)
-        scale, prior_var = 1.5, 0.8
-        if linear:
-            A, noise_var = rng.normal(size=(5, 3)), rng.uniform(0.2, 0.6, 5)
-            channel = LinearChannel(A, noise_var)
-            cov = np.linalg.inv(A.T @ np.diag(1.0 / noise_var) @ A / scale
-                                + np.eye(3) / prior_var)
-        else:
-            channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
-            cov = np.diag(channel.noise_var * scale)
-        Y = rng.normal(size=(4, channel.p))
-        proposal = posterior.GaussianProposal(channel, Y, scale=scale, prior_var=prior_var)
-        rows = np.array([2, 0])
-        xs = proposal.draw(rng, rows, 6)
-        got = proposal.logpdf(xs, rows)
-        for k, r in enumerate(rows):
-            mean = cov @ A.T @ (Y[r] / noise_var) if linear else Y[r]
-            assert np.allclose(got[k], multivariate_normal(mean, cov).logpdf(xs[k]),
-                               rtol=1e-10, atol=0.0)
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
+def test_proposal_draws_and_log_q_are_the_gaussian_it_defines(linear, scale):
+    """Prior N(m, diag(v)): v = sigma_z^2, m = 0 on free coordinates and the
+    regime's variance and mean on clamped ones. Proposal: precision
+    A'D^-1 A / scale + diag(1/v), mean cov (A'D^-1 y / scale + m / v), A = I
+    for the additive channel."""
+    rng = np.random.default_rng(9)
+    regime = InterventionRegime((1,), variance=1.5, mean=0.4)
+    sigma_z = np.array([0.7, 1.1, 0.9])
+    if linear:
+        channel = LinearChannel(rng.normal(size=(5, 3)), rng.uniform(0.2, 0.6, 5))
+        A = channel.mixing
+    else:
+        channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
+        A = np.eye(3)
+    prior_mean = np.array([0.0, 0.4, 0.0])
+    prior_var = np.array([0.49, 1.5, 0.81])
+    A_Dinv = A.T @ np.diag(1.0 / (scale * channel.noise_var))
+    cov = np.linalg.inv(A_Dinv @ A + np.diag(1.0 / prior_var))
+    Y = rng.normal(size=(4, channel.p))
+    proposal = posterior.GaussianProposal(channel, Y, regime, sigma_z, scale=scale)
+    rows = np.array([2, 0])
+    xs, log_q = proposal.draw(rng, rows, 6)
+    assert xs.shape == (2, 6, 3) and log_q.shape == (2, 6)
+    for k, r in enumerate(rows):
+        mean = cov @ (A_Dinv @ Y[r] + prior_mean / prior_var)
+        assert np.allclose(log_q[k], multivariate_normal(mean, cov).logpdf(xs[k]),
+                           rtol=1e-10, atol=0.0)
