@@ -47,22 +47,42 @@ def _load_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _config_number(config: dict, key: str, default=None, integral: bool = False):
+def _number(name: str, value, integral: bool = False):
+    """``value`` as an int (``integral``) or a float; any other value is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ConfigError(f"{name} must be {'an integer' if integral else 'a real number'}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _config_number(config: dict, key: str, default=None, integral: bool = False,
+                   positive: bool = False):
     """The number ``config[key]``, or ``default`` when the key is absent.
 
-    A key without a default is required. A missing required key, or a value
-    that is not an integer (``integral``) or a real number, is a ConfigError.
+    A key without a default is required. A missing required key, a value
+    that is not an integer (``integral``) or a real number, or a ``positive``
+    one that is not above 0 is a ConfigError.
     """
     if key not in config:
         if default is None:
             raise ConfigError(f"config has no {key!r}")
         return default
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integral else numbers.Real):
-        raise ConfigError(f"{key} must be {'an integer' if integral else 'a real number'}, "
-                          f"got {value!r}")
-    return int(value) if integral else float(value)
+    value = _number(key, config[key], integral)
+    if positive and not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return value
+
+
+def _weight_range(config: dict) -> tuple[float, float]:
+    """The config's "weight_range" [lo, hi] of edge-weight magnitudes, lo <= hi."""
+    value = config.get("weight_range", [0.2, 0.9])
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"weight_range must be two numbers [lo, hi], got {value!r}")
+    lo, hi = (_number("weight_range", v) for v in value)
+    if not lo <= hi:
+        raise ConfigError(f"weight_range must have lo <= hi, got {value!r}")
+    return lo, hi
 
 
 def _resolve_seed(config: dict, flag_seed):
@@ -96,9 +116,11 @@ def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.Channel:
     spec = {"type": "gan", **channel_cfg}
     p = _config_number(spec, "p", d, integral=True) if spec["type"] == "linear" else d
     if spec["type"] == "linear" and "A" not in spec:
-        spec["A"] = rng.normal(0.0, np.sqrt(spec.get("mixing_var", 1.5)), size=(p, d))
+        mixing_var = _config_number(spec, "mixing_var", 1.5, positive=True)
+        spec["A"] = rng.normal(0.0, np.sqrt(mixing_var), size=(p, d))
     if "sigma_sq" not in spec:
-        spec["sigma_sq"] = rng.uniform(spec.get("sigma_min", 0.3), spec.get("sigma_max", 0.6),
+        spec["sigma_sq"] = rng.uniform(_config_number(spec, "sigma_min", 0.3, positive=True),
+                                       _config_number(spec, "sigma_max", 0.6, positive=True),
                                        size=p) ** 2
     return measurement.channel_from_dict(spec)
 
@@ -114,9 +136,9 @@ def run_simulate(config: dict, out_dir) -> None:
     graph = graphs.erdos_renyi(d, density, seed=int(graph_seed))
     truth = scm.sample_benchmark_scm(
         graph, seed=int(scm_seed), beta=_config_number(config, "beta", 1.0),
-        weight_range=tuple(config.get("weight_range", (0.2, 0.9))),
+        weight_range=_weight_range(config),
         target_lipschitz=_config_number(config, "target_lipschitz", 0.9),
-        noise_std=config.get("sigma_z", 1.0))
+        noise_std=_config_number(config, "sigma_z", 1.0, positive=True))
     family = scm.single_node_family(
         d, variance=_config_number(config, "sigma_I_sq", 1.0),
         include_observational=bool(config.get("include_observational", True)))
@@ -256,21 +278,22 @@ SWEEP_KINDS = ("sigma_min", "n_nodes", "n_measurements", "beta", "density")
 def _cell_config(base: dict, kind: str, value) -> dict:
     cfg = json.loads(json.dumps(base))  # deep copy
     channel = cfg.setdefault("channel", {"type": "gan"})
+    if kind not in SWEEP_KINDS:
+        raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    value = _number(f"{kind} grid value", value, integral=kind in ("n_nodes", "n_measurements"))
     if kind == "sigma_min":
         channel["sigma_min"] = value
         channel["sigma_max"] = value + 0.3
     elif kind == "n_nodes":
-        cfg["d"] = int(value)
+        cfg["d"] = value
     elif kind == "n_measurements":
         if channel.get("type") != "linear":
             raise ConfigError("n_measurements sweep requires a linear channel")
-        channel["p"] = int(value)
+        channel["p"] = value
     elif kind == "beta":
-        cfg["beta"] = float(value)
-    elif kind == "density":
-        cfg["graph_density"] = float(value)
+        cfg["beta"] = value
     else:
-        raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+        cfg["graph_density"] = value
     return cfg
 
 
@@ -304,15 +327,13 @@ def _run_cell(args):
 def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     kind = config.get("sweep")
     grid = config.get("grid", [])
-    n_trials = _config_number(config, "n_trials", 1, integral=True)
+    n_trials = _config_number(config, "n_trials", 1, integral=True, positive=True)
     out_dir = Path(config.get("out_dir", "sweep_out"))
     base = config.get("base", {})
-    if kind not in SWEEP_KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("sweep grid must be a non-empty list")
+    for value in grid:
+        _cell_config(base, kind, value)  # a bad kind or grid value fails before any output
     out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = _config_number(base, "seed", 0, integral=True)
 

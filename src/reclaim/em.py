@@ -23,7 +23,7 @@ from .measurement import Channel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, sample_mask,
                     spectral_normalize)
-from .posterior import CHUNK_ROWS, GaussianProposal, sir_sample_batch
+from .posterior import sir_sample_batch, weighted_draws
 from .scm import InterventionFamily
 
 logger = logging.getLogger(__name__)
@@ -65,22 +65,26 @@ class EmConfig:
                 raise ParameterError(f"{f.name} must be "
                                      f"{'an integer' if integral else 'a real number'}, "
                                      f"got {value!r}")
-        if self.sparsity_lambda < 0:
-            raise ParameterError("sparsity_lambda must be >= 0")
+        for name in ("sparsity_lambda", "em_rounds", "elbo_every", "init_weight_scale"):
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be >= 0")
         for name in ("learning_rate", "m_steps_per_round", "batch_size",
                      "n_proposals", "n_resample", "temperature",
                      "convergence_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
-        if self.em_rounds < 0:
-            raise ParameterError("em_rounds must be >= 0")
+        if not 0 <= self.skip_tolerance < 1:
+            raise ParameterError("skip_tolerance must lie in [0, 1)")
+        if self.elbo_proposals < 2:  # the ELBO's standard error needs two draws
+            raise ParameterError("elbo_proposals must be >= 2")
+        if self.hidden is not None and self.hidden < 1:
+            raise ParameterError("hidden must be >= 1")
 
 
 @dataclass
 class RegimeCache:
     """Frozen posterior particles for one regime's kept observations."""
 
-    regime_index: int
     regime: object
     y: np.ndarray
     particles: np.ndarray  # (n_kept, n_resample, d)
@@ -121,9 +125,9 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
 
-    Observations whose importance weights collapse even after the widened
-    retry are skipped with a warning; the step fails if more than the
-    configured fraction is lost.
+    Observations whose importance weights collapse (see ``sir_sample_batch``)
+    are skipped with a warning; the step fails if more than the configured
+    fraction is lost.
     """
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -134,10 +138,6 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     for k, regime in enumerate(family.regimes):
         Y = np.atleast_2d(np.asarray(datasets[k], dtype=float))
         n_obs += Y.shape[0]
-        if Y.shape[0] == 0:
-            regimes.append(RegimeCache(k, regime, Y, np.zeros((0, cfg.n_resample, theta.d)),
-                                       np.zeros(0)))
-            continue
         particles, ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
             cfg.n_proposals, cfg.n_resample, seed=rng.integers(2 ** 63))
@@ -146,7 +146,7 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
             n_skipped += dropped
             logger.debug("regime %d: skipped %d/%d degenerate observations",
                          k, dropped, Y.shape[0])
-        regimes.append(RegimeCache(k, regime, Y[kept], particles, ess))
+        regimes.append(RegimeCache(regime, Y[kept], particles, ess))
     if n_skipped:
         logger.warning("e-step skipped %d/%d degenerate observations", n_skipped, n_obs)
     if n_obs and n_skipped / n_obs > cfg.skip_tolerance:
@@ -183,8 +183,6 @@ def channel_term(cache: ParticleCache, phi_hat: Channel) -> float:
     """Mean channel log-density over cached particles (constant in theta)."""
     total, count = 0.0, 0
     for rc in cache.regimes:
-        if rc.y.shape[0] == 0:
-            continue
         ll = channel_logpdf(phi_hat, rc.y[:, None, :], rc.particles)
         total += float(np.sum(ll))
         count += ll.size
@@ -386,19 +384,9 @@ def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
     mask = expected_mask(theta.edge_logits)
     total = 0.0
     var_total = 0.0
-    for k, regime in enumerate(family.regimes):
-        Y = np.atleast_2d(np.asarray(datasets[k], dtype=float))
-        if Y.shape[0] == 0:
-            continue
-        proposal = GaussianProposal(phi_hat, Y, regime, theta.sigma_z)
-        step = max(1, CHUNK_ROWS // S)
-        for start in range(0, Y.shape[0], step):
-            rows = np.arange(start, min(start + step, Y.shape[0]))
-            xs, log_q = proposal.draw(rng, rows, S)
-            flat = xs.reshape(-1, theta.d)
-            log_latent = latent_logpdf_batch(theta, mask, regime, regime.variance, flat)
-            lw = (log_latent.reshape(rows.size, S)
-                  + channel_logpdf(phi_hat, Y[rows][:, None, :], xs) - log_q)
+    for Y, regime in zip(datasets, family.regimes):
+        for _, _, lw in weighted_draws(Y, theta, mask, phi_hat, regime, regime.variance, S,
+                                       rng):
             m = np.max(lw, axis=1)
             w = np.exp(lw - m[:, None])
             mean_w = w.mean(axis=1)

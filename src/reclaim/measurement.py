@@ -26,8 +26,8 @@ class GaussianAdditiveChannel:
 
     def __post_init__(self):
         var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
-        if var.ndim != 1 or np.any(var <= 0):
-            raise ParameterError("noise variances must be a positive vector")
+        if var.ndim != 1 or not np.all(np.isfinite(var) & (var > 0)):
+            raise ParameterError("noise variances must be a positive finite vector")
         object.__setattr__(self, "noise_var", var)
 
     @property
@@ -59,8 +59,8 @@ class LinearChannel:
         p, d = A.shape
         if p < d:
             raise ParameterError(f"need at least as many measurements as latents (p={p}, d={d})")
-        if var.shape != (p,) or np.any(var <= 0):
-            raise ParameterError("noise variances must be a positive p-vector")
+        if var.shape != (p,) or not np.all(np.isfinite(var) & (var > 0)):
+            raise ParameterError("noise variances must be a positive finite p-vector")
         smallest = np.linalg.svd(A, compute_uv=False)[-1]
         if smallest <= _RANK_TOL:
             raise RankError(f"mixing matrix is rank deficient (smallest singular value {smallest:.2e})")

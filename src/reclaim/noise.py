@@ -31,16 +31,19 @@ def check_channel_identifiability(family: InterventionFamily, d: int) -> bool:
     return family.covered_nodes() >= set(range(d))
 
 
-def _require_identifiable(family, d):
-    if not check_channel_identifiability(family, d):
-        missing = sorted(set(range(d)) - family.covered_nodes())
+def _covering_regimes(datasets, family, node):
+    """Regimes that target ``node`` and hold the two rows a sample variance needs."""
+    return [k for k, regime in enumerate(family.regimes)
+            if node in regime.targets and len(datasets[k]) >= 2]
+
+
+def _require_identifiable(datasets, family, d):
+    missing = [i for i in range(d) if not _covering_regimes(datasets, family, i)]
+    if missing:
         raise IdentifiabilityError(
-            f"nodes {missing} are never intervened; measurement noise is not identifiable"
+            f"nodes {missing} are never intervened in a regime of at least two "
+            f"observations; measurement noise is not identifiable"
         )
-
-
-def _covering_regimes(family, node):
-    return [k for k, regime in enumerate(family.regimes) if node in regime.targets]
 
 
 def estimate_gan_variances(datasets, family: InterventionFamily) -> np.ndarray:
@@ -52,11 +55,11 @@ def estimate_gan_variances(datasets, family: InterventionFamily) -> np.ndarray:
     a small positive value.
     """
     d = np.asarray(datasets[0]).shape[1]
-    _require_identifiable(family, d)
+    _require_identifiable(datasets, family, d)
     out = np.empty(d)
     for i in range(d):
         ests = []
-        for k in _covering_regimes(family, i):
+        for k in _covering_regimes(datasets, family, i):
             col = np.asarray(datasets[k], dtype=float)[:, i]
             ests.append(np.var(col, ddof=1) - family.regimes[k].variance)
         out[i] = np.mean(ests)
@@ -273,7 +276,7 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
     A = np.asarray(A, dtype=float)
     p = A.shape[0]
     d = A.shape[1]
-    _require_identifiable(family, d)
+    _require_identifiable(datasets, family, d)
     if _matrix_rank(list(proj.squares)) < p:
         raise RankError("projection design matrix must have rank p")
     rhs = np.empty(proj.m)
@@ -283,11 +286,9 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
         node = int(proj.source_node[r])
         gain = (t @ A[:, node]) ** 2
         contributions = []
-        for k in _covering_regimes(family, node):
+        for k in _covering_regimes(datasets, family, node):
             var_k = np.var(np.asarray(datasets[k], dtype=float) @ t, ddof=1)
             contributions.append((var_k, var_k - gain * family.regimes[k].variance))
-        if not contributions:
-            raise IdentifiabilityError(f"no regime covers node {node}")
         proj_var[r] = np.mean([c[0] for c in contributions])
         rhs[r] = np.mean([c[1] for c in contributions])
     w = 1.0 / np.maximum(proj_var, VARIANCE_FLOOR)

@@ -1,8 +1,9 @@
 """The benchmark harness's calls into the package, on tiny one-round fits.
 
-``perfbench/run.py`` and ``perfbench/checks.py`` are loaded as they stand
-and never written to, so a change of signature that would break the
-benchmark, or a proposal that would fail its SIR check, fails here first.
+``perfbench/run.py``, ``perfbench/checks.py`` and ``perfbench/spans.py`` are
+loaded as they stand and never written to, so a change of signature that
+would break the benchmark, a proposal that would fail its SIR check, or a
+call the traced run can no longer see, fails here first.
 """
 
 import dataclasses
@@ -37,13 +38,17 @@ def harness(monkeypatch):
     return _load(monkeypatch, "run")
 
 
+def _tiny(s):
+    return dataclasses.replace(s, cfg=em.EmConfig(
+        em_rounds=1, m_steps_per_round=2, batch_size=16, n_proposals=16, n_resample=2,
+        seed=s.cfg.seed))
+
+
 @pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
 def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, workload):
     s = harness.set_up(MODULES, workload, seed=1, data_dir=tmp_path)
     assert type(measurement.channel_from_dict(s.spec)) is type(s.channel)
-    tiny = em.EmConfig(em_rounds=1, m_steps_per_round=2, batch_size=16, n_proposals=16,
-                       n_resample=2, seed=s.cfg.seed)
-    out = harness.fit_cycle(MODULES, dataclasses.replace(s, cfg=tiny), tmp_path)
+    out = harness.fit_cycle(MODULES, _tiny(s), tmp_path)
 
     assert out["error"] is None
     assert len(out["thetas"]) == 1  # the (r, theta, *_) callback ran once
@@ -59,3 +64,17 @@ def test_sir_matches_the_exact_posterior_on_the_gan_workload(harness, tmp_path, 
     theta, mask = checks._linear_gaussian_params(MODULES, s.channel.d, rng)
     ok, detail = checks._sir_posterior_mean(MODULES, s, theta, mask, rng)
     assert ok, detail
+
+
+def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkeypatch):
+    """The traced run sees the E-step's proposal rows: one pass of n_proposals each."""
+    spans = _load(monkeypatch, "spans")
+    s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
+    with spans.Tracer(MODULES) as tracer:
+        out = harness.fit_cycle(MODULES, s, tmp_path)
+    assert out["error"] is None
+    metrics = spans.layer_metrics(tracer.spans, n_setups=1, n_rounds=len(out["ends"]))
+    assert metrics["posterior.sir_sample_batch.obs"][0] == sum(map(len, s.datasets))
+    assert metrics["posterior.proposals_per_obs"][0] == s.cfg.n_proposals
+    assert metrics["posterior.retried_obs"][0] == 0
+    assert em.sir_sample_batch is posterior.sir_sample_batch  # the tracer put them back

@@ -148,6 +148,13 @@ def _fit_argv(tmp_path, data, out, **config):
     ("em_rounds", "2", "em_rounds must be an integer, got '2'"),
     ("learning_rate", "0.01", "learning_rate must be a real number, got '0.01'"),
     ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+    ("init_weight_scale", -0.1, "init_weight_scale must be >= 0"),
+    ("elbo_proposals", 0, "elbo_proposals must be >= 2"),
+    ("elbo_proposals", 1, "elbo_proposals must be >= 2"),
+    ("skip_tolerance", -0.5, "skip_tolerance must lie in [0, 1)"),
+    ("skip_tolerance", 1.0, "skip_tolerance must lie in [0, 1)"),
+    ("elbo_every", -1, "elbo_every must be >= 0"),
+    ("hidden", 0, "hidden must be >= 1"),
 ])
 def test_em_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, key, value, message):
     cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")
@@ -174,6 +181,51 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
     path.write_text(json.dumps(config))
     assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", {"sweep": "beta", "grid": ["a"]}, "beta grid value must be a real number, got 'a'"),
+    ("sweep", {"sweep": "n_nodes", "grid": [3, 2.5]},
+     "n_nodes grid value must be an integer, got 2.5"),
+    ("sweep", {"sweep": "beta", "grid": 0.5}, "sweep grid must be a non-empty list"),
+    ("simulate", {"channel": {"type": "gan", "sigma_min": "x"}},
+     "sigma_min must be a real number, got 'x'"),
+    ("simulate", {"channel": {"type": "gan", "sigma_max": 0}}, "sigma_max must be positive, got 0.0"),
+    ("simulate", {"weight_range": "ab"}, "weight_range must be two numbers [lo, hi], got 'ab'"),
+    ("simulate", {"weight_range": [0.9, 0.2]}, "weight_range must have lo <= hi, got [0.9, 0.2]"),
+    ("simulate", {"weight_range": [0.2, "x"]}, "weight_range must be a real number, got 'x'"),
+    ("simulate", {"sigma_z": "x"}, "sigma_z must be a real number, got 'x'"),
+    ("simulate", {"channel": {"type": "linear", "p": 4, "mixing_var": -1}},
+     "mixing_var must be positive, got -1.0"),
+], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "sigma_min", "sigma_max",
+        "weight_range-string", "weight_range-reversed", "weight_range-entry", "sigma_z",
+        "mixing_var"])
+def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
+                                                                config, message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    if command == "sweep":
+        config = {**config, "base": {"d": 3, "n_per_regime": 5}, "out_dir": str(out)}
+        argv = ["sweep"]
+    else:
+        config = {"d": 3, "n_per_regime": 5, **config}
+        argv = ["simulate", "--out-dir", str(out)]
+    path.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "estimate-noise"])
+def test_regimes_of_one_observation_exit_4_naming_the_nodes(tmp_path, capsys, command):
+    """One row per regime has no sample variance: the noise is not identifiable."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 1}, data)
+    argv = _fit_argv(tmp_path, data, out) if command == "fit" else \
+        ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    assert cli.main(argv) == cli.EXIT_IDENTIFIABILITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes [0, 1, 2] ") and err.count("\n") == 1
     assert not out.exists()
 
 

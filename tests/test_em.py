@@ -84,6 +84,20 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, dropped_pe
         assert all(rc.particles.shape == (19, 4, 4) for rc in cache.regimes)
 
 
+def test_e_step_passes_an_empty_regime_through_as_an_empty_cache_entry(data):
+    datasets, family = data
+    datasets = [datasets[0], np.zeros((0, 4)), *datasets[2:]]
+    cfg = em.EmConfig(**TINY)
+    cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
+                      datasets, family, cfg)
+    empty = cache.regimes[1]
+    assert empty.regime is family.regimes[1] and empty.y.shape == (0, 4)
+    assert empty.particles.shape == (0, 4, 4) and empty.ess.shape == (0,)
+    assert cache.n_observations == 80 and cache.n_skipped == 0
+    assert [rc.particles.shape[0] for rc in cache.regimes] == [20, 0, 20, 20, 20]
+    assert np.isfinite(em.channel_term(cache, GaussianAdditiveChannel(np.full(4, 0.2))))
+
+
 def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     """At d = 30 the channel noise is not small against the latent spread; a
     proposal that ignores the latent prior lost 55 of 620 observations here."""

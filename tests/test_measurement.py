@@ -13,6 +13,13 @@ class TestChannelConstruction:
         with pytest.raises(ParameterError):
             ms.GaussianAdditiveChannel(np.array([0.1, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_both_channels_reject_non_finite_variance(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            ms.GaussianAdditiveChannel(np.array([0.1, bad]))
+        with pytest.raises(ParameterError, match="finite"):
+            ms.LinearChannel(np.eye(2), np.array([0.1, bad]))
+
     def test_linear_rejects_wide_matrix(self):
         with pytest.raises(ParameterError):
             ms.LinearChannel(np.ones((2, 3)), np.ones(2))

@@ -25,6 +25,23 @@ class TestIdentifiability:
         fam = make_family(3, [(0,), (2,)])
         assert not noise.check_channel_identifiability(fam, 3)
 
+    @pytest.mark.parametrize("channel", ["gan", "linear"])
+    def test_a_covering_regime_of_one_row_is_not_counted(self, channel):
+        """One row has no sample variance (ddof=1 gives NaN): it must not enter an estimate."""
+        if channel == "gan":
+            A, (datasets, fam, _) = None, simulate_gan(3, np.full(3, 0.5), 300, seed=5)
+        else:
+            A, _, fam, datasets = simulate_linear(4, 3, 300, seed=5)
+        single = scm.InterventionFamily(fam.regimes + (scm.InterventionRegime((0,), 1.0),))
+        est = noise.estimate_channel_noise(datasets + [datasets[1][:1]], single, channel, A)
+        assert np.array_equal(est, noise.estimate_channel_noise(datasets, fam, channel, A))
+
+    def test_a_node_covered_only_by_one_row_is_not_identifiable(self):
+        A, _, fam, datasets = simulate_linear(4, 3, 300, seed=5)
+        datasets[3] = datasets[3][:1]  # the regime that clamps node 2
+        with pytest.raises(IdentifiabilityError, match=r"nodes \[2\]"):
+            noise.estimate_channel_noise(datasets, fam, "linear", A)
+
 
 def simulate_gan(d, sigma, n, seed, graph_seed=0):
     g = graphs.erdos_renyi(d, 2.0, seed=graph_seed)
