@@ -18,10 +18,10 @@ from .scm import (GroundTruthScm, InterventionFamily, InterventionRegime,
 from .measurement import (GaussianAdditiveChannel, LinearChannel,
                           channel_from_dict, channel_from_json, channel_logpdf,
                           channel_to_json, measure)
-from .noise import (ProjectionSet, check_channel_identifiability,
-                    estimate_channel_noise, estimate_gan_variances,
-                    estimate_linear_variances, nnls_projected_gradient,
-                    null_space_basis, sample_projection_vectors)
+from .noise import (ProjectionSet, estimate_channel_noise,
+                    estimate_gan_variances, estimate_linear_variances,
+                    nnls_projected_gradient, null_space_basis,
+                    sample_projection_vectors)
 from .model import (MaskSample, ModelParams, edge_scores, init_params,
                     jacobian, latent_logpdf_batch, latent_logpdf_grads,
                     masked_forward, params_from_json, params_to_json,

@@ -6,6 +6,12 @@ mixing matrix, and an evaluation against a truth graph with no edges),
 3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
 failure (too many degenerate observations in an E-step, or a solver that did
 not converge).
+
+``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
+after every round. ``fit --resume`` continues from that checkpoint's trace,
+so it writes the same ``report.json`` and ``trace.csv`` as an uninterrupted
+fit; a fit whose trace has converged or holds ``em_rounds`` rounds runs no
+new round.
 """
 
 from __future__ import annotations
@@ -130,6 +136,8 @@ def run_simulate(config: dict, out_dir) -> None:
     d = _config_number(config, "d", integral=True)
     density = _config_number(config, "graph_density", 2.0)
     n = _config_number(config, "n_per_regime", 1000, integral=True)
+    if n < 0:
+        raise ConfigError(f"n_per_regime must be >= 0, got {n}")
     root = np.random.SeedSequence((seed, 2026))
     graph_seed, scm_seed, chan_seed, *_ = root.generate_state(4)
 
@@ -215,34 +223,17 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
     out_dir = Path(out_dir) if out_dir else data_dir
     cfg = _em_config_from_dict(em_config)
 
-    init_theta, start_round, q_history, trace = None, 0, None, None
+    init_theta, trace = None, None
     ckpt_path = out_dir / "checkpoint.json"
     if resume and ckpt_path.exists():
-        state = em.checkpoint_from_json(ckpt_path.read_text())
-        init_theta = state["theta"]
-        start_round = state["completed_rounds"]
-        q_history = state["q_history"]
-        trace = state["trace"]
+        init_theta, trace = em.checkpoint_from_json(ckpt_path.read_text())
 
-    # Mirror fit's internal histories so every completed round is checkpointed.
-    q_history_live = list(q_history) if q_history else []
-    trace_live = list(trace) if trace else []
+    def checkpoint(_round, theta, trace):
+        _atomic_write(ckpt_path, em.checkpoint_to_json(theta, trace))
 
-    def cb(r, theta, q, entry):
-        q_history_live.append(q)
-        trace_live.append(entry)
-        state = {"theta": theta, "completed_rounds": r + 1,
-                 "q_history": list(q_history_live), "trace": list(trace_live)}
-        _atomic_write(ckpt_path, em.checkpoint_to_json(state))
-
-    report = em.fit(datasets, family, spec, cfg, init_theta=init_theta,
-                    start_round=start_round, q_history=q_history, trace=trace,
-                    round_callback=cb)
-    final_state = {"theta": report.theta,
-                   "completed_rounds": report.diagnostics["rounds_completed"],
-                   "q_history": report.elbo_trace,
-                   "trace": report.diagnostics["trace"]}
-    _atomic_write(ckpt_path, em.checkpoint_to_json(final_state))
+    report = em.fit(datasets, family, spec, cfg, init_theta=init_theta, trace=trace,
+                    round_callback=checkpoint)
+    checkpoint(None, report.theta, report.diagnostics["trace"])
     _atomic_write(out_dir / "report.json", em.report_to_json(report))
     em.write_trace_csv(out_dir / "trace.csv", report.diagnostics["trace"])
     return report

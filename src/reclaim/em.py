@@ -13,6 +13,7 @@ import json
 import logging
 import numbers
 from dataclasses import dataclass, fields, replace
+from typing import TypedDict
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .errors import EStepError, ParameterError
 from .graphs import DirectedGraph
 from .measurement import Channel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, edge_scores, expected_mask, init_params,
-                    latent_logpdf_batch, latent_logpdf_grads, sample_mask,
-                    spectral_normalize)
+                    latent_logpdf_batch, latent_logpdf_grads, params_from_json,
+                    params_to_json, sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch, weighted_draws
 from .scm import InterventionFamily
 
@@ -107,13 +108,23 @@ class ParticleCache:
         return sum(rc.particles.shape[0] * rc.particles.shape[1] for rc in self.regimes)
 
 
+class RoundRecord(TypedDict):
+    """One EM round's entry in a fit's trace; ``trace.csv`` has one column per key."""
+
+    round: int
+    q_value: float
+    elbo_estimate: float | None
+    ess_median: float
+    channel_term: float
+    n_skipped: int
+
+
 @dataclass
 class FitReport:
     edge_scores: np.ndarray
     theta: ModelParams
     phi_hat: Channel
-    elbo_trace: list
-    diagnostics: dict
+    diagnostics: dict  # "rounds_completed", "converged" and the "trace" they derive from
 
 
 def _round_seeds(seed: int, round_index: int, n: int = 4) -> list[int]:
@@ -308,19 +319,26 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     return channel_from_dict(channel_spec)
 
 
+def converged(trace: list, tol: float) -> bool:
+    """True once the surrogate's last relative change is below ``tol``."""
+    return len(trace) >= 2 and abs(trace[-1]["q_value"] - trace[-2]["q_value"]) \
+        < tol * abs(trace[-2]["q_value"])
+
+
 def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
-        init_theta: ModelParams | None = None, start_round: int = 0,
-        q_history: list | None = None, trace: list | None = None,
+        init_theta: ModelParams | None = None, trace: list | None = None,
         round_callback=None) -> FitReport:
     """Full pipeline: estimate channel noise, then alternate E and M steps.
 
     ``channel_spec`` is a ``channel.json`` object whose "sigma_sq" may be
     missing or null, in which case ``build_channel`` estimates it from the
-    data. Stops after ``cfg.em_rounds`` rounds or once the surrogate's
-    relative change drops below ``cfg.convergence_tol``. Resuming is
-    supported by passing the checkpointed parameters, start round, and
-    histories; round seeds derive from (cfg.seed, round), so a resumed run
-    reproduces the uninterrupted one.
+    data. ``trace`` is the list of ``RoundRecord``s of the rounds already
+    run, and the fit's only state besides ``init_theta``: the next round is
+    ``len(trace)``, and no round runs once the trace holds ``cfg.em_rounds``
+    records or has ``converged``. Round seeds derive from (cfg.seed, round),
+    so resuming from a checkpoint's parameters and trace reproduces the
+    uninterrupted run. ``round_callback(r, theta, trace)`` runs after each
+    round.
     """
     init_seed = int(np.random.SeedSequence((cfg.seed, 0)).generate_state(1)[0])
     phi_hat = build_channel(channel_spec, datasets, family, seed=init_seed)
@@ -331,43 +349,37 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
         theta = init_params(d, hidden=cfg.hidden,
                             lipschitz_target=cfg.lipschitz_target,
                             seed=init_seed, weight_scale=cfg.init_weight_scale)
-    q_history = [] if q_history is None else list(q_history)
     trace = [] if trace is None else list(trace)
 
-    converged = False
-    for r in range(start_round, cfg.em_rounds):
+    while len(trace) < cfg.em_rounds and not converged(trace, cfg.convergence_tol):
+        r = len(trace)
         e_seed, m_seed, q_seed, elbo_seed = (int(s) for s in _round_seeds(cfg.seed, r + 1))
         cache = e_step(theta, phi_hat, datasets, family, cfg, seed=e_seed)
         theta = m_step(theta, cache, cfg, seed=m_seed)
         q = surrogate_q(theta, cache, family, cfg, seed=q_seed)
         ess_all = np.concatenate([rc.ess for rc in cache.regimes]) if cache.regimes else np.zeros(0)
-        entry = {
-            "round": r,
-            "q_value": q,
-            "elbo_estimate": None,
-            "ess_median": float(np.median(ess_all)) if ess_all.size else float("nan"),
-            "channel_term": channel_term(cache, phi_hat),
-            "n_skipped": cache.n_skipped,
-        }
+        record = RoundRecord(
+            round=r,
+            q_value=q,
+            elbo_estimate=None,
+            ess_median=float(np.median(ess_all)) if ess_all.size else float("nan"),
+            channel_term=channel_term(cache, phi_hat),
+            n_skipped=cache.n_skipped,
+        )
         if cfg.elbo_every and (r + 1) % cfg.elbo_every == 0:
-            entry["elbo_estimate"] = elbo_estimate(theta, phi_hat, datasets, family,
-                                                   cfg, seed=elbo_seed)
-        trace.append(entry)
-        q_history.append(q)
+            record["elbo_estimate"] = elbo_estimate(theta, phi_hat, datasets, family,
+                                                    cfg, seed=elbo_seed)
+        trace.append(record)
         if round_callback is not None:
-            round_callback(r, theta, q, entry)
-        if len(q_history) >= 2 and abs(q_history[-1] - q_history[-2]) \
-                < cfg.convergence_tol * abs(q_history[-2]):
-            converged = True
-            break
+            round_callback(r, theta, trace)
 
     diagnostics = {
-        "rounds_completed": len(q_history),
-        "converged": converged,
+        "rounds_completed": len(trace),
+        "converged": converged(trace, cfg.convergence_tol),
         "trace": trace,
     }
     return FitReport(edge_scores=edge_scores(theta), theta=theta, phi_hat=phi_hat,
-                     elbo_trace=q_history, diagnostics=diagnostics)
+                     diagnostics=diagnostics)
 
 
 def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
@@ -405,41 +417,31 @@ def report_to_json(report: FitReport) -> str:
     payload = {
         "d": int(report.edge_scores.shape[0]),
         "edge_scores": report.edge_scores.tolist(),
-        "elbo_trace": report.elbo_trace,
+        # The surrogate q per round, under the key report.json has always used.
+        "elbo_trace": [entry["q_value"] for entry in report.diagnostics["trace"]],
         "diagnostics": report.diagnostics,
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def write_trace_csv(path, trace: list) -> None:
-    lines = ["round,q_value,elbo_estimate,ess_median,channel_term,n_skipped"]
+    """One row per ``RoundRecord``; an ELBO not estimated that round is an empty cell."""
+    columns = list(RoundRecord.__annotations__)
+    lines = [",".join(columns)]
     for entry in trace:
-        elbo = "" if entry.get("elbo_estimate") is None else repr(entry["elbo_estimate"])
-        lines.append(f"{entry['round']},{entry['q_value']!r},{elbo},{entry['ess_median']!r},"
-                     f"{entry['channel_term']!r},{entry['n_skipped']}")
+        lines.append(",".join("" if entry[c] is None else repr(entry[c]) for c in columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def checkpoint_to_json(report_or_state) -> str:
-    """Checkpoint carries the parameters plus enough state to resume."""
-    from .model import params_to_json
-    state = report_or_state
-    payload = {
-        "params": json.loads(params_to_json(state["theta"])),
-        "completed_rounds": state["completed_rounds"],
-        "q_history": state["q_history"],
-        "trace": state["trace"],
-    }
-    return json.dumps(payload, sort_keys=True)
+def checkpoint_to_json(theta: ModelParams, trace: list) -> str:
+    """The parameters and the trace: all ``fit`` needs to resume."""
+    return json.dumps({"params": json.loads(params_to_json(theta)), "trace": trace},
+                      sort_keys=True)
 
 
-def checkpoint_from_json(text: str) -> dict:
-    from .model import params_from_json
+def checkpoint_from_json(text: str) -> tuple[ModelParams, list]:
+    """``(theta, trace)``; the "completed_rounds" and "q_history" keys of
+    older checkpoints repeat the trace and are ignored."""
     obj = json.loads(text)
-    return {
-        "theta": params_from_json(json.dumps(obj["params"])),
-        "completed_rounds": obj["completed_rounds"],
-        "q_history": obj["q_history"],
-        "trace": obj["trace"],
-    }
+    return params_from_json(json.dumps(obj["params"])), obj["trace"]

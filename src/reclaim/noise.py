@@ -26,11 +26,6 @@ EPS_SIG = 0.1
 DELTA_DIVERSITY = 0.05
 
 
-def check_channel_identifiability(family: InterventionFamily, d: int) -> bool:
-    """True iff every node is targeted by at least one regime."""
-    return family.covered_nodes() >= set(range(d))
-
-
 def _covering_regimes(datasets, family, node):
     """Regimes that target ``node`` and hold the two rows a sample variance needs."""
     return [k for k, regime in enumerate(family.regimes)

@@ -63,9 +63,6 @@ class InterventionFamily:
     def __iter__(self):
         return iter(self.regimes)
 
-    def covered_nodes(self) -> set[int]:
-        return set().union(*(set(r.targets) for r in self.regimes)) if self.regimes else set()
-
 
 def single_node_family(d: int, variance: float = 1.0,
                        include_observational: bool = True) -> InterventionFamily:

@@ -45,15 +45,22 @@ def _tiny(s):
 
 
 @pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
-def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, workload):
+def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, monkeypatch, workload):
+    checks = _load(monkeypatch, "checks")
     s = harness.set_up(MODULES, workload, seed=1, data_dir=tmp_path)
     assert type(measurement.channel_from_dict(s.spec)) is type(s.channel)
-    out = harness.fit_cycle(MODULES, _tiny(s), tmp_path)
+    s = _tiny(s)
+    out = harness.fit_cycle(MODULES, s, tmp_path)
 
     assert out["error"] is None
     assert len(out["thetas"]) == 1  # the (r, theta, *_) callback ran once
     assert np.array_equal(out["report"].phi_hat.noise_var, s.spec["sigma_sq"])
     assert 0.0 <= out["evaluation"]["auprc"] <= 1.0
+    cycles = [{"graph": 0, **out}]
+    for ok, detail in (checks._rounds_completed(cycles, s.cfg.em_rounds),
+                       checks._edge_scores_valid(cycles),
+                       checks._bit_identical(MODULES, [[s]], cycles)):
+        assert ok, detail
 
 
 def test_sir_matches_the_exact_posterior_on_the_gan_workload(harness, tmp_path, monkeypatch):

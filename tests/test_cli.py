@@ -66,7 +66,7 @@ def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monk
         fit_seeds.append(cfg.seed)
         theta = model.init_params(datasets[0].shape[1])
         return em.FitReport(edge_scores=model.edge_scores(theta), theta=theta, phi_hat=None,
-                            elbo_trace=[], diagnostics={"rounds_completed": 0, "trace": []})
+                            diagnostics={"rounds_completed": 0, "trace": []})
 
     monkeypatch.setattr(cli, "run_simulate", recording_simulate)
     monkeypatch.setattr(em, "fit", stub_fit)
@@ -198,9 +198,10 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
     ("simulate", {"sigma_z": "x"}, "sigma_z must be a real number, got 'x'"),
     ("simulate", {"channel": {"type": "linear", "p": 4, "mixing_var": -1}},
      "mixing_var must be positive, got -1.0"),
+    ("simulate", {"n_per_regime": -1}, "n_per_regime must be >= 0, got -1"),
 ], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "sigma_min", "sigma_max",
         "weight_range-string", "weight_range-reversed", "weight_range-entry", "sigma_z",
-        "mixing_var"])
+        "mixing_var", "n_per_regime"])
 def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
                                                                 config, message):
     path, out = tmp_path / "config.json", tmp_path / "out"
@@ -275,21 +276,53 @@ def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: truth graph has no edges; AUPRC is undefined\n"
 
 
-def test_resumed_cli_fit_writes_the_straight_fits_files_byte_for_byte(tmp_path, monkeypatch):
+def _resumable_fit(tmp_path, monkeypatch, **config):
+    """Simulated data and a function ``fit(out, em_rounds, *flags)`` that runs ``reclaim fit``."""
     monkeypatch.delenv("RECLAIM_SEED", raising=False)
     data = tmp_path / "data"
     cli.run_simulate({"d": 3, "n_per_regime": 20, "seed": 2}, data)
-    config = {"n_proposals": 32, "convergence_tol": 1e-12, "elbo_every": 2, "seed": 4}
+    config = {"n_proposals": 32, "elbo_every": 2, "seed": 4, **config}
 
     def fit(out, em_rounds, *flags):
         argv = _fit_argv(tmp_path, data, tmp_path / out, em_rounds=em_rounds, **config)
         assert cli.main([*argv, *flags]) == cli.EXIT_OK
+    return fit
 
-    fit("straight", 3)
-    fit("resumed", 1)
-    fit("resumed", 3, "--resume")
-    assert json.loads((tmp_path / "resumed" / "report.json").read_text())[
-        "diagnostics"]["rounds_completed"] == 3
-    for name in ("report.json", "checkpoint.json", "trace.csv"):
+
+def _same_files(tmp_path, names=("report.json", "checkpoint.json", "trace.csv")):
+    for name in names:
         assert (tmp_path / "resumed" / name).read_bytes() == \
             (tmp_path / "straight" / name).read_bytes()
+
+
+@pytest.mark.parametrize("tol, first, em_rounds, completed, converged", [
+    (1e-12, 1, 3, 3, False),
+    (0.1, 30, 30, 2, True),
+    (0.1, 2, 2, 2, True),
+], ids=["interrupted", "converged", "finished"])
+def test_resumed_cli_fit_writes_the_straight_fits_files_byte_for_byte(
+        tmp_path, monkeypatch, tol, first, em_rounds, completed, converged):
+    """A resumed fit runs only the rounds the straight fit has and the checkpoint lacks."""
+    fit = _resumable_fit(tmp_path, monkeypatch, convergence_tol=tol)
+    fit("straight", em_rounds)
+    fit("resumed", first)
+    fit("resumed", em_rounds, "--resume")
+    diagnostics = json.loads((tmp_path / "resumed" / "report.json").read_text())["diagnostics"]
+    assert diagnostics["rounds_completed"] == completed
+    assert diagnostics["converged"] is converged
+    _same_files(tmp_path)
+
+
+def test_a_checkpoint_with_round_count_and_q_history_resumes_like_a_straight_fit(
+        tmp_path, monkeypatch):
+    """Older checkpoints also hold "completed_rounds" and "q_history"; both repeat the trace."""
+    fit = _resumable_fit(tmp_path, monkeypatch, convergence_tol=1e-12)
+    fit("straight", 3)
+    fit("resumed", 1)
+    path = tmp_path / "resumed" / "checkpoint.json"
+    state = json.loads(path.read_text())
+    state["completed_rounds"] = len(state["trace"])
+    state["q_history"] = [entry["q_value"] for entry in state["trace"]]
+    path.write_text(json.dumps(state, sort_keys=True))
+    fit("resumed", 3, "--resume")
+    _same_files(tmp_path, ("report.json", "trace.csv"))

@@ -29,19 +29,17 @@ def straight(data):
 def test_resume_from_checkpoint_equals_uninterrupted_run(data, straight):
     datasets, family = data
     first = em.fit(datasets, family, {"type": "gan"}, em.EmConfig(em_rounds=2, **TINY))
-    state = em.checkpoint_from_json(em.checkpoint_to_json({
-        "theta": first.theta, "completed_rounds": first.diagnostics["rounds_completed"],
-        "q_history": first.elbo_trace, "trace": first.diagnostics["trace"]}))
+    theta, trace = em.checkpoint_from_json(
+        em.checkpoint_to_json(first.theta, first.diagnostics["trace"]))
     resumed = em.fit(datasets, family, {"type": "gan"}, em.EmConfig(em_rounds=4, **TINY),
-                     init_theta=state["theta"], start_round=state["completed_rounds"],
-                     q_history=state["q_history"], trace=state["trace"])
+                     init_theta=theta, trace=trace)
 
-    assert state["completed_rounds"] == 2 and resumed.diagnostics["rounds_completed"] == 4
+    assert len(trace) == 2 and resumed.diagnostics["rounds_completed"] == 4
     assert np.array_equal(resumed.edge_scores, straight.edge_scores)
     for name in ("w_in", "b_in", "w_out", "b_out", "edge_logits"):
         assert np.array_equal(getattr(resumed.theta, name), getattr(straight.theta, name))
-    assert resumed.elbo_trace == straight.elbo_trace
-    assert resumed.diagnostics["trace"] == straight.diagnostics["trace"]
+    assert resumed.diagnostics == straight.diagnostics
+    assert em.report_to_json(resumed) == em.report_to_json(straight)
 
 
 def test_trace_csv_reads_back_equal_to_the_trace(tmp_path, straight):
@@ -56,6 +54,12 @@ def test_trace_csv_reads_back_equal_to_the_trace(tmp_path, straight):
                "n_skipped": int(r["n_skipped"])} for r in rows]
     assert parsed == trace
     assert [r["elbo_estimate"] is None for r in parsed] == [True, False, True, False]
+
+
+def test_trace_csv_of_an_empty_trace_is_its_header(tmp_path):
+    em.write_trace_csv(tmp_path / "trace.csv", [])
+    assert (tmp_path / "trace.csv").read_text() == \
+        "round,q_value,elbo_estimate,ess_median,channel_term,n_skipped\n"
 
 
 @pytest.mark.parametrize("dropped_per_regime,raises", [(1, False), (2, True)])

@@ -13,17 +13,18 @@ def make_family(d, targets_list):
 
 
 class TestIdentifiability:
-    def test_single_node_family_is_identifiable(self):
-        fam = scm.single_node_family(4)
-        assert noise.check_channel_identifiability(fam, 4)
-
     def test_observational_only_is_not(self):
-        fam = make_family(3, [()])
-        assert not noise.check_channel_identifiability(fam, 3)
+        datasets = [np.random.default_rng(0).normal(size=(20, 3))]
+        with pytest.raises(IdentifiabilityError, match=r"nodes \[0, 1, 2\] "):
+            noise.estimate_channel_noise(datasets, make_family(3, [()]), "gan")
 
     def test_uncovered_node_detected(self):
-        fam = make_family(3, [(0,), (2,)])
-        assert not noise.check_channel_identifiability(fam, 3)
+        A, _, fam, datasets = simulate_linear(4, 3, 300, seed=5)
+        keep = [k for k, r in enumerate(fam.regimes) if 1 not in r.targets]
+        with pytest.raises(IdentifiabilityError, match=r"nodes \[1\] "):
+            noise.estimate_channel_noise([datasets[k] for k in keep],
+                                         scm.InterventionFamily(fam.regimes[k] for k in keep),
+                                         "linear", A)
 
     @pytest.mark.parametrize("channel", ["gan", "linear"])
     def test_a_covering_regime_of_one_row_is_not_counted(self, channel):

@@ -191,7 +191,7 @@ class TestInterventionTypes:
     def test_single_node_family_covers_all(self):
         fam = scm.single_node_family(4)
         assert len(fam) == 5
-        assert fam.covered_nodes() == {0, 1, 2, 3}
+        assert [r.targets for r in fam.regimes] == [(), (0,), (1,), (2,), (3,)]
 
 
 class TestDatasetIO:
