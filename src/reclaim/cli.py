@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage/config error (including a channel.json that
 is malformed, names an unknown type, lacks a key or has a rank-deficient
-mixing matrix, and an evaluation against a truth graph with no edges),
+mixing matrix, a checkpoint.json to resume from that is malformed or of
+another dimension than the data, and an evaluation against a truth graph
+with no edges),
 3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
 failure (too many degenerate observations in an E-step, or a solver that did
 not converge).
@@ -226,7 +228,12 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
     init_theta, trace = None, None
     ckpt_path = out_dir / "checkpoint.json"
     if resume and ckpt_path.exists():
-        init_theta, trace = em.checkpoint_from_json(ckpt_path.read_text())
+        try:
+            init_theta, trace = em.checkpoint_from_json(ckpt_path.read_text())
+        except KeyError as exc:
+            raise ConfigError(f"malformed checkpoint {ckpt_path}: no key {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed checkpoint {ckpt_path}: {exc}") from exc
 
     def checkpoint(_round, theta, trace):
         _atomic_write(ckpt_path, em.checkpoint_to_json(theta, trace))

@@ -43,7 +43,10 @@ class EmConfig:
     em_rounds: int = 200
     m_steps_per_round: int = 50
     batch_size: int = 256
-    n_proposals: int = 64
+    # The Gaussian proposal keeps about 0.9 of its draws effective on a trained
+    # theta (ESS ~ 0.9 S), so S = n_resample proposals already give ~n_resample
+    # effective draws to resample from.
+    n_proposals: int = 16
     n_resample: int = 16
     temperature: float = 1.0
     seed: int = 0
@@ -137,8 +140,8 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     """Draw and freeze posterior particles for every observation.
 
     Observations whose importance weights collapse (see ``sir_sample_batch``)
-    are skipped with a warning; the step fails if more than the configured
-    fraction is lost.
+    are skipped, logged at INFO while their share is within
+    ``cfg.skip_tolerance``; the step fails, with a warning, if more is lost.
     """
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -158,9 +161,11 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
             logger.debug("regime %d: skipped %d/%d degenerate observations",
                          k, dropped, Y.shape[0])
         regimes.append(RegimeCache(regime, Y[kept], particles, ess))
+    too_many = n_obs > 0 and n_skipped / n_obs > cfg.skip_tolerance
     if n_skipped:
-        logger.warning("e-step skipped %d/%d degenerate observations", n_skipped, n_obs)
-    if n_obs and n_skipped / n_obs > cfg.skip_tolerance:
+        logger.log(logging.WARNING if too_many else logging.INFO,
+                   "e-step skipped %d/%d degenerate observations", n_skipped, n_obs)
+    if too_many:
         raise EStepError(
             f"{n_skipped}/{n_obs} observations degenerate (> {cfg.skip_tolerance:.0%})")
     return ParticleCache(regimes, n_obs, n_skipped)
@@ -349,6 +354,9 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
         theta = init_params(d, hidden=cfg.hidden,
                             lipschitz_target=cfg.lipschitz_target,
                             seed=init_seed, weight_scale=cfg.init_weight_scale)
+    elif theta.d != d:
+        raise ParameterError(f"initial parameters are for d={theta.d} nodes, "
+                             f"the data has d={d}")
     trace = [] if trace is None else list(trace)
 
     while len(trace) < cfg.em_rounds and not converged(trace, cfg.convergence_tol):
@@ -442,6 +450,17 @@ def checkpoint_to_json(theta: ModelParams, trace: list) -> str:
 
 def checkpoint_from_json(text: str) -> tuple[ModelParams, list]:
     """``(theta, trace)``; the "completed_rounds" and "q_history" keys of
-    older checkpoints repeat the trace and are ignored."""
+    older checkpoints repeat the trace and are ignored.
+
+    Text that is not a checkpoint raises ``ValueError`` (``JSONDecodeError``
+    and ``ParameterError`` among them), ``KeyError`` or ``TypeError``.
+    """
     obj = json.loads(text)
-    return params_from_json(json.dumps(obj["params"])), obj["trace"]
+    if not isinstance(obj, dict) or not {"params", "trace"} <= obj.keys():
+        raise ParameterError('a checkpoint is an object with "params" and "trace"')
+    trace = obj["trace"]
+    if not (isinstance(trace, list) and all(
+            isinstance(entry, dict) and RoundRecord.__annotations__.keys() <= entry.keys()
+            for entry in trace)):
+        raise ParameterError("a checkpoint's trace is a list of round records")
+    return params_from_json(json.dumps(obj["params"])), trace

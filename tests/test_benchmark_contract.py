@@ -39,9 +39,9 @@ def harness(monkeypatch):
 
 
 def _tiny(s):
+    """One short round at the default proposal count."""
     return dataclasses.replace(s, cfg=em.EmConfig(
-        em_rounds=1, m_steps_per_round=2, batch_size=16, n_proposals=16, n_resample=2,
-        seed=s.cfg.seed))
+        em_rounds=1, m_steps_per_round=2, batch_size=16, n_resample=2, seed=s.cfg.seed))
 
 
 @pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
@@ -63,10 +63,12 @@ def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, monkeypatch, worklo
         assert ok, detail
 
 
-def test_sir_matches_the_exact_posterior_on_the_gan_workload(harness, tmp_path, monkeypatch):
-    """The benchmark's SIR-vs-exact-posterior check, on the gan-d10 set-up."""
+@pytest.mark.parametrize("workload", ["gan-d10", "linear-d10-p20"])
+def test_sir_matches_the_exact_posterior_on_each_workload(harness, tmp_path, monkeypatch,
+                                                          workload):
+    """The benchmark's SIR-vs-exact-posterior check, at the default proposal count."""
     checks = _load(monkeypatch, "checks")
-    s = harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path)
+    s = harness.set_up(MODULES, workload, seed=1, data_dir=tmp_path)
     rng = np.random.default_rng((1, 7))
     theta, mask = checks._linear_gaussian_params(MODULES, s.channel.d, rng)
     ok, detail = checks._sir_posterior_mean(MODULES, s, theta, mask, rng)
@@ -74,7 +76,8 @@ def test_sir_matches_the_exact_posterior_on_the_gan_workload(harness, tmp_path, 
 
 
 def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkeypatch):
-    """The traced run sees the E-step's proposal rows: one pass of n_proposals each."""
+    """The traced run sees the E-step's proposal rows: one pass of the default
+    n_proposals each, and the proposal keeps most of them effective."""
     spans = _load(monkeypatch, "spans")
     s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
     with spans.Tracer(MODULES) as tracer:
@@ -82,6 +85,7 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert out["error"] is None
     metrics = spans.layer_metrics(tracer.spans, n_setups=1, n_rounds=len(out["ends"]))
     assert metrics["posterior.sir_sample_batch.obs"][0] == sum(map(len, s.datasets))
-    assert metrics["posterior.proposals_per_obs"][0] == s.cfg.n_proposals
+    assert metrics["posterior.proposals_per_obs"][0] == em.EmConfig().n_proposals
+    assert metrics["posterior.ess_frac"][0] >= 0.85
     assert metrics["posterior.retried_obs"][0] == 0
     assert em.sir_sample_batch is posterior.sir_sample_batch  # the tracer put them back

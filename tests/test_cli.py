@@ -326,3 +326,44 @@ def test_a_checkpoint_with_round_count_and_q_history_resumes_like_a_straight_fit
     path.write_text(json.dumps(state, sort_keys=True))
     fit("resumed", 3, "--resume")
     _same_files(tmp_path, ("report.json", "trace.csv"))
+
+
+_PARAMS = model.params_to_json(model.init_params(3))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"params": ', "Expecting value"),
+    ('{"trace": []}', 'a checkpoint is an object with "params" and "trace"'),
+    ('{"params": ' + _PARAMS + '}', 'a checkpoint is an object with "params" and "trace"'),
+    ('{"params": {}, "trace": []}', "no key 'w_in'"),
+    ('{"params": ' + _PARAMS + ', "trace": [{"round": 0}]}',
+     "a checkpoint's trace is a list of round records"),
+    ('[1, 2]', 'a checkpoint is an object with "params" and "trace"'),
+], ids=["truncated", "no-params", "no-trace", "params-without-w_in", "trace-of-partial-records",
+        "not-an-object"])
+def test_resume_from_a_malformed_checkpoint_exits_2(tmp_path, capsys, text, message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 20}, data)
+    out.mkdir()
+    (out / "checkpoint.json").write_text(text)
+    assert cli.main([*_fit_argv(tmp_path, data, out), "--resume"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed checkpoint {out / 'checkpoint.json'}: ")
+    assert message in err and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json"]
+
+
+@pytest.mark.parametrize("em_rounds", [1, 2], ids=["no-round-left", "a-round-left"])
+def test_resume_from_a_checkpoint_of_another_dimension_exits_2(tmp_path, monkeypatch, capsys,
+                                                               em_rounds):
+    """A d=3 fit's checkpoint, finished after one round, resumed on d=4 data."""
+    fit = _resumable_fit(tmp_path, monkeypatch)
+    fit("out", 1)
+    checkpoint = (tmp_path / "out" / "checkpoint.json").read_bytes()
+    other = tmp_path / "other"
+    cli.run_simulate({"d": 4, "n_per_regime": 20, "seed": 2}, other)
+    argv = _fit_argv(tmp_path, other, tmp_path / "out", em_rounds=em_rounds)
+    assert cli.main([*argv, "--resume"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: initial parameters are for d=3 nodes, the data has d=4\n"
+    assert (tmp_path / "out" / "checkpoint.json").read_bytes() == checkpoint

@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -63,8 +64,9 @@ def test_trace_csv_of_an_empty_trace_is_its_header(tmp_path):
 
 
 @pytest.mark.parametrize("dropped_per_regime,raises", [(1, False), (2, True)])
-def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, dropped_per_regime,
-                                                   raises):
+def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, caplog,
+                                                   dropped_per_regime, raises):
+    """Skips within the tolerance are logged at INFO, and at WARNING beyond it."""
     datasets, family = data
 
     def dropping_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample,
@@ -79,6 +81,7 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, dropped_pe
     channel = GaussianAdditiveChannel(np.full(4, 0.2))
     cfg = em.EmConfig(skip_tolerance=0.05, **TINY)
     # 5 regimes x 20 observations: 1 dropped each is 5% (allowed), 2 is 10%.
+    caplog.set_level(logging.INFO, logger=em.logger.name)
     if raises:
         with pytest.raises(EStepError, match="10/100"):
             em.e_step(theta, channel, datasets, family, cfg)
@@ -86,6 +89,10 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, dropped_pe
         cache = em.e_step(theta, channel, datasets, family, cfg)
         assert cache.n_skipped == 5 and cache.n_observations == 100
         assert all(rc.particles.shape == (19, 4, 4) for rc in cache.regimes)
+    skipped = 5 * dropped_per_regime
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING if raises else logging.INFO,
+         f"e-step skipped {skipped}/100 degenerate observations")]
 
 
 def test_e_step_passes_an_empty_regime_through_as_an_empty_cache_entry(data):
