@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage/config error (including a channel.json that
 is malformed, names an unknown type, lacks a key or has a rank-deficient
-mixing matrix, a checkpoint.json to resume from that is malformed or of
-another dimension than the data, and an evaluation against a truth graph
-with no edges),
+mixing matrix, a family.json or regime CSV that does not parse, a
+checkpoint.json to resume from that is malformed or of another dimension
+than the data, a truth graph or report that does not parse, and an
+evaluation against a truth graph with no edges),
 3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
 failure (too many degenerate observations in an E-step, or a solver that did
 not converge).
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import numbers
@@ -45,14 +47,24 @@ class ConfigError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Turn the ValueError, KeyError or TypeError of content that does not
+    parse into a ConfigError naming ``what``; an OSError passes through."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"malformed {what}: no key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+
+
 def _load_json(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
+    with _parsing(f"JSON in {path}"):
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _number(name: str, value, integral: bool = False):
@@ -181,19 +193,24 @@ def run_simulate(config: dict, out_dir) -> None:
 def _read_channel_spec(data_dir: Path) -> dict:
     """The data directory's ``channel.json`` object; a missing file is an I/O error."""
     path = data_dir / "channel.json"
-    try:
+    with _parsing(f"JSON in {path}"):
         spec = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return spec
 
 
+def _read_data_dir(data_dir: Path):
+    """``(datasets, family, channel spec)`` of a data directory, as ``fit`` and
+    ``estimate-noise`` read it; a missing file is an I/O error."""
+    with _parsing(f"regime data in {data_dir}"):
+        datasets, family = scm.read_dataset(data_dir)
+    return datasets, family, _read_channel_spec(data_dir)
+
+
 def run_estimate_noise(data_dir, out_path=None) -> None:
     data_dir = Path(data_dir)
-    datasets, family = scm.read_dataset(data_dir)
-    spec = _read_channel_spec(data_dir)
+    datasets, family, spec = _read_data_dir(data_dir)
     estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family, seed=0)
     out_path = Path(out_path) if out_path else data_dir / "phi_hat.json"
     _atomic_write(out_path, measurement.channel_to_json(estimated))
@@ -214,11 +231,7 @@ def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
 
 def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em.FitReport:
     data_dir = Path(data_dir)
-    try:
-        datasets, family = scm.read_dataset(data_dir)
-    except ValueError as exc:
-        raise ConfigError(f"malformed regime data: {exc}") from exc
-    spec = _read_channel_spec(data_dir)
+    datasets, family, spec = _read_data_dir(data_dir)
     if not em_config.get("use_true_noise"):
         spec.pop("sigma_sq", None)
     # The output directory is made by the first write, after the channel is built.
@@ -228,12 +241,8 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
     init_theta, trace = None, None
     ckpt_path = out_dir / "checkpoint.json"
     if resume and ckpt_path.exists():
-        try:
+        with _parsing(f"checkpoint {ckpt_path}"):
             init_theta, trace = em.checkpoint_from_json(ckpt_path.read_text())
-        except KeyError as exc:
-            raise ConfigError(f"malformed checkpoint {ckpt_path}: no key {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"malformed checkpoint {ckpt_path}: {exc}") from exc
 
     def checkpoint(_round, theta, trace):
         _atomic_write(ckpt_path, em.checkpoint_to_json(theta, trace))
@@ -251,9 +260,10 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
 
 
 def run_evaluate(report_path, truth_path, out_path=None, threshold: float = 0.8) -> dict:
-    report = _load_json(report_path)
-    truth = graphs.graph_from_json(Path(truth_path).read_text())
-    scores = np.asarray(report["edge_scores"], dtype=float)
+    with _parsing(f"report {report_path}"):
+        scores = np.asarray(json.loads(Path(report_path).read_text())["edge_scores"], dtype=float)
+    with _parsing(f"truth graph {truth_path}"):
+        truth = graphs.graph_from_json(Path(truth_path).read_text())
     if scores.shape != (truth.d, truth.d):
         raise ConfigError(
             f"score matrix {scores.shape} does not match truth graph d={truth.d}")

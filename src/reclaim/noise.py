@@ -10,6 +10,7 @@ non-negativity constraint.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ _NULL_RESID_TOL = 1e-10
 # Defaults for the projection sampler; thresholds act on unit-norm vectors.
 EPS_SIG = 0.1
 DELTA_DIVERSITY = 0.05
+MAX_STREAK = 500  # consecutive rejections after which a node is passed over
 
 
 def _covering_regimes(datasets, family, node):
@@ -96,31 +98,33 @@ class ProjectionSet:
         return self.vectors.shape[0]
 
 
-def _matrix_rank(rows: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(np.asarray(rows))) if len(rows) else 0
-
-
 def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                               delta: float = DELTA_DIVERSITY,
                               seed=None,
-                              max_streak: int = 500,
                               signal_cap: float | None = None) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 
     Cycles over latent nodes; for node i, draws coefficients against the
     null-space basis of the other columns, keeps unit-norm vectors with
     enough signal on column i (|a_i' t| >= EPS_SIG) whose squared vector is
-    sufficiently different (cosine < 1 - delta) from every accepted row.
-    A node that keeps getting rejected (e.g. a one-dimensional null space
-    already represented) is passed over, so square systems terminate with
-    one row per node. Fails once the total draw budget (1e4 * m) is spent
-    without reaching rank p; a rank-deficient A, for which no vector can
-    isolate some latent, is rejected before any draw.
+    sufficiently different (cosine <= 1 - delta) from every accepted row.
+    A node rejected ``MAX_STREAK`` times in a row, or whose one-dimensional
+    null space is already represented, is passed over, so square systems
+    terminate with one row per node. Once every node has had its share of
+    the m rows, nodes are asked round-robin for one row each until the
+    squares reach rank p. Fails once the total draw budget (1e4 * m) is
+    spent without reaching rank p; a rank-deficient A, for which no vector
+    can isolate some latent, is rejected before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
     each equation's right-hand side, so low-signal rows estimate the noise
     variances far more precisely.
+
+    At the pipeline settings (``PIPELINE_DELTA``) the diversity test binds
+    only where a node's null space is one-dimensional (p = d): the fixed
+    direction's second draw repeats the first. Random directions in a wider
+    null space stay below the cosine limit.
     """
     A = np.asarray(A, dtype=float)
     p, d = A.shape
@@ -136,85 +140,72 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
-    quota = [m // d] * d
-    for extra in range(m - d * (m // d)):
-        quota[extra % d] += 1
+    quota = [m // d + (i < m % d) for i in range(d)]
 
-    vecs: list[np.ndarray] = []
-    rows: list[np.ndarray] = []  # squares of accepted vectors, for diversity/rank
-    sources: list[int] = []
-    budget = 10_000 * m
-    admissibility = 1e-8
-
-    def diverse(sq):
-        if not rows:
-            return True
-        sims = np.array(rows) @ sq / (np.linalg.norm(sq) * np.linalg.norm(np.array(rows), axis=1))
-        return np.max(sims) <= 1.0 - delta
-
-    def accept(node, t):
-        vecs.append(t)
-        rows.append(t ** 2)
-        sources.append(node)
-
-    def try_collect(node, want):
-        nonlocal budget
-        basis = bases[node]
-        col = A[:, node]
+    # Accepted rows: the vectors, their squares (the design matrix), the
+    # squares' norms and the node each row isolates. The first d steps fill
+    # at most m rows; every later step adds at most one.
+    vecs, sqs = np.empty((m, p)), np.empty((m, p))
+    sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
+    n, budget, ranked = 0, 10_000 * m, -1
+    for step in itertools.count():
+        if step >= d:  # top up until the design matrix certifies full rank
+            if ranked != n:  # the rank changes only when a row is added
+                achieved, ranked = np.linalg.matrix_rank(sqs[:n]), n
+            if achieved == p or budget <= 0:
+                break
+            if n == len(vecs):
+                vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
+                                                for a in (vecs, sqs, sq_norms, sources))
+        node = step % d
+        want = quota[node] if step < d else 1
+        basis, col = bases[node], A[:, node]
         r = basis.shape[1]
-        got, streak = 0, 0
+        got = streak = 0
         best_sig, best_t = 0.0, None
-        while got < want and streak < max_streak and budget > 0:
+        while got < want and streak < MAX_STREAK and budget > 0:
             budget -= 1
             if r == 1:
                 t = basis[:, 0]  # only admissible direction, already unit norm
             else:
                 t = basis @ rng.standard_normal(r)
-                norm = np.linalg.norm(t)
-                if norm == 0.0:
-                    streak += 1
-                    continue
-                t = t / norm
+                t /= np.linalg.norm(t)  # the basis is orthonormal, so the norm is |z| > 0
             sig = abs(col @ t)
             if sig > best_sig:
                 best_sig, best_t = sig, t
-            capped = signal_cap is not None and sig > signal_cap
-            if sig < EPS_SIG or capped or not diverse(t ** 2):
-                if r == 1:
-                    break  # redraws cannot change a fixed direction
-                streak += 1
-                continue
-            accept(node, t)
-            got += 1
-            streak = 0
+            if EPS_SIG <= sig and (signal_cap is None or sig <= signal_cap):
+                sq = t * t
+                sq_norm = np.linalg.norm(sq)
+                if np.all(sqs[:n] @ sq / (sq_norm * sq_norms[:n]) <= 1.0 - delta):
+                    vecs[n], sqs[n], sq_norms[n], sources[n] = t, sq, sq_norm, node
+                    n += 1
+                    got += 1
+                    streak = 0
+                    continue
+            if r == 1:
+                break  # redraws cannot change a fixed direction
+            streak += 1
         # A node whose admissible directions cannot pass the signal or
         # diversity tests (e.g. a one-dimensional null space whose forced
         # direction has weak signal or resembles another node's) would
         # otherwise never be represented, leaving the design matrix rank
         # deficient. Fall back to the node's strongest draw as long as it
         # is genuinely admissible (nonzero signal).
-        if got == 0 and node not in sources and best_t is not None \
-                and best_sig > admissibility:
-            accept(node, best_t)
-            got += 1
-        return got
+        if got == 0 and best_sig > 1e-8 and node not in sources[:n]:
+            sq = best_t * best_t
+            vecs[n], sqs[n], sq_norms[n], sources[n] = best_t, sq, np.linalg.norm(sq), node
+            n += 1
 
-    for node in range(d):
-        try_collect(node, quota[node])
-
-    # Top up round-robin until the design matrix certifies full rank.
-    node = 0
-    while _matrix_rank(rows) < p and budget > 0:
-        try_collect(node % d, 1)
-        node += 1
-
-    achieved = _matrix_rank(rows)
     if achieved < p:
         raise SamplingFailureError(
             f"projection sampling exhausted its budget at rank {achieved} < {p}",
             achieved_rank=achieved,
         )
-    return ProjectionSet(vectors=np.array(vecs), source_node=np.array(sources))
+    return ProjectionSet(vectors=vecs[:n], source_node=sources[:n])
+
+
+def _projected_gradient_residual(x: np.ndarray, grad: np.ndarray) -> float:
+    return float(np.max(np.abs(x - np.maximum(x - grad, 0.0))))
 
 
 def nnls_projected_gradient(design: np.ndarray, rhs: np.ndarray,
@@ -236,11 +227,10 @@ def nnls_projected_gradient(design: np.ndarray, rhs: np.ndarray,
     x = np.maximum(np.linalg.lstsq(T, b, rcond=None)[0], 0.0)
     for _ in range(max_iter):
         grad = gram @ x - tb
-        nxt = np.maximum(x - step * grad, 0.0)
-        if np.max(np.abs(x - np.maximum(x - grad, 0.0))) <= tol:
+        if _projected_gradient_residual(x, grad) <= tol:
             return x
-        x = nxt
-    residual = np.max(np.abs(x - np.maximum(x - (gram @ x - tb), 0.0)))
+        x = np.maximum(x - step * grad, 0.0)
+    residual = _projected_gradient_residual(x, gram @ x - tb)
     raise ConvergenceError(
         f"projected gradient stalled at KKT residual {residual:.3e}", residual=residual
     )
@@ -248,8 +238,7 @@ def nnls_projected_gradient(design: np.ndarray, rhs: np.ndarray,
 
 def kkt_residual(design: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
     """Projected-gradient stationarity measure for the NNLS problem."""
-    grad = design.T @ (design @ x - rhs)
-    return float(np.max(np.abs(x - np.maximum(x - grad, 0.0))))
+    return _projected_gradient_residual(x, design.T @ (design @ x - rhs))
 
 
 def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarray,
@@ -272,20 +261,19 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
     p = A.shape[0]
     d = A.shape[1]
     _require_identifiable(datasets, family, d)
-    if _matrix_rank(list(proj.squares)) < p:
+    if np.linalg.matrix_rank(proj.squares) < p:
         raise RankError("projection design matrix must have rank p")
     rhs = np.empty(proj.m)
     proj_var = np.empty(proj.m)
-    for r in range(proj.m):
-        t = proj.vectors[r]
-        node = int(proj.source_node[r])
-        gain = (t @ A[:, node]) ** 2
-        contributions = []
-        for k in _covering_regimes(datasets, family, node):
-            var_k = np.var(np.asarray(datasets[k], dtype=float) @ t, ddof=1)
-            contributions.append((var_k, var_k - gain * family.regimes[k].variance))
-        proj_var[r] = np.mean([c[0] for c in contributions])
-        rhs[r] = np.mean([c[1] for c in contributions])
+    for node in range(d):
+        rows = proj.source_node == node
+        T = proj.vectors[rows]
+        covering = _covering_regimes(datasets, family, node)
+        var = np.array([np.var(np.asarray(datasets[k], dtype=float) @ T.T, axis=0, ddof=1)
+                        for k in covering])
+        pinned = np.outer([family.regimes[k].variance for k in covering], (T @ A[:, node]) ** 2)
+        proj_var[rows] = var.mean(axis=0)
+        rhs[rows] = (var - pinned).mean(axis=0)
     w = 1.0 / np.maximum(proj_var, VARIANCE_FLOOR)
     sigma_sq = nnls_projected_gradient(proj.squares * w[:, None], rhs * w)
     return np.maximum(sigma_sq, VARIANCE_FLOOR)

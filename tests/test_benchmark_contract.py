@@ -2,8 +2,8 @@
 
 ``perfbench/run.py``, ``perfbench/checks.py`` and ``perfbench/spans.py`` are
 loaded as they stand and never written to, so a change of signature that
-would break the benchmark, a proposal that would fail its SIR check, or a
-call the traced run can no longer see, fails here first.
+would break the benchmark, a noise estimate or a proposal that would fail
+its check, or a call the traced run can no longer see, fails here first.
 """
 
 import dataclasses
@@ -49,6 +49,10 @@ def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, monkeypatch, worklo
     checks = _load(monkeypatch, "checks")
     s = harness.set_up(MODULES, workload, seed=1, data_dir=tmp_path)
     assert type(measurement.channel_from_dict(s.spec)) is type(s.channel)
+    # s.channel is the simulated channel that channel.json holds.
+    noise_check = (checks._gan_noise(s, s.channel)
+                   if isinstance(s.channel, measurement.GaussianAdditiveChannel)
+                   else checks._linear_nnls(MODULES, s))
     s = _tiny(s)
     out = harness.fit_cycle(MODULES, s, tmp_path)
 
@@ -57,7 +61,8 @@ def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, monkeypatch, worklo
     assert np.array_equal(out["report"].phi_hat.noise_var, s.spec["sigma_sq"])
     assert 0.0 <= out["evaluation"]["auprc"] <= 1.0
     cycles = [{"graph": 0, **out}]
-    for ok, detail in (checks._rounds_completed(cycles, s.cfg.em_rounds),
+    for ok, detail in (noise_check,
+                       checks._rounds_completed(cycles, s.cfg.em_rounds),
                        checks._edge_scores_valid(cycles),
                        checks._bit_identical(MODULES, [[s]], cycles)):
         assert ok, detail

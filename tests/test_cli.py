@@ -276,6 +276,63 @@ def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: truth graph has no edges; AUPRC is undefined\n"
 
 
+
+@pytest.mark.parametrize("truth_text, report_text, message", [
+    ('{"d": 3, "edges": [[0, 1]', None, "error: malformed truth graph {truth}: Expecting"),
+    ('{"edges": [[0, 1]]}', None, "error: malformed truth graph {truth}: no key 'd'"),
+    ('{"d": 3}', None, "error: malformed truth graph {truth}: no key 'edges'"),
+    ('{"d": 3, "edges": [[0, 3]]}', None,
+     "error: malformed truth graph {truth}: edge [0, 3] is not a pair of node indices"),
+    ('{"d": 3, "edges": [[0, -1]]}', None,
+     "error: malformed truth graph {truth}: edge [0, -1] is not a pair of node indices"),
+    (None, '{"scores": []}', "error: malformed report {report}: no key 'edge_scores'"),
+    (None, '{"edge_scores": ', "error: malformed report {report}: Expecting value"),
+], ids=["truth-not-json", "truth-without-d", "truth-without-edges", "edge-out-of-range",
+        "negative-edge-index", "report-without-edge-scores", "report-not-json"])
+def test_evaluate_with_a_malformed_truth_graph_or_report_exits_2(tmp_path, capsys, truth_text,
+                                                                 report_text, message):
+    report, truth = tmp_path / "report.json", tmp_path / "truth_graph.json"
+    scores = np.full((3, 3), 0.5)
+    np.fill_diagonal(scores, 0.0)
+    report.write_text(report_text or json.dumps({"edge_scores": scores.tolist()}))
+    truth.write_text(truth_text or '{"d": 3, "edges": [[0, 1]]}')
+    code = cli.main(["evaluate", "--report", str(report), "--truth", str(truth)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(truth=truth, report=report)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("missing", ["report", "truth"])
+def test_evaluate_with_a_missing_truth_graph_or_report_exits_3(tmp_path, capsys, missing):
+    paths = {"report": tmp_path / "report.json", "truth": tmp_path / "truth_graph.json"}
+    paths["report"].write_text(json.dumps({"edge_scores": np.zeros((3, 3)).tolist()}))
+    paths["truth"].write_text('{"d": 3, "edges": [[0, 1]]}')
+    paths[missing].unlink()
+    code = cli.main(["evaluate", "--report", str(paths["report"]), "--truth", str(paths["truth"])])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"regimes": [', "Expecting value"),
+    ('{"families": []}', "no key 'regimes'"),
+    ('{"regimes": [{"targets": [0]}]}', "no key 'sigma_I_sq'"),
+], ids=["not-json", "without-regimes", "regime-without-sigma_I_sq"])
+@pytest.mark.parametrize("command", ["fit", "estimate-noise"])
+def test_malformed_family_json_exits_2_from_fit_and_estimate_noise(tmp_path, capsys, text,
+                                                                    message, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    (data / "family.json").write_text(text)
+    argv = _fit_argv(tmp_path, data, out) if command == "fit" else \
+        ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed regime data in {data}: ")
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
 def _resumable_fit(tmp_path, monkeypatch, **config):
     """Simulated data and a function ``fit(out, em_rounds, *flags)`` that runs ``reclaim fit``."""
     monkeypatch.delenv("RECLAIM_SEED", raising=False)

@@ -158,43 +158,55 @@ class TestProjectionSampler:
             ps = noise.sample_projection_vectors(A, seed=s)
             assert np.linalg.matrix_rank(ps.squares) == 15
 
-    def test_acceptance_tests_hold_post_hoc(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(0, np.sqrt(1.5), size=(12, 8))
-        ps = noise.sample_projection_vectors(A, m=24, seed=4)
-        sq = ps.squares
-        for r in range(ps.m):
-            i = int(ps.source_node[r])
-            t = ps.vectors[r]
+    @pytest.mark.parametrize("shape, m, delta, cap", [
+        ((12, 8), 24, noise.DELTA_DIVERSITY, None),
+        ((20, 10), noise.PIPELINE_ROWS_PER_MEASUREMENT * 20, noise.PIPELINE_DELTA,
+         noise.PIPELINE_SIGNAL_CAP),
+    ], ids=["defaults", "pipeline"])
+    def test_acceptance_tests_hold_post_hoc(self, shape, m, delta, cap):
+        A = np.random.default_rng(3).normal(0, np.sqrt(1.5), size=shape)
+        ps = noise.sample_projection_vectors(A, m=m, delta=delta, signal_cap=cap, seed=4)
+        d = shape[1]
+        assert ps.m == m
+        assert np.array_equal(np.bincount(ps.source_node, minlength=d), np.full(d, m // d))
+        for t, i in zip(ps.vectors, ps.source_node):
             assert abs(np.linalg.norm(t) - 1.0) < 1e-12
             assert np.max(np.abs(np.delete(A, i, axis=1).T @ t)) <= 1e-8
-            assert abs(A[:, i] @ t) >= noise.EPS_SIG
-            for q in range(r):
-                cos = sq[r] @ sq[q] / (np.linalg.norm(sq[r]) * np.linalg.norm(sq[q]))
-                assert cos <= 1.0 - noise.DELTA_DIVERSITY + 1e-12
+            assert noise.EPS_SIG <= abs(A[:, i] @ t) <= (np.inf if cap is None else cap)
+        unit = ps.squares / np.linalg.norm(ps.squares, axis=1, keepdims=True)
+        cos = (unit @ unit.T)[np.triu_indices(ps.m, k=1)]
+        assert np.max(cos) <= 1.0 - delta + 1e-12
 
     def test_m_below_p_rejected(self):
         A = np.random.default_rng(0).normal(size=(5, 3))
         with pytest.raises(ParameterError):
             noise.sample_projection_vectors(A, m=4, seed=0)
 
-    def test_rank_deficient_mixing_rejected_before_any_draw(self):
+    @pytest.mark.parametrize("A", [
         # Column 2 is column 0 plus column 1: every column-deleted matrix keeps
         # full rank, yet no vector can isolate a latent, so sampling would
         # spend its whole draw budget.
-        A = np.random.default_rng(1).normal(size=(5, 2))
-        A = np.column_stack([A, A.sum(axis=1)])
+        np.random.default_rng(1).normal(size=(5, 2)) @ [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        # Two columns along one direction leave a genuinely deficient system.
+        np.column_stack([np.eye(3)[:, :2], np.eye(3)[:, :2] @ [1.0, 1e-7]]),
+    ], ids=["column-sum", "near-parallel-columns"])
+    def test_rank_deficient_mixing_rejected_before_any_draw(self, A):
         with pytest.raises(RankError, match=r"rank 2 < d=3"):
             noise.sample_projection_vectors(A, seed=0)
 
-    def test_budget_exhaustion_reports_rank(self):
-        # two identical-direction columns leave a genuinely deficient system
-        A = np.column_stack([np.eye(3)[:, :2], np.eye(3)[:, :2] @ [1.0, 1e-7]])
-        with pytest.raises((SamplingFailureError, RankError)) as err:
-            noise.sample_projection_vectors(A, m=6, seed=0, max_streak=5)
-        if isinstance(err.value, SamplingFailureError):
-            assert err.value.achieved_rank < 3
-
+    @pytest.mark.parametrize("A, m, rank", [
+        # Node 2's only admissible direction has a signal of 1e-9: below
+        # EPS_SIG, and too weak for the fallback.
+        (np.diag([1.0, 1.0, 1e-9]), 3, 2),
+        # Both isolating directions, (1, 1) and (1, -1), have the same
+        # squares: the fallback keeps node 1's, and the top-up, past the m
+        # rows, finds nothing diverse.
+        (np.array([[1.0, 1.0], [1.0, -1.0]]), 2, 1),
+    ], ids=["weak-signal", "equal-squares"])
+    def test_budget_exhaustion_reports_rank(self, A, m, rank):
+        with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}") as err:
+            noise.sample_projection_vectors(A, m=m, seed=0)
+        assert err.value.achieved_rank == rank
 
 class TestNnls:
     def test_matches_scipy_on_random_problems(self):
@@ -268,6 +280,22 @@ class TestLinearEstimator:
         b2[2] *= 7.5
         rescaled = noise.nnls_projected_gradient(T2, b2)
         assert np.allclose(base, rescaled, atol=1e-8)
+
+    def test_per_node_products_match_a_per_row_loop(self):
+        """The reference: one projected sample variance per (row, covering regime).
+        The estimator sums in another order, so the two agree to rounding."""
+        A, _, fam, datasets = simulate_linear(6, 4, 2000, seed=20)
+        ps = noise.sample_projection_vectors(A, m=24, seed=3)
+        rhs, weight = np.empty(ps.m), np.empty(ps.m)
+        for r, (t, node) in enumerate(zip(ps.vectors, ps.source_node)):
+            covering = [k for k, reg in enumerate(fam.regimes) if node in reg.targets]
+            var_k = [np.var(datasets[k] @ t, ddof=1) for k in covering]
+            pinned = [(t @ A[:, node]) ** 2 * fam.regimes[k].variance for k in covering]
+            rhs[r] = np.mean(np.subtract(var_k, pinned))
+            weight[r] = 1.0 / max(np.mean(var_k), noise.VARIANCE_FLOOR)
+        ref = noise.nnls_projected_gradient(ps.squares * weight[:, None], rhs * weight)
+        est = noise.estimate_linear_variances(datasets, fam, A, ps)
+        np.testing.assert_allclose(est, np.maximum(ref, noise.VARIANCE_FLOOR), rtol=1e-12)
 
     def test_monte_carlo_accuracy(self):
         A, sigma_sq, fam, datasets = simulate_linear(15, 10, 50_000, seed=11)
