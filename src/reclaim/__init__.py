@@ -22,7 +22,7 @@ from .noise import (ProjectionSet, estimate_channel_noise,
                     estimate_gan_variances, estimate_linear_variances,
                     nnls_projected_gradient, null_space_basis,
                     sample_projection_vectors)
-from .model import (MaskSample, ModelParams, edge_scores, init_params,
+from .model import (MaskSample, ModelParams, RegimeRows, edge_scores, init_params,
                     jacobian, latent_logpdf_batch, latent_logpdf_grads,
                     masked_forward, params_from_json, params_to_json,
                     sample_mask, spectral_normalize)

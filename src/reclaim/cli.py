@@ -20,7 +20,6 @@ new round.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -28,6 +27,7 @@ import numbers
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +333,9 @@ def _run_cell(args):
 
 
 def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
+    """Run every (grid value, trial) cell, in at most ``jobs`` worker processes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     kind = config.get("sweep")
     grid = config.get("grid", [])
     n_trials = _config_number(config, "n_trials", 1, integral=True, positive=True)
@@ -353,8 +356,10 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
             cell_seed = int(np.random.SeedSequence((base_seed, trial)).generate_state(1)[0])
             tasks.append((base, kind, value, trial, cell_seed, str(out_dir)))
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A pool starts all its workers at the first submit, so it gets no more than there are cells.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
     else:
         results = [_run_cell(t) for t in tasks]

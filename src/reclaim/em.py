@@ -21,7 +21,7 @@ from . import noise
 from .errors import EStepError, ParameterError
 from .graphs import DirectedGraph
 from .measurement import Channel, channel_from_dict, channel_logpdf
-from .model import (ModelParams, edge_scores, expected_mask, init_params,
+from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_json,
                     params_to_json, sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch, weighted_draws
@@ -91,7 +91,7 @@ class RegimeCache:
 
     regime: object
     y: np.ndarray
-    particles: np.ndarray  # (n_kept, n_resample, d)
+    particles: np.ndarray  # (n_kept, n_resample, d), a view into ParticleCache.particles
     ess: np.ndarray
 
     @property
@@ -102,13 +102,23 @@ class RegimeCache:
 
 @dataclass
 class ParticleCache:
+    """Every regime's frozen particles, held once.
+
+    ``particles`` (N, d) holds the regimes' flattened particles regime after
+    regime, the order the M-step's row indices address, and each
+    ``RegimeCache.particles`` is a view into it. ``regime_index[i]`` is the
+    position in ``regimes`` of row i's regime.
+    """
+
     regimes: list[RegimeCache]
+    particles: np.ndarray
+    regime_index: np.ndarray
     n_observations: int
     n_skipped: int
 
     @property
     def n_particles(self) -> int:
-        return sum(rc.particles.shape[0] * rc.particles.shape[1] for rc in self.regimes)
+        return self.particles.shape[0]
 
 
 class RoundRecord(TypedDict):
@@ -146,12 +156,17 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     mask = expected_mask(theta.edge_logits)
+    ys = [np.atleast_2d(np.asarray(datasets[k], dtype=float))
+          for k in range(len(family.regimes))]
+    n_obs = sum(Y.shape[0] for Y in ys)
+    # Each regime's particles are copied into one buffer as they come, so no
+    # second copy of them all is ever held.
+    flat = np.empty((n_obs * cfg.n_resample, theta.d))
+    regime_index = np.empty(flat.shape[0], dtype=np.min_scalar_type(len(family.regimes)))
     regimes = []
-    n_obs = 0
     n_skipped = 0
-    for k, regime in enumerate(family.regimes):
-        Y = np.atleast_2d(np.asarray(datasets[k], dtype=float))
-        n_obs += Y.shape[0]
+    start = 0
+    for k, (regime, Y) in enumerate(zip(family.regimes, ys)):
         particles, ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
             cfg.n_proposals, cfg.n_resample, seed=rng.integers(2 ** 63))
@@ -160,7 +175,13 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
             n_skipped += dropped
             logger.debug("regime %d: skipped %d/%d degenerate observations",
                          k, dropped, Y.shape[0])
-        regimes.append(RegimeCache(regime, Y[kept], particles, ess))
+        stop = start + particles.shape[0] * particles.shape[1]
+        view = flat[start:stop].reshape(particles.shape)
+        view[...] = particles
+        regime_index[start:stop] = k
+        regimes.append(RegimeCache(regime, Y[kept], view, ess))
+        start = stop
+        del particles  # held through the next regime's draws, it would be a second copy
     too_many = n_obs > 0 and n_skipped / n_obs > cfg.skip_tolerance
     if n_skipped:
         logger.log(logging.WARNING if too_many else logging.INFO,
@@ -168,7 +189,7 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     if too_many:
         raise EStepError(
             f"{n_skipped}/{n_obs} observations degenerate (> {cfg.skip_tolerance:.0%})")
-    return ParticleCache(regimes, n_obs, n_skipped)
+    return ParticleCache(regimes, flat[:start], regime_index[:start], n_obs, n_skipped)
 
 
 def surrogate_q(theta: ModelParams, cache: ParticleCache, family: InterventionFamily,
@@ -240,28 +261,14 @@ class _Adam:
 def _minibatch_grads(theta, cache, rows, mask):
     """Objective value and parameter gradients over selected cache rows.
 
-    ``rows`` indexes the concatenation of all regimes' flattened particles.
+    ``rows`` indexes ``cache.particles``; each row has weight 1/len(rows).
+    The rows come from mixed regimes and are scored in one
+    ``latent_logpdf_grads`` call, each at its own regime's free coordinates
+    and clamp law, so one minibatch costs one kernel call's fixed overhead.
     """
-    value = 0.0
-    grads = None
-    batch = rows.size
-    offset = 0
-    for rc in cache.regimes:
-        size = rc.particles.shape[0] * rc.particles.shape[1]
-        sel = rows[(rows >= offset) & (rows < offset + size)] - offset
-        offset += size
-        if sel.size == 0:
-            continue
-        X = rc.flat_particles[sel]
-        v, g = latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X,
-                                   weights=np.full(sel.size, 1.0 / batch))
-        value += v
-        if grads is None:
-            grads = g
-        else:
-            for name in g:
-                grads[name] = grads[name] + g[name]
-    return value, grads
+    regimes = tuple(rc.regime for rc in cache.regimes)
+    return latent_logpdf_grads(theta, mask, RegimeRows(regimes, cache.regime_index[rows]),
+                               [r.variance for r in regimes], cache.particles[rows])
 
 
 def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -> ModelParams:
@@ -374,6 +381,7 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
             channel_term=channel_term(cache, phi_hat),
             n_skipped=cache.n_skipped,
         )
+        del cache  # else the next E-step would hold these particles beside its own
         if cfg.elbo_every and (r + 1) % cfg.elbo_every == 0:
             record["elbo_estimate"] = elbo_estimate(theta, phi_hat, datasets, family,
                                                     cfg, seed=elbo_seed)

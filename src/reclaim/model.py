@@ -20,18 +20,26 @@ free. For n rows, d coordinates and h hidden units:
               holds b_in; only the outputs of F are formed;
     Jacobian  core = ((tanh' * w_out[:, F].T).reshape(n*|F|, h) @ w_in[F].T)
               .reshape(n, |F|, |F|) and B_FF = I - core * M[F, F].T;
-    gradients with dK = d value / d core as an (n*|F|, |F|) matrix, the two
-              products G = dK @ w_in[F] (n*|F|, h) and
-              P = (X.T @ dpre.reshape(n, |F|*h)).reshape(d, |F|, h) give dw_in,
-              dw_out, the mask gradient and the tanh term by broadcast sums
-              with the weights and the mask.
+    gradients over all d outputs, since the rows of one M-step minibatch come
+              from mixed regimes: B = I - diag(free) (core * M.T) with each
+              row's 0/1 ``free`` vector, dK = d value / d core as an
+              (n*d, d) matrix, and the two products G = dK @ w_in (n*d, h)
+              and P = (X.T @ dpre.reshape(n, d*h)).reshape(d, d, h) give
+              dw_in, dw_out, the mask gradient and the tanh term by broadcast
+              sums with the weights and the mask.
 
-Why only F: a clamped coordinate's output does not depend on x, so its row
-of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
+Why F suffices: a clamped coordinate's output does not depend on x, so its
+row of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
 I - J = [[B_FF, -J_FC], [0, I]] is block upper-triangular, so
-det(I - J) = det(B_FF): the log-determinant, the noise density and every
-gradient need the free outputs and the F x F block only. The clamped
-columns of w_out, b_out and the mask get zero gradient.
+det(I - J) = det(B_FF). ``latent_logpdf_batch`` scores one regime's rows
+and forms the free outputs and the F x F block only. ``latent_logpdf_grads``
+scores rows of several regimes in one pass: it forms the full B with unit
+rows at each row's clamped coordinates, whose determinant is det(B_FF) row
+by row. The inverse of B has the same unit rows, so dD = d log det B / d J
+= -B^-T is zero on the free-from-clamped entries (free row, clamped column)
+with no special case. Its clamped rows are not zero, and are multiplied by
+``free``. A row then gives zero gradient to the w_out and b_out columns and
+the mask columns of the coordinates it clamps.
 """
 
 from __future__ import annotations
@@ -332,15 +340,60 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
 # analytic gradients
 
 
-def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
-                        intervention_var: float, X: np.ndarray,
-                        weights: np.ndarray | None = None):
+@dataclass(frozen=True)
+class RegimeRows:
+    """The regimes of a batch whose rows come from several regimes.
+
+    Row s of the batch belongs to ``regimes[index[s]]``; ``index`` may be any
+    integer array, such as the small one a particle cache keeps per row.
+    """
+
+    regimes: tuple[InterventionRegime, ...]
+    index: np.ndarray
+
+
+def _row_regimes(regime, intervention_var, n: int, d: int):
+    """Per-row (free (n, d) 0/1 floats, clamp mean (n,), clamp variance (n,)).
+
+    One ``InterventionRegime`` is every row's; for ``RegimeRows``,
+    ``intervention_var`` is one variance or one per regime.
+    """
+    if isinstance(regime, InterventionRegime):
+        regimes, index = (regime,), np.zeros(n, dtype=np.intp)
+    else:
+        regimes, index = regime.regimes, regime.index
+    free = np.ones((len(regimes), d))
+    for k, r in enumerate(regimes):
+        free[k, list(r.targets)] = 0.0
+    mean = np.array([r.mean for r in regimes], dtype=float)
+    var = np.broadcast_to(np.asarray(intervention_var, dtype=float), (len(regimes),))
+    return free[index], mean[index], var[index]
+
+
+def _masked_gauss_logpdf(resid: np.ndarray, var, on: np.ndarray) -> np.ndarray:
+    """Per-row log N(resid_i; 0, var_i) summed over the coordinates where ``on`` is 1."""
+    return -0.5 * np.sum(on * (np.log(2.0 * np.pi * var) + resid * resid / var), axis=-1)
+
+
+def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | RegimeRows,
+                        intervention_var, X: np.ndarray, weights: np.ndarray | None = None):
     """Weighted-sum latent log-density and its parameter gradients.
 
     Returns ``(value, grads)`` where value = sum_s weights[s] * logpdf(x_s)
     (weights default to 1/n) and grads holds arrays for ``w_in``, ``b_in``,
     ``w_out``, ``b_out``, ``mask`` and, when ``mask`` is a MaskSample,
     ``edge_logits`` chained through the relaxed Bernoulli entries.
+
+    ``regime`` is one ``InterventionRegime`` for every row, or ``RegimeRows``
+    for rows of several regimes, with ``intervention_var`` one clamp
+    variance or one per regime. Either way the rows are scored in one pass
+    over all d outputs: a per-row 0/1 vector ``free`` zeroes the clamped rows
+    of J, so B = I - diag(free) (core * M.T) has unit rows at the clamped
+    coordinates and det B = det B_FF row by row. Its inverse then has the
+    same unit rows, so the free-from-clamped entries of dD = -B^-T are zero
+    with no special case; the clamped rows of dD are not, and are multiplied
+    by ``free``. The noise term sums over the free coordinates and the clamp
+    term over the clamped ones, at each row's regime mean and variance.
     """
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -348,50 +401,46 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime,
     if weights is None:
         weights = np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=float)
+    free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, n, d)
 
-    F = np.flatnonzero(regime.free_mask(d))
-    f = F.size
     h = params.hidden
-    out, hid, core, B = _forward_jacobian(params, M, X, F)
-    Z = X[:, F] - out
+    out, hid, core, B = _forward_jacobian(params, M, X, slice(None))
+    B *= free[:, :, None]
+    B.reshape(n, d * d)[:, ::d + 1] = 1.0
+    Z = X - out
+    var = params.sigma_z ** 2
 
     # value: clamp term (constant in theta) + free-noise term + log-det term
-    value = float(np.sum(weights * _clamp_logpdf(X, regime, intervention_var)))
-    value += float(weights @ _free_noise_logpdf(params, F, Z))
+    ll = _masked_gauss_logpdf(X - clamp_mean[:, None], clamp_var[:, None], 1.0 - free)
+    ll += _masked_gauss_logpdf(Z, var, free)
+    ll += _logdet(B)
+    value = float(weights @ ll)
 
-    # dD = d value / d J_FF; det(I - J) = det(B_FF), so the clamped rows and
-    # the free-from-clamped columns of J get no gradient.
-    value += float(weights @ _logdet(B))
-    dD = -weights[:, None, None] * np.transpose(np.linalg.inv(B), (0, 2, 1))
+    # dD = d value / d J, zero on the clamped rows; z-term pull-back into the outputs
+    dD = np.transpose(np.linalg.inv(B), (0, 2, 1)) * (-weights[:, None] * free)[:, :, None]
+    dF = weights[:, None] * free * Z / var
 
-    # z-term pull-back into the free outputs
-    dF = weights[:, None] * Z / params.sigma_z[F] ** 2
-
-    # log-det pull-back through J_FF = mask_FF.T * core_FF; dK = d value / d core_FF.
-    # Clamped outputs feed nothing, so their w_out and b_out columns and their
-    # mask columns get zeros.
-    dM = np.zeros((d, d))
-    dM[F[:, None], F] = np.sum(dD * core, axis=0).T
-    dK = (dD * M[F][:, F].T).reshape(n * f, f)
-    w_out_f = params.w_out[:, F].T
+    # log-det pull-back through J = mask.T * core; dK = d value / d core. A
+    # clamped output's row of dK and dF is zero, so its w_out and b_out
+    # columns and its mask column get zeros.
+    dM = np.sum(dD * core, axis=0).T
+    dK = (dD * M.T).reshape(n * d, d)
+    w_out_t = params.w_out.T
     deriv = _act_deriv(params, hid)
-    G = (dK @ params.w_in[F]).reshape(n, f, h)
-    dw_in = np.zeros((d, h))
-    dw_in[F] = dK.T @ (deriv * w_out_f).reshape(n * f, h)
-    dw_out = np.zeros((h, d))
-    dw_out[:, F] = np.sum(G * deriv + dF[:, :, None] * hid, axis=0).T
-    db_out = np.zeros(d)
-    db_out[F] = dF.sum(axis=0)
+    G = (dK @ params.w_in).reshape(n, d, h)
+    dw_in = dK.T @ (deriv * w_out_t).reshape(n * d, h)
+    dw_out = np.sum(G * deriv + dF[:, :, None] * hid, axis=0).T
+    db_out = dF.sum(axis=0)
 
     # pull-back to the pre-activation: the output term, plus d deriv / d hid for tanh
-    dpre = dF[:, :, None] * w_out_f
+    dpre = dF[:, :, None] * w_out_t
     if params.activation == "tanh":
-        dpre -= 2.0 * hid * (G * w_out_f)
+        dpre -= 2.0 * hid * (G * w_out_t)
         dpre *= deriv
-    P = (X.T @ dpre.reshape(n, f * h)).reshape(d, f, h)
-    dw_in += np.sum(P * M[:, F, None], axis=1)
+    P = (X.T @ dpre.reshape(n, d * h)).reshape(d, d, h)
+    dw_in += np.sum(P * M[:, :, None], axis=1)
     db_in = dpre.sum(axis=(0, 1))
-    dM[:, F] += np.sum(P * params.w_in[:, None, :], axis=2)
+    dM += np.sum(P * params.w_in[:, None, :], axis=2)
 
     grads = {"w_in": dw_in, "b_in": db_in, "w_out": dw_out, "b_out": db_out, "mask": dM}
     if isinstance(mask, MaskSample):

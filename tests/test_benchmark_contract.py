@@ -82,7 +82,8 @@ def test_sir_matches_the_exact_posterior_on_each_workload(harness, tmp_path, mon
 
 def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkeypatch):
     """The traced run sees the E-step's proposal rows: one pass of the default
-    n_proposals each, and the proposal keeps most of them effective."""
+    n_proposals each, and the proposal keeps most of them effective. It sees the
+    M-step score each minibatch, rows of every regime together, in one gradient call."""
     spans = _load(monkeypatch, "spans")
     s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
     with spans.Tracer(MODULES) as tracer:
@@ -93,4 +94,10 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert metrics["posterior.proposals_per_obs"][0] == em.EmConfig().n_proposals
     assert metrics["posterior.ess_frac"][0] >= 0.85
     assert metrics["posterior.retried_obs"][0] == 0
+    n_rounds = len(out["ends"])
+    grad_calls = [span for span in tracer.spans if span[1] == "model.latent_logpdf_grads"]
+    assert len(grad_calls) == s.cfg.m_steps_per_round * n_rounds
+    n_particles = (sum(map(len, s.datasets)) - metrics["em.skipped_obs"][0]) * s.cfg.n_resample
+    assert metrics["model.latent_logpdf_grads.rows"][0] == \
+        s.cfg.m_steps_per_round * min(s.cfg.batch_size, n_particles)
     assert em.sir_sample_batch is posterior.sir_sample_batch  # the tracer put them back

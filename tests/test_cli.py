@@ -82,6 +82,51 @@ def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monk
     assert fit_seeds == sim_seeds and fit_seeds[0] != fit_seeds[1]
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, n_cells, workers", [(64, 2, [2]), (2, 3, [2]), (1, 3, [])])
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, n_cells,
+                                                   workers):
+    monkeypatch.setattr(_SerialPool, "max_workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli, "_run_cell", lambda task: {
+        "sweep_param": task[1], "value": task[2], "trial": task[3], "auprc": 0.5, "shd": 1,
+        "seconds": 0.0})
+    config = tmp_path / "sweep.json"
+    grid = [0.5 * (k + 1) for k in range(n_cells)]
+    config.write_text(json.dumps({"sweep": "beta", "grid": grid, "out_dir": str(tmp_path / "out"),
+                                  "base": {"d": 3}}))
+    assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == cli.EXIT_OK
+    assert _SerialPool.max_workers == workers
+    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 1 + n_cells
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_with_fewer_than_one_job_exits_2_before_any_output(tmp_path, capsys, jobs):
+    config, out = tmp_path / "sweep.json", tmp_path / "out"
+    config.write_text(json.dumps({"sweep": "beta", "grid": [0.5], "out_dir": str(out),
+                                  "base": {"d": 3, "n_per_regime": 5}}))
+    assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
+    assert not out.exists()
+
+
 def test_unknown_em_config_key_exits_2(tmp_path, capsys):
     cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")
     config = tmp_path / "em.json"

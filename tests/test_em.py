@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 
 import numpy as np
@@ -117,6 +118,88 @@ def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
     cache = em.e_step(model.init_params(30), channel, datasets, family, em.EmConfig())
     assert cache.n_skipped == 0 and cache.n_observations == 620
+
+
+def test_e_step_holds_each_particle_once_in_regime_order(data):
+    """Every regime's particles are a view into the cache's one flat array, whose
+    row i is row i of the regimes' flattened particles taken one after another."""
+    datasets, family = data
+    datasets = [datasets[0], np.zeros((0, 4)), *datasets[2:]]
+    cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
+                      datasets, family, em.EmConfig(**TINY))
+    assert cache.particles.shape == (80 * TINY["n_resample"], 4)
+    assert all(np.shares_memory(rc.particles, cache.particles) for rc in cache.regimes
+               if rc.particles.size)
+    assert np.array_equal(cache.particles,
+                          np.concatenate([rc.flat_particles for rc in cache.regimes]))
+    assert np.array_equal(cache.regime_index, np.repeat(
+        np.arange(len(cache.regimes)), [rc.flat_particles.shape[0] for rc in cache.regimes]))
+
+
+def _per_regime_grads(theta, cache, rows, mask):
+    """Reference: one latent_logpdf_grads call per regime over that regime's rows,
+    summed, each row weighted 1/len(rows); ``rows`` index the regimes' flattened
+    particles taken one after another."""
+    value, grads, offset = 0.0, None, 0
+    for rc in cache.regimes:
+        X = rc.flat_particles
+        sel = rows[(rows >= offset) & (rows < offset + len(X))] - offset
+        offset += len(X)
+        if sel.size == 0:
+            continue
+        v, g = model.latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X[sel],
+                                         weights=np.full(sel.size, 1.0 / rows.size))
+        value += v
+        grads = g if grads is None else {name: grads[name] + g[name] for name in g}
+    return value, grads
+
+
+@pytest.fixture(scope="module")
+def mixed_cache():
+    """A cache over observational, one-, two- and all-target regimes and an empty one,
+    with the regimes' own clamp means and variances."""
+    d = 4
+    family = scm.InterventionFamily((
+        scm.InterventionRegime(), scm.InterventionRegime((1,), 0.5, mean=0.3),
+        scm.InterventionRegime((0, 2), 2.0, mean=-0.4), scm.InterventionRegime((3,)),
+        scm.InterventionRegime((0, 1, 2, 3), 1.5, mean=0.2)))
+    rng = np.random.default_rng(11)
+    datasets = [rng.normal(size=(n, d)) for n in (6, 5, 7, 0, 4)]
+
+    def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
+        particles = np.random.default_rng(seed).normal(0.0, 0.8, size=(len(Y), n_resample, d))
+        return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "sir_sample_batch", stub_sir)
+        return em.e_step(model.init_params(d), GaussianAdditiveChannel(np.full(d, 0.2)),
+                         datasets, family, em.EmConfig(**TINY))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("relaxed", [True, False], ids=["mask-sample", "plain-mask"])
+def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation, relaxed):
+    theta = model.init_params(4, hidden=3, seed=12, weight_scale=0.6, activation=activation)
+    theta = dataclasses.replace(theta, b_in=np.full(3, 0.1), b_out=np.full(4, -0.2))
+    mask = model.sample_mask(theta.edge_logits, seed=13)
+    if not relaxed:
+        mask = mask.values
+    n = mixed_cache.n_particles
+    rng = np.random.default_rng(14)
+    for rows in (rng.permutation(n), rng.choice(n, size=9, replace=False)):
+        value, grads = em._minibatch_grads(theta, mixed_cache, rows, mask)
+        ref_value, ref = _per_regime_grads(theta, mixed_cache, rows, mask)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert set(grads) == set(ref) == {"w_in", "b_in", "w_out", "b_out", "mask",
+                                          *(["edge_logits"] if relaxed else [])}
+        for name in ref:
+            assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * np.max(np.abs(ref[name]))
+
+    # The all-target regime's rows: no coordinate is free, so nothing depends on theta.
+    start = n - mixed_cache.regimes[-1].flat_particles.shape[0]
+    value, grads = em._minibatch_grads(theta, mixed_cache, np.arange(start, n), mask)
+    assert np.isfinite(value)
+    assert all(np.all(g == 0.0) for g in grads.values())
 
 
 class TestMStepRecovery:
