@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 2 usage/config error (including a channel.json that
 is malformed, names an unknown type, lacks a key or has a rank-deficient
-mixing matrix, a family.json or regime CSV that does not parse, a
-checkpoint.json to resume from that is malformed or of another dimension
-than the data, a truth graph or report that does not parse, and an
-evaluation against a truth graph with no edges),
+mixing matrix, a family.json or regime CSV that does not parse, a regime
+whose target is not an integer node index in [0, d) or whose mean or
+variance is not a finite number, an "include_observational" or
+"use_true_noise" that is not true or false, a checkpoint.json to resume
+from that is malformed or of another dimension than the data, a truth
+graph or report that does not parse, and an evaluation against a truth
+graph with no edges),
 3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
 failure (too many degenerate observations in an E-step, or a solver that did
 not converge).
@@ -94,6 +97,15 @@ def _config_number(config: dict, key: str, default=None, integral: bool = False,
     return value
 
 
+def _config_flag(config: dict, key: str, default: bool) -> bool:
+    """The JSON boolean ``config[key]``, or ``default`` when the key is absent;
+    any other value, such as the string "false", is a ConfigError."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _weight_range(config: dict) -> tuple[float, float]:
     """The config's "weight_range" [lo, hi] of edge-weight magnitudes, lo <= hi."""
     value = config.get("weight_range", [0.2, 0.9])
@@ -163,7 +175,7 @@ def run_simulate(config: dict, out_dir) -> None:
         noise_std=_config_number(config, "sigma_z", 1.0, positive=True))
     family = scm.single_node_family(
         d, variance=_config_number(config, "sigma_I_sq", 1.0),
-        include_observational=bool(config.get("include_observational", True)))
+        include_observational=_config_flag(config, "include_observational", True))
     channel = _build_true_channel(config.get("channel", {"type": "gan"}),
                                   d, np.random.default_rng(int(chan_seed)))
 
@@ -232,7 +244,7 @@ def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
 def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em.FitReport:
     data_dir = Path(data_dir)
     datasets, family, spec = _read_data_dir(data_dir)
-    if not em_config.get("use_true_noise"):
+    if not _config_flag(em_config, "use_true_noise", False):
         spec.pop("sigma_sq", None)
     # The output directory is made by the first write, after the channel is built.
     out_dir = Path(out_dir) if out_dir else data_dir

@@ -140,7 +140,7 @@ class FitReport:
     diagnostics: dict  # "rounds_completed", "converged" and the "trace" they derive from
 
 
-def _round_seeds(seed: int, round_index: int, n: int = 4) -> list[int]:
+def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     """Independent child seeds per (run seed, round); stable across resumes."""
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
@@ -192,28 +192,22 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     return ParticleCache(regimes, flat[:start], regime_index[:start], n_obs, n_skipped)
 
 
-def surrogate_q(theta: ModelParams, cache: ParticleCache, family: InterventionFamily,
-                cfg: EmConfig, seed=None) -> float:
-    """Monte-Carlo surrogate: mean cached-particle latent log-density.
+def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
+    """Surrogate q: mean cached-particle latent log-density at the expected mask.
 
-    One relaxed mask sample per minibatch; the measurement term is omitted
-    (it does not depend on the latent parameters).
+    Like the E-step's weights and the ELBO, q scores theta at
+    ``expected_mask(edge_logits)``, so it draws no mask and is a fixed function
+    of (theta, cache); only the M-step's edge-logit gradient needs relaxed
+    masks. The measurement term is omitted (it does not depend on the latent
+    parameters).
     """
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    n_total = cache.n_particles
-    if n_total == 0:
+    if cache.n_particles == 0:
         return 0.0
-    for rc in cache.regimes:
-        X = rc.flat_particles
-        for start in range(0, X.shape[0], cfg.batch_size):
-            chunk = X[start:start + cfg.batch_size]
-            mask = sample_mask(theta.edge_logits, cfg.temperature,
-                               seed=rng.integers(2 ** 63))
-            ll = latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance, chunk)
-            total += float(ll.sum())
-    return total / n_total
+    mask = expected_mask(theta.edge_logits)
+    total = sum(float(latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance,
+                                          rc.flat_particles).sum())
+                for rc in cache.regimes)
+    return total / cache.n_particles
 
 
 def channel_term(cache: ParticleCache, phi_hat: Channel) -> float:
@@ -322,13 +316,17 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     ``channel_spec`` is {"type": "gan", "sigma_sq": [...]} or {"type":
     "linear", "A": [[...]], "sigma_sq": [...]}. A given "sigma_sq" pins the
     noise variances; a missing or null one is estimated from the regime
-    data, with ``seed`` driving the linear channel's projection sampling.
+    data, with ``seed`` driving the linear channel's projection sampling. A
+    regime target outside [0, d) of the channel's d latent nodes is a
+    ``ParameterError``; the estimators check it before they read the data.
     """
     if channel_spec.get("sigma_sq") is None:
         var = noise.estimate_channel_noise(datasets, family, channel_spec.get("type"),
                                            channel_spec.get("A"), seed=seed)
         channel_spec = {**channel_spec, "sigma_sq": var}
-    return channel_from_dict(channel_spec)
+    channel = channel_from_dict(channel_spec)
+    family.check_targets(channel.d)
+    return channel
 
 
 def converged(trace: list, tol: float) -> bool:
@@ -368,10 +366,10 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
 
     while len(trace) < cfg.em_rounds and not converged(trace, cfg.convergence_tol):
         r = len(trace)
-        e_seed, m_seed, q_seed, elbo_seed = (int(s) for s in _round_seeds(cfg.seed, r + 1))
+        e_seed, m_seed, elbo_seed = (int(s) for s in _round_seeds(cfg.seed, r + 1))
         cache = e_step(theta, phi_hat, datasets, family, cfg, seed=e_seed)
         theta = m_step(theta, cache, cfg, seed=m_seed)
-        q = surrogate_q(theta, cache, family, cfg, seed=q_seed)
+        q = surrogate_q(theta, cache)
         ess_all = np.concatenate([rc.ess for rc in cache.regimes]) if cache.regimes else np.zeros(0)
         record = RoundRecord(
             round=r,
@@ -433,7 +431,8 @@ def report_to_json(report: FitReport) -> str:
     payload = {
         "d": int(report.edge_scores.shape[0]),
         "edge_scores": report.edge_scores.tolist(),
-        # The surrogate q per round, under the key report.json has always used.
+        # The surrogate q per round (taken at the expected mask), under the key
+        # report.json has always used.
         "elbo_trace": [entry["q_value"] for entry in report.diagnostics["trace"]],
         "diagnostics": report.diagnostics,
     }

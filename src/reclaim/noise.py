@@ -35,6 +35,8 @@ def _covering_regimes(datasets, family, node):
 
 
 def _require_identifiable(datasets, family, d):
+    """Every regime target names one of the d nodes, and every node has a covering regime."""
+    family.check_targets(d)
     missing = [i for i in range(d) if not _covering_regimes(datasets, family, i)]
     if missing:
         raise IdentifiabilityError(

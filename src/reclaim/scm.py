@@ -10,6 +10,8 @@ coordinates to externally drawn values and sever their incoming edges.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +36,18 @@ class InterventionRegime:
     mean: float = 0.0
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(self.targets)
+        if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in targets):
+            raise ParameterError(f"intervention targets must be integers, got {list(targets)}")
+        targets = tuple(int(t) for t in targets)
         if len(set(targets)) != len(targets):
             raise ParameterError(f"duplicate intervention targets: {targets}")
+        for name in ("mean", "variance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ParameterError(f"intervention {name} must be a finite real number, "
+                                     f"got {value!r}")
         if self.variance <= 0:
             raise ParameterError("intervention variance must be positive")
         object.__setattr__(self, "targets", targets)
@@ -62,6 +73,13 @@ class InterventionFamily:
 
     def __iter__(self):
         return iter(self.regimes)
+
+    def check_targets(self, d: int) -> None:
+        """Raise ``ParameterError`` unless every regime target is a node in [0, d)."""
+        for k, regime in enumerate(self.regimes):
+            if not all(0 <= t < d for t in regime.targets):
+                raise ParameterError(f"regime {k} targets {list(regime.targets)}, "
+                                     f"not all nodes in [0, {d})")
 
 
 def single_node_family(d: int, variance: float = 1.0,

@@ -83,7 +83,8 @@ def test_sir_matches_the_exact_posterior_on_each_workload(harness, tmp_path, mon
 def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkeypatch):
     """The traced run sees the E-step's proposal rows: one pass of the default
     n_proposals each, and the proposal keeps most of them effective. It sees the
-    M-step score each minibatch, rows of every regime together, in one gradient call."""
+    M-step score each minibatch, rows of every regime together, in one gradient call,
+    and the surrogate score each regime's particles in one call, with no mask draw."""
     spans = _load(monkeypatch, "spans")
     s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
     with spans.Tracer(MODULES) as tracer:
@@ -95,6 +96,10 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert metrics["posterior.ess_frac"][0] >= 0.85
     assert metrics["posterior.retried_obs"][0] == 0
     n_rounds = len(out["ends"])
+    # Only the M-step draws masks. Each regime's proposal rows fit one chunk, so a
+    # round scores each regime in one E-step call and one surrogate call.
+    assert metrics["model.sample_mask.calls"][0] == s.cfg.m_steps_per_round
+    assert metrics["model.latent_logpdf_batch.calls"][0] == 2 * len(s.family.regimes)
     grad_calls = [span for span in tracer.spans if span[1] == "model.latent_logpdf_grads"]
     assert len(grad_calls) == s.cfg.m_steps_per_round * n_rounds
     n_particles = (sum(map(len, s.datasets)) - metrics["em.skipped_obs"][0]) * s.cfg.n_resample

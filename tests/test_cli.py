@@ -378,6 +378,57 @@ def test_malformed_family_json_exits_2_from_fit_and_estimate_noise(tmp_path, cap
     assert message in err and err.count("\n") == 1
     assert not out.exists()
 
+
+@pytest.mark.parametrize("key, value, message", [
+    ("targets", [3], "regime 1 targets [3], not all nodes in [0, 3)"),
+    ("targets", [-1], "regime 1 targets [-1], not all nodes in [0, 3)"),
+    ("targets", [0.5], "intervention targets must be integers, got [0.5]"),
+    ("targets", [True], "intervention targets must be integers, got [True]"),
+    ("mean", "x", "intervention mean must be a finite real number, got 'x'"),
+    ("mean", float("nan"), "intervention mean must be a finite real number, got nan"),
+    ("sigma_I_sq", float("nan"), "intervention variance must be a finite real number, got nan"),
+    ("sigma_I_sq", float("inf"), "intervention variance must be a finite real number, got inf"),
+], ids=["target-d", "target-negative", "target-fraction", "target-bool", "mean-string",
+        "mean-nan", "variance-nan", "variance-inf"])
+@pytest.mark.parametrize("command", ["fit", "fit-true-noise", "estimate-noise"])
+def test_a_regime_that_is_not_a_regime_exits_2(tmp_path, capsys, key, value, message,
+                                               command):
+    """Regime 1 of a d=3 family, whose target is node 0, gets a bad field."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    family = json.loads((data / "family.json").read_text())
+    family["regimes"][1][key] = value
+    (data / "family.json").write_text(json.dumps(family))
+    argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")] \
+        if command == "estimate-noise" else \
+        _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "include_observational", "false"),
+    ("simulate", "include_observational", 0),
+    ("fit", "use_true_noise", "false"),
+    ("fit", "use_true_noise", 1),
+])
+def test_a_config_flag_that_is_not_a_json_boolean_exits_2(tmp_path, capsys, command, key,
+                                                          value):
+    data, out = tmp_path / "data", tmp_path / "out"
+    if command == "simulate":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"d": 3, "n_per_regime": 5, key: value}))
+        argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+    else:
+        cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+        argv = _fit_argv(tmp_path, data, out, **{key: value})
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {key} must be true or false, got {value!r}\n"
+    assert not out.exists()
+
+
 def _resumable_fit(tmp_path, monkeypatch, **config):
     """Simulated data and a function ``fit(out, em_rounds, *flags)`` that runs ``reclaim fit``."""
     monkeypatch.delenv("RECLAIM_SEED", raising=False)

@@ -202,6 +202,26 @@ def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
+def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_cache):
+    """Identity activation and zero biases make the model the linear SCM with
+    weights M o (w_in w_out); q takes M = sigmoid(edge_logits) and draws nothing."""
+    d, h = 4, 3
+    rng = np.random.default_rng(21)
+    w_out = rng.normal(size=(h, d))
+    w_out *= 0.5 / np.linalg.norm(w_out, 2)
+    theta = model.ModelParams(w_in=rng.normal(size=(d, h)) / np.sqrt(h), b_in=np.zeros(h),
+                              w_out=w_out, b_out=np.zeros(d),
+                              edge_logits=rng.normal(0.0, 2.0, size=(d, d)),
+                              sigma_z=np.array([1.0, 0.7, 1.3, 0.9]), activation="identity")
+    weights = model.expected_mask(theta.edge_logits) * (theta.w_in @ theta.w_out)
+    exact = np.mean([scm.linear_latent_logpdf_oracle(weights, theta.sigma_z, rc.regime, x)
+                     for rc in mixed_cache.regimes for x in rc.flat_particles])
+
+    q = em.surrogate_q(theta, mixed_cache)
+    assert abs(q - exact) <= 1e-10 * abs(exact)
+    assert em.surrogate_q(theta, mixed_cache) == q
+
+
 class TestMStepRecovery:
     """m_step under a latent_logpdf_grads that returns NaN on chosen steps."""
 
