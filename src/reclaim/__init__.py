@@ -24,8 +24,7 @@ from .noise import (ProjectionSet, estimate_channel_noise,
                     sample_projection_vectors)
 from .model import (MaskSample, ModelParams, RegimeRows, edge_scores, init_params,
                     jacobian, latent_logpdf_batch, latent_logpdf_grads,
-                    masked_forward, params_from_json, params_to_json,
-                    sample_mask, spectral_normalize)
+                    masked_forward, sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch
 from .em import (EmConfig, FitReport, build_channel, e_step, elbo_estimate,
                  fit, m_step, surrogate_q)

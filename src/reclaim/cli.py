@@ -3,15 +3,16 @@
 Exit codes: 0 success, 2 usage/config error (including a channel.json that
 is malformed, names an unknown type, lacks a key or has a rank-deficient
 mixing matrix, a family.json or regime CSV that does not parse, a regime
-whose target is not an integer node index in [0, d) or whose mean or
-variance is not a finite number, an "include_observational" or
-"use_true_noise" that is not true or false, a checkpoint.json to resume
-from that is malformed or of another dimension than the data, a truth
-graph or report that does not parse, and an evaluation against a truth
-graph with no edges),
+CSV with a non-finite entry or another number of columns than the others,
+a channel whose p is not the data's column count, a regime whose target is
+not an integer node index in [0, d) or whose mean or variance is not a
+finite number, an "include_observational" or "use_true_noise" that is not
+true or false, a checkpoint.json to resume from that is malformed or of
+another dimension than the data, a truth graph or report that does not
+parse, and an evaluation against a truth graph with no edges),
 3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
-failure (too many degenerate observations in an E-step, or a solver that did
-not converge).
+failure (too many degenerate observations in an E-step, a fixed-point
+iteration that stalls, or a forward map that fails the orientation check).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,

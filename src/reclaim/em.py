@@ -22,8 +22,8 @@ from .errors import EStepError, ParameterError
 from .graphs import DirectedGraph
 from .measurement import Channel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
-                    latent_logpdf_batch, latent_logpdf_grads, params_from_json,
-                    params_to_json, sample_mask, spectral_normalize)
+                    latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
+                    params_to_dict, sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch, weighted_draws
 from .scm import InterventionFamily
 
@@ -319,6 +319,7 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     data, with ``seed`` driving the linear channel's projection sampling. A
     regime target outside [0, d) of the channel's d latent nodes is a
     ``ParameterError``; the estimators check it before they read the data.
+    So is a channel whose p is not the data's column count.
     """
     if channel_spec.get("sigma_sq") is None:
         var = noise.estimate_channel_noise(datasets, family, channel_spec.get("type"),
@@ -326,6 +327,10 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
         channel_spec = {**channel_spec, "sigma_sq": var}
     channel = channel_from_dict(channel_spec)
     family.check_targets(channel.d)
+    width = np.shape(datasets[0])[1]
+    if channel.p != width:
+        raise ParameterError(f"the channel has p={channel.p} measurements, "
+                             f"the regime data {width} columns")
     return channel
 
 
@@ -451,7 +456,7 @@ def write_trace_csv(path, trace: list) -> None:
 
 def checkpoint_to_json(theta: ModelParams, trace: list) -> str:
     """The parameters and the trace: all ``fit`` needs to resume."""
-    return json.dumps({"params": json.loads(params_to_json(theta)), "trace": trace},
+    return json.dumps({"params": params_to_dict(theta), "trace": trace},
                       sort_keys=True)
 
 
@@ -470,4 +475,4 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, list]:
             isinstance(entry, dict) and RoundRecord.__annotations__.keys() <= entry.keys()
             for entry in trace)):
         raise ParameterError("a checkpoint's trace is a list of round records")
-    return params_from_json(json.dumps(obj["params"])), trace
+    return params_from_dict(obj["params"]), trace

@@ -44,7 +44,6 @@ the mask columns of the coordinates it clamps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -376,13 +375,13 @@ def _masked_gauss_logpdf(resid: np.ndarray, var, on: np.ndarray) -> np.ndarray:
 
 
 def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | RegimeRows,
-                        intervention_var, X: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted-sum latent log-density and its parameter gradients.
+                        intervention_var, X: np.ndarray):
+    """Mean latent log-density over the rows of X and its parameter gradients.
 
-    Returns ``(value, grads)`` where value = sum_s weights[s] * logpdf(x_s)
-    (weights default to 1/n) and grads holds arrays for ``w_in``, ``b_in``,
-    ``w_out``, ``b_out``, ``mask`` and, when ``mask`` is a MaskSample,
-    ``edge_logits`` chained through the relaxed Bernoulli entries.
+    Returns ``(value, grads)`` where value = mean_s logpdf(x_s) and grads
+    holds arrays for ``w_in``, ``b_in``, ``w_out``, ``b_out``, ``mask`` and,
+    when ``mask`` is a MaskSample, ``edge_logits`` chained through the
+    relaxed Bernoulli entries.
 
     ``regime`` is one ``InterventionRegime`` for every row, or ``RegimeRows``
     for rows of several regimes, with ``intervention_var`` one clamp
@@ -398,9 +397,7 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.full(n, 1.0 / n)
     free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, n, d)
 
     h = params.hidden
@@ -454,8 +451,9 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
 # checkpointing
 
 
-def params_to_json(params: ModelParams) -> str:
-    payload = {
+def params_to_dict(params: ModelParams) -> dict:
+    """The parameters as a JSON-ready dict of lists, numbers and strings."""
+    return {
         "w_in": params.w_in.tolist(),
         "b_in": params.b_in.tolist(),
         "w_out": params.w_out.tolist(),
@@ -465,13 +463,11 @@ def params_to_json(params: ModelParams) -> str:
         "sigma_z": params.sigma_z.tolist(),
         "activation": params.activation,
     }
-    return json.dumps(payload)
 
 
-def params_from_json(text: str) -> ModelParams:
-    """Parameters from ``params_to_json`` text; other keys, such as the
+def params_from_dict(obj: dict) -> ModelParams:
+    """Parameters from a ``params_to_dict`` dict; other keys, such as the
     "pow_u_in"/"pow_u_out" vectors older checkpoints hold, are ignored."""
-    obj = json.loads(text)
     return ModelParams(
         w_in=np.asarray(obj["w_in"], dtype=float),
         b_in=np.asarray(obj["b_in"], dtype=float),

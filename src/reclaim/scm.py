@@ -320,8 +320,18 @@ def write_dataset(directory, datasets, family: InterventionFamily) -> None:
 
 
 def read_dataset(directory):
-    """Load (datasets, family) written by :func:`write_dataset`."""
+    """Load (datasets, family) written by :func:`write_dataset`.
+
+    A regime CSV with a non-finite entry, or with another number of columns
+    than regime 0's, is a ``ParameterError``.
+    """
     directory = Path(directory)
     family = family_from_json((directory / "family.json").read_text())
     datasets = [read_regime_csv(directory / f"regime_{k}.csv") for k in range(len(family))]
+    for k, data in enumerate(datasets):
+        if data.shape[1] != datasets[0].shape[1]:
+            raise ParameterError(f"regime_{k}.csv has {data.shape[1]} columns, "
+                                 f"regime_0.csv {datasets[0].shape[1]}")
+        if not np.isfinite(data).all():
+            raise ParameterError(f"regime_{k}.csv holds a non-finite value")
     return datasets, family

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reclaim import cli, em, graphs, measurement, model, scm
+from reclaim import cli, em, graphs, measurement, model, noise, scm
 from reclaim.errors import ConvergenceError, EStepError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
@@ -359,6 +359,84 @@ def test_evaluate_with_a_missing_truth_graph_or_report_exits_3(tmp_path, capsys,
     assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
+def _nan_in_one_cell(data):
+    values = scm.read_regime_csv(data / "regime_1.csv")
+    values[3, 2] = np.nan
+    scm.write_regime_csv(data / "regime_1.csv", values)
+
+
+def _one_column_fewer(data):
+    scm.write_regime_csv(data / "regime_2.csv", scm.read_regime_csv(data / "regime_2.csv")[:, :3])
+
+
+def _mixing_one_row_short(data):
+    spec = json.loads((data / "channel.json").read_text())
+    (data / "channel.json").write_text(json.dumps({**spec, "A": spec["A"][:3]}))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_nan_in_one_cell, "malformed regime data in {data}: regime_1.csv holds a non-finite value"),
+    (_one_column_fewer, "malformed regime data in {data}: regime_2.csv has 3 columns, "
+                        "regime_0.csv 4"),
+    (_mixing_one_row_short, "the mixing matrix has 3 rows, the regime data 4 columns"),
+], ids=["nan-cell", "csv-one-column-fewer", "mixing-one-row-short"])
+@pytest.mark.parametrize("command", ["fit", "estimate-noise"])
+def test_malformed_regime_data_exits_2_before_any_output(tmp_path, capsys, corrupt, message,
+                                                         command):
+    """A linear d=3, p=4 data directory with one defect."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 20, "channel": {"type": "linear", "p": 4}}, data)
+    corrupt(data)
+    argv = _fit_argv(tmp_path, data, out) if command == "fit" else \
+        ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+    assert not out.exists()
+
+
+def test_a_pinned_channel_of_another_width_exits_2(tmp_path, capsys):
+    """use_true_noise pins channel.json's variances: four of them for three columns."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 20}, data)
+    spec = json.loads((data / "channel.json").read_text())
+    (data / "channel.json").write_text(json.dumps({**spec, "sigma_sq": spec["sigma_sq"] + [0.2]}))
+    assert cli.main(_fit_argv(tmp_path, data, out, use_true_noise=True)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: the channel has p=4 measurements, the regime data 3 columns\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def binding_linear_data(tmp_path_factory):
+    """A low-noise, small-p linear data set whose noise system has binding constraints."""
+    data = tmp_path_factory.mktemp("binding") / "data"
+    cli.run_simulate({"d": 10, "n_per_regime": 200, "seed": 4,
+                      "channel": {"type": "linear", "p": 12, "sigma_min": 0.01,
+                                  "sigma_max": 0.31}}, data)
+    return data
+
+
+def test_estimate_noise_solves_a_system_with_binding_constraints_exactly(
+        binding_linear_data, tmp_path, monkeypatch):
+    """The noise estimate is the floored exact NNLS solution of the weighted system."""
+    systems, solve = [], noise.nnls_projected_gradient
+
+    def recorded(design, rhs):
+        systems.append((design, rhs, solve(design, rhs)))
+        return systems[-1][2]
+
+    monkeypatch.setattr(noise, "nnls_projected_gradient", recorded)
+    out = tmp_path / "phi_hat.json"
+    assert cli.main(["estimate-noise", "--data-dir", str(binding_linear_data),
+                     "--out", str(out)]) == cli.EXIT_OK
+    [(T, b, x)] = systems
+    assert np.sum(x == 0.0) > 0  # the constraints bind
+    grad = T.T @ (T @ x - b)
+    assert np.max(np.abs(x - np.maximum(x - grad, 0.0))) <= 1e-10 * np.max(np.abs(T.T @ b))
+    sigma_sq = json.loads(out.read_text())["sigma_sq"]
+    assert np.array_equal(sigma_sq, np.maximum(x, noise.VARIANCE_FLOOR))
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"regimes": [', "Expecting value"),
     ('{"families": []}', "no key 'regimes'"),
@@ -481,7 +559,7 @@ def test_a_checkpoint_with_round_count_and_q_history_resumes_like_a_straight_fit
     _same_files(tmp_path, ("report.json", "trace.csv"))
 
 
-_PARAMS = model.params_to_json(model.init_params(3))
+_PARAMS = json.dumps(model.params_to_dict(model.init_params(3)))
 
 
 @pytest.mark.parametrize("text, message", [

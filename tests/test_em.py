@@ -138,8 +138,8 @@ def test_e_step_holds_each_particle_once_in_regime_order(data):
 
 def _per_regime_grads(theta, cache, rows, mask):
     """Reference: one latent_logpdf_grads call per regime over that regime's rows,
-    summed, each row weighted 1/len(rows); ``rows`` index the regimes' flattened
-    particles taken one after another."""
+    each regime's mean scaled by its share of ``rows`` and summed; ``rows`` index
+    the regimes' flattened particles taken one after another."""
     value, grads, offset = 0.0, None, 0
     for rc in cache.regimes:
         X = rc.flat_particles
@@ -147,9 +147,10 @@ def _per_regime_grads(theta, cache, rows, mask):
         offset += len(X)
         if sel.size == 0:
             continue
-        v, g = model.latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X[sel],
-                                         weights=np.full(sel.size, 1.0 / rows.size))
-        value += v
+        v, g = model.latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X[sel])
+        share = sel.size / rows.size
+        value += share * v
+        g = {name: share * g[name] for name in g}
         grads = g if grads is None else {name: grads[name] + g[name] for name in g}
     return value, grads
 

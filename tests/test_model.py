@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from reclaim import model
+from reclaim import em, model
 from reclaim.errors import ConvergenceError, ParameterError
 from reclaim.scm import InterventionRegime
 
@@ -434,16 +434,15 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(42)
         mask = model.sample_mask(params.edge_logits, temperature=0.7, seed=43)
         X = rng.normal(size=(6, params.d))
-        weights = rng.uniform(0.1, 1.0, 6)
-        return mask, X, weights
+        return mask, X
 
     def test_forward(self, params, batch):
-        mask, X, _ = batch
+        mask, X = batch
         ref, _ = _reference_forward(params, mask.values, X)
         _assert_rel_close(model.masked_forward(params, mask, X), ref)
 
     def test_jacobian(self, params, regime, batch):
-        mask, X, _ = batch
+        mask, X = batch
         free = regime.free_mask(params.d).astype(float)
         _, hid = _reference_forward(params, mask.values, X)
         _, _, ref = _reference_jacobian(params, mask.values, hid, free)
@@ -451,8 +450,8 @@ class TestKernelsMatchReference:
             _assert_rel_close(model.jacobian(params, mask, X[s], regime.targets), ref[s])
 
     def test_latent_logpdf_batch(self, params, regime, batch):
-        mask, X, weights = batch
-        rows, _, _ = _reference_grads(params, mask, regime, 1.3, X, weights)
+        mask, X = batch
+        rows, _, _ = _reference_grads(params, mask, regime, 1.3, X, np.ones(len(X)))
         _assert_rel_close(model.latent_logpdf_batch(params, mask, regime, 1.3, X), rows)
 
     def test_latent_logpdf_batch_across_row_blocks(self, params, regime):
@@ -464,9 +463,10 @@ class TestKernelsMatchReference:
         _assert_rel_close(model.latent_logpdf_batch(params, mask, regime, 1.3, X), rows)
 
     def test_every_gradient_entry(self, params, regime, batch):
-        mask, X, weights = batch
-        _, value, ref = _reference_grads(params, mask, regime, 1.3, X, weights)
-        ours_value, ours = model.latent_logpdf_grads(params, mask, regime, 1.3, X, weights)
+        mask, X = batch
+        mean = np.full(len(X), 1.0 / len(X))
+        _, value, ref = _reference_grads(params, mask, regime, 1.3, X, mean)
+        ours_value, ours = model.latent_logpdf_grads(params, mask, regime, 1.3, X)
         _assert_rel_close(ours_value, value)
         assert set(ours) == set(ref)
         for name in ref:
@@ -489,8 +489,7 @@ class TestKernelsMatchReference:
 class TestCheckpointIO:
     def test_round_trip_preserves_everything(self):
         p = model.init_params(3, seed=31)
-        text = model.params_to_json(p)
-        back = model.params_from_json(text)
+        back = model.params_from_dict(json.loads(json.dumps(model.params_to_dict(p))))
         assert np.array_equal(back.w_in, p.w_in)
         assert np.array_equal(back.edge_logits[np.eye(3, dtype=bool)],
                               p.edge_logits[np.eye(3, dtype=bool)])
@@ -499,8 +498,8 @@ class TestCheckpointIO:
 
     def test_checkpoint_with_power_iteration_vectors_loads(self):
         p = model.init_params(3, seed=31)
-        obj = json.loads(model.params_to_json(p))
-        obj.update(pow_u_in=[0.6, 0.0, 0.8], pow_u_out=None)
-        back = model.params_from_json(json.dumps(obj))
+        obj = {**model.params_to_dict(p), "pow_u_in": [0.6, 0.0, 0.8], "pow_u_out": None}
+        back, trace = em.checkpoint_from_json(json.dumps({"params": obj, "trace": []}))
         assert np.array_equal(back.w_out, p.w_out)
         assert np.array_equal(back.sigma_z, p.sigma_z)
+        assert trace == []

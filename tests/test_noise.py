@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import nnls as scipy_nnls
 
 from reclaim import graphs, measurement, noise, scm
-from reclaim.errors import (IdentifiabilityError, ParameterError, RankError,
-                            SamplingFailureError)
+from reclaim.errors import (ConvergenceError, IdentifiabilityError, ParameterError,
+                            RankError, SamplingFailureError)
 
 
 def make_family(d, targets_list):
@@ -224,7 +225,20 @@ class TestNnls:
         b = rng.normal(size=20)
         x = noise.nnls_projected_gradient(T, b)
         assert np.all(x >= 0)
-        assert noise.kkt_residual(T, b, x) <= 1e-8
+        grad = T.T @ (T @ x - b)
+        assert np.max(np.abs(x - np.maximum(x - grad, 0.0))) <= 1e-8
+
+    def test_zero_design_gives_zeros(self):
+        assert np.array_equal(noise.nnls_projected_gradient(np.zeros((4, 3)), np.ones(4)),
+                              np.zeros(3))
+
+    def test_an_iteration_cap_is_a_convergence_error(self, monkeypatch):
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        with pytest.raises(ConvergenceError, match="Maximum number of iterations"):
+            noise.nnls_projected_gradient(np.eye(2), np.ones(2))
 
 
 def simulate_linear(p, d, n, seed, sigma_range=(0.3, 0.6)):
@@ -274,7 +288,6 @@ class TestLinearEstimator:
         sigma_true = rng.uniform(0.1, 1.0, p)
         b = T @ sigma_true
         base = noise.nnls_projected_gradient(T, b)
-        scaled = T.copy(), b.copy()
         T2, b2 = T.copy(), b.copy()
         T2[2] *= 7.5
         b2[2] *= 7.5
