@@ -1,18 +1,21 @@
 """Command-line harness: simulate | estimate-noise | fit | evaluate | sweep.
 
-Exit codes: 0 success, 2 usage/config error (including a channel.json that
-is malformed, names an unknown type, lacks a key or has a rank-deficient
-mixing matrix, a family.json or regime CSV that does not parse, a regime
-CSV with a non-finite entry or another number of columns than the others,
-a channel whose p is not the data's column count, a regime whose target is
-not an integer node index in [0, d) or whose mean or variance is not a
-finite number, an "include_observational" or "use_true_noise" that is not
-true or false, a checkpoint.json to resume from that is malformed or of
-another dimension than the data, a truth graph or report that does not
-parse, and an evaluation against a truth graph with no edges),
-3 I/O failure, 4 unmet interventional-coverage requirement, 5 numerical
-failure (too many degenerate observations in an E-step, a fixed-point
-iteration that stalls, or a forward map that fails the orientation check).
+Exit codes: 0 success, 2 usage/config error (including a config file that
+is not a JSON object or whose "channel", sweep "base" or "em" is not one, a
+sweep "out_dir" that is not a string, a channel.json that is malformed,
+names an unknown type, lacks a key or has a rank-deficient mixing matrix, a
+family.json or regime CSV that does not parse, a regime CSV with a
+non-finite entry or another number of columns than the others, a channel
+whose p is not the data's column count, a regime whose target is not an
+integer node index in [0, d) or whose mean or variance is not a finite
+number, an "include_observational" or "use_true_noise" that is not true or
+false, a checkpoint.json to resume from that is malformed, has a round
+record field of the wrong type, or is of another dimension than the data, a
+truth graph or report that does not parse, and an evaluation against a
+truth graph with no edges), 3 I/O failure, 4 unmet interventional-coverage
+requirement, 5 numerical failure (too many degenerate observations in an
+E-step, a fixed-point iteration that stalls, or a forward map that fails
+the orientation check).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,
@@ -63,12 +66,22 @@ def _parsing(what: str):
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
-def _load_json(path):
+def _json_object(path: Path) -> dict:
+    """The JSON object in the file ``path``; any other content is a ConfigError,
+    and a missing file an OSError."""
+    with _parsing(f"JSON in {path}"):
+        obj = json.loads(path.read_text())
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return obj
+
+
+def _load_config(path) -> dict:
+    """The JSON object in the config file ``path``; a missing file is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with _parsing(f"JSON in {path}"):
-        return json.loads(path.read_text())
+    return _json_object(path)
 
 
 def _number(name: str, value, integral: bool = False):
@@ -95,6 +108,15 @@ def _config_number(config: dict, key: str, default=None, integral: bool = False,
     value = _number(key, config[key], integral)
     if positive and not value > 0:
         raise ConfigError(f"{key} must be positive, got {value!r}")
+    return value
+
+
+def _config_object(config: dict, key: str, default: dict) -> dict:
+    """The JSON object ``config[key]``, or ``default`` when the key is absent;
+    any other value is a ConfigError."""
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
     return value
 
 
@@ -177,7 +199,7 @@ def run_simulate(config: dict, out_dir) -> None:
     family = scm.single_node_family(
         d, variance=_config_number(config, "sigma_I_sq", 1.0),
         include_observational=_config_flag(config, "include_observational", True))
-    channel = _build_true_channel(config.get("channel", {"type": "gan"}),
+    channel = _build_true_channel(_config_object(config, "channel", {"type": "gan"}),
                                   d, np.random.default_rng(int(chan_seed)))
 
     datasets = []
@@ -203,22 +225,12 @@ def run_simulate(config: dict, out_dir) -> None:
 # estimate-noise
 
 
-def _read_channel_spec(data_dir: Path) -> dict:
-    """The data directory's ``channel.json`` object; a missing file is an I/O error."""
-    path = data_dir / "channel.json"
-    with _parsing(f"JSON in {path}"):
-        spec = json.loads(path.read_text())
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return spec
-
-
 def _read_data_dir(data_dir: Path):
     """``(datasets, family, channel spec)`` of a data directory, as ``fit`` and
     ``estimate-noise`` read it; a missing file is an I/O error."""
     with _parsing(f"regime data in {data_dir}"):
         datasets, family = scm.read_dataset(data_dir)
-    return datasets, family, _read_channel_spec(data_dir)
+    return datasets, family, _json_object(data_dir / "channel.json")
 
 
 def run_estimate_noise(data_dir, out_path=None) -> None:
@@ -298,7 +310,7 @@ SWEEP_KINDS = ("sigma_min", "n_nodes", "n_measurements", "beta", "density")
 
 def _cell_config(base: dict, kind: str, value) -> dict:
     cfg = json.loads(json.dumps(base))  # deep copy
-    channel = cfg.setdefault("channel", {"type": "gan"})
+    channel = cfg["channel"] = _config_object(cfg, "channel", {"type": "gan"})
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
     value = _number(f"{kind} grid value", value, integral=kind in ("n_nodes", "n_measurements"))
@@ -352,8 +364,12 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     kind = config.get("sweep")
     grid = config.get("grid", [])
     n_trials = _config_number(config, "n_trials", 1, integral=True, positive=True)
-    out_dir = Path(config.get("out_dir", "sweep_out"))
-    base = config.get("base", {})
+    out_dir = config.get("out_dir", "sweep_out")
+    if not isinstance(out_dir, (str, os.PathLike)):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    out_dir = Path(out_dir)
+    base = _config_object(config, "base", {})
+    _config_object(base, "em", {})  # each cell's fit reads it after its output exists
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep grid must be a non-empty list")
     for value in grid:
@@ -428,21 +444,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            config = _load_json(args.config)
+            config = _load_config(args.config)
             config["seed"] = _resolve_seed(config, args.seed)
             run_simulate(config, args.out_dir)
         elif args.command == "estimate-noise":
             run_estimate_noise(args.data_dir, args.out)
         elif args.command == "fit":
-            config = _load_json(args.config)
+            config = _load_config(args.config)
             config["seed"] = _resolve_seed(config, args.seed)
             run_fit(args.data_dir, config, args.out_dir, resume=args.resume)
         elif args.command == "evaluate":
             metrics = run_evaluate(args.report, args.truth, args.out, args.threshold)
             print(json.dumps(metrics, sort_keys=True))
         elif args.command == "sweep":
-            config = _load_json(args.config)
-            base = config.setdefault("base", {})
+            config = _load_config(args.config)
+            base = config["base"] = _config_object(config, "base", {})
             base["seed"] = _resolve_seed(base, args.seed)
             run_sweep(config, jobs=args.jobs)
     except (ConfigError, ParameterError, RankError, UndefinedMetricError) as exc:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import dataclass, fields, replace
-from typing import TypedDict
+from dataclasses import dataclass, replace
+from typing import TypedDict, get_type_hints
 
 import numpy as np
 
@@ -32,6 +32,18 @@ logger = logging.getLogger(__name__)
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 _TRAINED_FIELDS = ("w_in", "b_in", "w_out", "b_out", "edge_logits")
+
+
+def _check_number(name: str, value, hint) -> None:
+    """Raise ``ParameterError`` unless ``value`` is of the numeric field type
+    ``hint``: int, float, or either of them or None."""
+    if value is None and hint in (int | None, float | None):
+        return
+    integral = hint in (int, int | None)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ParameterError(f"{name} must be "
+                             f"{'an integer' if integral else 'a real number'}, got {value!r}")
 
 
 @dataclass
@@ -59,16 +71,8 @@ class EmConfig:
     init_weight_scale: float = 0.1
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text: "int", "float", "int | None"
-            value = getattr(self, f.name)
-            integral = f.type.startswith("int")
-            if value is None and f.type.endswith("None"):
-                continue
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                raise ParameterError(f"{f.name} must be "
-                                     f"{'an integer' if integral else 'a real number'}, "
-                                     f"got {value!r}")
+        for name, hint in get_type_hints(EmConfig).items():
+            _check_number(name, getattr(self, name), hint)
         for name in ("sparsity_lambda", "em_rounds", "elbo_every", "init_weight_scale"):
             if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be >= 0")
@@ -92,6 +96,7 @@ class RegimeCache:
     regime: object
     y: np.ndarray
     particles: np.ndarray  # (n_kept, n_resample, d), a view into ParticleCache.particles
+    multiplicity: np.ndarray  # (n_kept * n_resample,), a view into ParticleCache.multiplicity
     ess: np.ndarray
 
     @property
@@ -108,11 +113,21 @@ class ParticleCache:
     regime, the order the M-step's row indices address, and each
     ``RegimeCache.particles`` is a view into it. ``regime_index[i]`` is the
     position in ``regimes`` of row i's regime.
+
+    Resampling repeats proposals, so many rows are copies. Within one
+    observation, ``multiplicity[i]`` is the number of its slots that hold
+    row i's value if row i is the first of them, and 0 for every later copy
+    (see ``_multiplicity`` for the one exception, which real particles do
+    not meet). So the counts of an observation sum to ``n_resample``, and a
+    sum over all N rows equals a sum over the rows of nonzero count weighted
+    by their counts, which is how ``surrogate_q`` and ``channel_term`` score
+    the cache. The M-step still draws uniformly over all N rows.
     """
 
     regimes: list[RegimeCache]
     particles: np.ndarray
     regime_index: np.ndarray
+    multiplicity: np.ndarray
     n_observations: int
     n_skipped: int
 
@@ -145,6 +160,34 @@ def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
 
+def _multiplicity(particles: np.ndarray) -> np.ndarray:
+    """Per-slot counts of equal rows within each observation, flattened.
+
+    ``particles`` is (n, r, d). A slot's candidate owner is the first slot of
+    its observation with the same first coordinate; a full-row comparison
+    confirms it, and a slot it does not confirm owns itself. A slot's count
+    is the number of slots it owns, so the first copy of a row counts every
+    copy and later copies count 0. Rows that share the first coordinate but
+    differ elsewhere, which continuous proposals do not produce, can leave
+    one value split over several owners; the counts still sum to r per
+    observation, and a count-weighted sum over the owners still equals the
+    sum over all slots.
+    """
+    n, r, d = particles.shape
+    first = particles[:, :, 0]
+    order = np.argsort(first, axis=1, kind="stable")  # ties keep slot order
+    ranked = np.take_along_axis(first, order, axis=1)
+    new = np.ones((n, r), dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run_start = np.maximum.accumulate(np.where(new, np.arange(r), 0), axis=1)
+    candidate = np.empty_like(order)
+    np.put_along_axis(candidate, order, np.take_along_axis(order, run_start, axis=1), axis=1)
+    candidate = (candidate + r * np.arange(n)[:, None]).ravel()
+    flat = particles.reshape(n * r, d)
+    owner = np.where(np.all(flat == flat[candidate], axis=1), candidate, np.arange(n * r))
+    return np.bincount(owner, minlength=n * r)
+
+
 def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionFamily,
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
@@ -163,6 +206,7 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     # second copy of them all is ever held.
     flat = np.empty((n_obs * cfg.n_resample, theta.d))
     regime_index = np.empty(flat.shape[0], dtype=np.min_scalar_type(len(family.regimes)))
+    multiplicity = np.empty(flat.shape[0], dtype=np.min_scalar_type(cfg.n_resample))
     regimes = []
     n_skipped = 0
     start = 0
@@ -179,7 +223,8 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
         view = flat[start:stop].reshape(particles.shape)
         view[...] = particles
         regime_index[start:stop] = k
-        regimes.append(RegimeCache(regime, Y[kept], view, ess))
+        multiplicity[start:stop] = _multiplicity(particles)
+        regimes.append(RegimeCache(regime, Y[kept], view, multiplicity[start:stop], ess))
         start = stop
         del particles  # held through the next regime's draws, it would be a second copy
     too_many = n_obs > 0 and n_skipped / n_obs > cfg.skip_tolerance
@@ -189,7 +234,15 @@ def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionF
     if too_many:
         raise EStepError(
             f"{n_skipped}/{n_obs} observations degenerate (> {cfg.skip_tolerance:.0%})")
-    return ParticleCache(regimes, flat[:start], regime_index[:start], n_obs, n_skipped)
+    return ParticleCache(regimes, flat[:start], regime_index[:start], multiplicity[:start],
+                         n_obs, n_skipped)
+
+
+def _distinct_rows(rc: RegimeCache):
+    """``(rows, particles, counts)``: the indices into ``rc.flat_particles`` of its rows
+    of nonzero multiplicity, those rows, and their multiplicities."""
+    rows = np.flatnonzero(rc.multiplicity)
+    return rows, np.take(rc.flat_particles, rows, axis=0), rc.multiplicity[rows]
 
 
 def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
@@ -198,26 +251,36 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
     Like the E-step's weights and the ELBO, q scores theta at
     ``expected_mask(edge_logits)``, so it draws no mask and is a fixed function
     of (theta, cache); only the M-step's edge-logit gradient needs relaxed
-    masks. The measurement term is omitted (it does not depend on the latent
-    parameters).
+    masks. Each regime's distinct particles are scored once, in one
+    ``latent_logpdf_batch`` call, and weighted by their multiplicity, which
+    gives the mean over all ``n_particles`` slots. The measurement term is
+    omitted (it does not depend on the latent parameters).
     """
     if cache.n_particles == 0:
         return 0.0
     mask = expected_mask(theta.edge_logits)
-    total = sum(float(latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance,
-                                          rc.flat_particles).sum())
-                for rc in cache.regimes)
+    total = 0.0
+    for rc in cache.regimes:
+        _, particles, counts = _distinct_rows(rc)
+        ll = latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance, particles)
+        total += float(ll @ counts)
     return total / cache.n_particles
 
 
 def channel_term(cache: ParticleCache, phi_hat: Channel) -> float:
-    """Mean channel log-density over cached particles (constant in theta)."""
-    total, count = 0.0, 0
+    """Mean channel log-density over cached particles (constant in theta).
+
+    Like ``surrogate_q``, it scores each distinct particle once, weighted by
+    its multiplicity.
+    """
+    if cache.n_particles == 0:
+        return 0.0
+    total = 0.0
     for rc in cache.regimes:
-        ll = channel_logpdf(phi_hat, rc.y[:, None, :], rc.particles)
-        total += float(np.sum(ll))
-        count += ll.size
-    return total / count if count else 0.0
+        rows, particles, counts = _distinct_rows(rc)
+        y = np.take(rc.y, rows // rc.particles.shape[1], axis=0)
+        total += float(channel_logpdf(phi_hat, y, particles) @ counts)
+    return total / cache.n_particles
 
 
 def sparsity_penalty(theta: ModelParams, lam: float):
@@ -465,14 +528,18 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, list]:
     older checkpoints repeat the trace and are ignored.
 
     Text that is not a checkpoint raises ``ValueError`` (``JSONDecodeError``
-    and ``ParameterError`` among them), ``KeyError`` or ``TypeError``.
+    and ``ParameterError`` among them), ``KeyError`` or ``TypeError``; so does
+    a round record with a field of the wrong type, such as a string q value.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict) or not {"params", "trace"} <= obj.keys():
         raise ParameterError('a checkpoint is an object with "params" and "trace"')
     trace = obj["trace"]
+    hints = get_type_hints(RoundRecord)
     if not (isinstance(trace, list) and all(
-            isinstance(entry, dict) and RoundRecord.__annotations__.keys() <= entry.keys()
-            for entry in trace)):
+            isinstance(entry, dict) and hints.keys() <= entry.keys() for entry in trace)):
         raise ParameterError("a checkpoint's trace is a list of round records")
+    for r, entry in enumerate(trace):
+        for key, hint in hints.items():
+            _check_number(f"trace[{r}].{key}", entry[key], hint)
     return params_from_dict(obj["params"]), trace

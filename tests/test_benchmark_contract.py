@@ -84,9 +84,17 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     """The traced run sees the E-step's proposal rows: one pass of the default
     n_proposals each, and the proposal keeps most of them effective. It sees the
     M-step score each minibatch, rows of every regime together, in one gradient call,
-    and the surrogate score each regime's particles in one call, with no mask draw."""
+    and the surrogate score each regime's distinct particles in one call, with no mask
+    draw."""
     spans = _load(monkeypatch, "spans")
     s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
+    caches, e_step = [], em.e_step
+
+    def recording_e_step(*args, **kwargs):
+        caches.append(e_step(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(em, "e_step", recording_e_step)  # the tracer wraps this one
     with spans.Tracer(MODULES) as tracer:
         out = harness.fit_cycle(MODULES, s, tmp_path)
     assert out["error"] is None
@@ -105,4 +113,16 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     n_particles = (sum(map(len, s.datasets)) - metrics["em.skipped_obs"][0]) * s.cfg.n_resample
     assert metrics["model.latent_logpdf_grads.rows"][0] == \
         s.cfg.m_steps_per_round * min(s.cfg.batch_size, n_particles)
+    # Resampling repeats proposals: q and the channel term score each distinct row once.
+    names = {span[0]: span[1] for span in tracer.spans}
+
+    def rows_under(caller, name):
+        return sum(span[5]["rows"] for span in tracer.spans
+                   if span[1] == name and names.get(span[4]) == caller)
+
+    distinct = sum(int(np.count_nonzero(cache.multiplicity)) for cache in caches)
+    assert sum(cache.n_particles for cache in caches) == n_particles * n_rounds
+    assert rows_under("em.surrogate_q", "model.latent_logpdf_batch") == distinct
+    assert rows_under("em.channel_term", "measurement.channel_logpdf") == distinct
+    assert distinct < n_particles * n_rounds
     assert em.sir_sample_batch is posterior.sir_sample_batch  # the tracer put them back

@@ -486,6 +486,39 @@ def test_a_regime_that_is_not_a_regime_exits_2(tmp_path, capsys, key, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", [1, 2], "{config} must hold a JSON object"),
+    ("fit", "abc", "{config} must hold a JSON object"),
+    ("sweep", 3, "{config} must hold a JSON object"),
+    ("sweep", {"base": [], "out_dir": "{out}"}, "base must be a JSON object, got []"),
+    ("sweep", {"base": {"d": 3, "em": "x"}, "out_dir": "{out}"},
+     "em must be a JSON object, got 'x'"),
+    ("sweep", {"base": {"d": 3, "channel": None}, "out_dir": "{out}"},
+     "channel must be a JSON object, got None"),
+    ("sweep", {"base": {"d": 3}, "out_dir": 5}, "out_dir must be a string, got 5"),
+    ("simulate", {"d": 3, "channel": "gan"}, "channel must be a JSON object, got 'gan'"),
+], ids=["simulate-top-level", "fit-top-level", "sweep-top-level", "sweep-base", "sweep-em",
+        "sweep-channel", "sweep-out_dir", "simulate-channel"])
+def test_a_config_part_that_is_not_an_object_exits_2_before_any_output(tmp_path, capsys,
+                                                                       command, config,
+                                                                       message):
+    path, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
+    if isinstance(config, dict) and command == "sweep":
+        config = {"sweep": "beta", "grid": [0.5], **config}
+        if config["out_dir"] == "{out}":
+            config["out_dir"] = str(out)
+    path.write_text(json.dumps(config))
+    if command == "fit":
+        cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    argv = {"simulate": ["simulate", "--out-dir", str(out)],
+            "fit": ["fit", "--data-dir", str(data), "--out-dir", str(out)],
+            "sweep": ["sweep"]}[command]
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["config.json", *(["data"] if command == "fit" else [])]
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "include_observational", "false"),
     ("simulate", "include_observational", 0),
@@ -560,6 +593,8 @@ def test_a_checkpoint_with_round_count_and_q_history_resumes_like_a_straight_fit
 
 
 _PARAMS = json.dumps(model.params_to_dict(model.init_params(3)))
+_RECORD = json.dumps({"round": 0, "q_value": -4.5, "elbo_estimate": None, "ess_median": 7.5,
+                      "channel_term": -3.25, "n_skipped": 0})
 
 
 @pytest.mark.parametrize("text, message", [
@@ -570,8 +605,17 @@ _PARAMS = json.dumps(model.params_to_dict(model.init_params(3)))
     ('{"params": ' + _PARAMS + ', "trace": [{"round": 0}]}',
      "a checkpoint's trace is a list of round records"),
     ('[1, 2]', 'a checkpoint is an object with "params" and "trace"'),
+    ('{"params": ' + _PARAMS + ', "trace": [' + _RECORD + ', ' + _RECORD.replace(
+        '"q_value": -4.5', '"q_value": "abc"') + ']}',
+     "trace[1].q_value must be a real number, got 'abc'"),
+    ('{"params": ' + _PARAMS + ', "trace": [' + _RECORD + ', ' + _RECORD.replace(
+        '"q_value": -4.5', '"q_value": null') + ']}',
+     "trace[1].q_value must be a real number, got None"),
+    ('{"params": ' + _PARAMS + ', "trace": [' + _RECORD.replace(
+        '"n_skipped": 0', '"n_skipped": 1.5') + ']}',
+     "trace[0].n_skipped must be an integer, got 1.5"),
 ], ids=["truncated", "no-params", "no-trace", "params-without-w_in", "trace-of-partial-records",
-        "not-an-object"])
+        "not-an-object", "string-q", "null-q", "non-integer-skips"])
 def test_resume_from_a_malformed_checkpoint_exits_2(tmp_path, capsys, text, message):
     data, out = tmp_path / "data", tmp_path / "out"
     cli.run_simulate({"d": 3, "n_per_regime": 20}, data)

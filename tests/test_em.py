@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from reclaim import cli, em, model, scm
+from reclaim import cli, em, measurement, model, scm
 from reclaim.errors import EStepError
 from reclaim.measurement import GaussianAdditiveChannel
 
@@ -155,26 +155,30 @@ def _per_regime_grads(theta, cache, rows, mask):
     return value, grads
 
 
-@pytest.fixture(scope="module")
-def mixed_cache():
-    """A cache over observational, one-, two- and all-target regimes and an empty one,
-    with the regimes' own clamp means and variances."""
-    d = 4
+def _mixed_cache(stub_sir, theta, channel, n_resample=TINY["n_resample"]):
+    """The cache ``stub_sir`` gives over observational, one-, two- and all-target
+    regimes and an empty one, with the regimes' own clamp means and variances."""
     family = scm.InterventionFamily((
         scm.InterventionRegime(), scm.InterventionRegime((1,), 0.5, mean=0.3),
         scm.InterventionRegime((0, 2), 2.0, mean=-0.4), scm.InterventionRegime((3,)),
         scm.InterventionRegime((0, 1, 2, 3), 1.5, mean=0.2)))
     rng = np.random.default_rng(11)
-    datasets = [rng.normal(size=(n, d)) for n in (6, 5, 7, 0, 4)]
-
-    def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
-        particles = np.random.default_rng(seed).normal(0.0, 0.8, size=(len(Y), n_resample, d))
-        return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
-
+    datasets = [rng.normal(size=(n, theta.d)) for n in (6, 5, 7, 0, 4)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(em, "sir_sample_batch", stub_sir)
-        return em.e_step(model.init_params(d), GaussianAdditiveChannel(np.full(d, 0.2)),
-                         datasets, family, em.EmConfig(**TINY))
+        return em.e_step(theta, channel, datasets, family,
+                         em.EmConfig(**{**TINY, "n_resample": n_resample}))
+
+
+@pytest.fixture(scope="module")
+def mixed_cache():
+    """Particles that are all distinct."""
+    def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
+        particles = np.random.default_rng(seed).normal(0.0, 0.8,
+                                                       size=(len(Y), n_resample, params.d))
+        return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
+
+    return _mixed_cache(stub_sir, model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -221,6 +225,61 @@ def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_
     q = em.surrogate_q(theta, mixed_cache)
     assert abs(q - exact) <= 1e-10 * abs(exact)
     assert em.surrogate_q(theta, mixed_cache) == q
+
+
+def _repeating_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
+    """Each observation's slots hold copies of three rows, the first two of which
+    share their first coordinate; every slot of the first observation holds row 0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 0.8, size=(len(Y), 3, params.d))
+    rows[:, 1, 0] = rows[:, 0, 0]
+    pick = rng.integers(0, 3, size=(len(Y), n_resample))
+    pick[:1] = 0
+    particles = rows[np.arange(len(Y))[:, None], pick]
+    return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
+
+
+def _slot_counts(particles):
+    """Reference multiplicities: each slot's owner is the first slot of its observation
+    with the same first coordinate if their rows are equal, else the slot itself; a
+    slot counts the slots it owns."""
+    counts = []
+    for slots in particles:
+        owners = []
+        for j, row in enumerate(slots):
+            i = next(i for i, other in enumerate(slots) if other[0] == row[0])
+            owners.append(i if np.array_equal(slots[i], row) else j)
+        counts.extend(owners.count(j) for j in range(len(slots)))
+    return counts
+
+
+@pytest.mark.parametrize("n_resample", [16, 300])
+def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resample):
+    """q and the channel term score only the rows of nonzero multiplicity; weighted by
+    their multiplicities, they equal the plain means over every slot. 300 slots holding
+    one row would wrap a uint8 count."""
+    theta = model.init_params(4, hidden=3, seed=12, weight_scale=0.6)
+    theta = dataclasses.replace(theta, b_in=np.full(3, 0.1), b_out=np.full(4, -0.2))
+    channel = GaussianAdditiveChannel(np.array([0.2, 0.3, 0.25, 0.4]))
+    cache = _mixed_cache(_repeating_sir, theta, channel, n_resample)
+
+    counts = cache.multiplicity.astype(int)
+    assert counts.tolist() == [c for rc in cache.regimes for c in _slot_counts(rc.particles)]
+    assert np.all(counts.reshape(-1, n_resample).sum(axis=1) == n_resample)
+    assert counts[0] == n_resample
+    assert all(np.shares_memory(rc.multiplicity, cache.multiplicity) for rc in cache.regimes
+               if rc.multiplicity.size)
+    assert 0 < np.count_nonzero(counts) < cache.n_particles
+
+    mask = model.expected_mask(theta.edge_logits)
+    q_slots = sum(float(model.latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance,
+                                                  rc.flat_particles).sum())
+                  for rc in cache.regimes) / cache.n_particles
+    channel_slots = np.mean(np.concatenate([
+        measurement.channel_logpdf(channel, rc.y[:, None, :], rc.particles).ravel()
+        for rc in cache.regimes]))
+    assert abs(em.surrogate_q(theta, cache) - q_slots) <= 1e-12 * abs(q_slots)
+    assert abs(em.channel_term(cache, channel) - channel_slots) <= 1e-12 * abs(channel_slots)
 
 
 class TestMStepRecovery:
