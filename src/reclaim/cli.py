@@ -30,7 +30,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import numbers
 import os
 import sys
 import time
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import em, graphs, measurement, scm
 from .errors import (ConvergenceError, EStepError, IdentifiabilityError,
-                     ParameterError, RankError, UndefinedMetricError)
+                     ParameterError, RankError, UndefinedMetricError, check_number)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,28 +83,19 @@ def _load_config(path) -> dict:
     return _json_object(path)
 
 
-def _number(name: str, value, integral: bool = False):
-    """``value`` as an int (``integral``) or a float; any other value is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integral else numbers.Real):
-        raise ConfigError(f"{name} must be {'an integer' if integral else 'a real number'}, "
-                          f"got {value!r}")
-    return int(value) if integral else float(value)
-
-
 def _config_number(config: dict, key: str, default=None, integral: bool = False,
                    positive: bool = False):
     """The number ``config[key]``, or ``default`` when the key is absent.
 
-    A key without a default is required. A missing required key, a value
-    that is not an integer (``integral``) or a real number, or a ``positive``
-    one that is not above 0 is a ConfigError.
+    A key without a default is required. A missing required key, or a
+    ``positive`` value not above 0, is a ConfigError; a value that is not an
+    integer (``integral``) or a real number is a ParameterError.
     """
     if key not in config:
         if default is None:
             raise ConfigError(f"config has no {key!r}")
         return default
-    value = _number(key, config[key], integral)
+    value = check_number(key, config[key], int if integral else float)
     if positive and not value > 0:
         raise ConfigError(f"{key} must be positive, got {value!r}")
     return value
@@ -134,7 +124,7 @@ def _weight_range(config: dict) -> tuple[float, float]:
     value = config.get("weight_range", [0.2, 0.9])
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"weight_range must be two numbers [lo, hi], got {value!r}")
-    lo, hi = (_number("weight_range", v) for v in value)
+    lo, hi = (check_number("weight_range", v) for v in value)
     if not lo <= hi:
         raise ConfigError(f"weight_range must have lo <= hi, got {value!r}")
     return lo, hi
@@ -313,7 +303,8 @@ def _cell_config(base: dict, kind: str, value) -> dict:
     channel = cfg["channel"] = _config_object(cfg, "channel", {"type": "gan"})
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    value = _number(f"{kind} grid value", value, integral=kind in ("n_nodes", "n_measurements"))
+    value = check_number(f"{kind} grid value", value,
+                         int if kind in ("n_nodes", "n_measurements") else float)
     if kind == "sigma_min":
         channel["sigma_min"] = value
         channel["sigma_max"] = value + 0.3

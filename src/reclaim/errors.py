@@ -1,8 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one numeric-type check."""
+
+import numbers
 
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_number(name: str, value, kind=float):
+    """``value`` as the number type ``kind``: int, float, or either of them or
+    None. A value of any other type, a bool among them, is a ``ParameterError``."""
+    if value is None and kind in (int | None, float | None):
+        return None
+    integral = kind in (int, int | None)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real):
+        raise ParameterError(f"{name} must be "
+                             f"{'an integer' if integral else 'a real number'}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 class ConvergenceError(RuntimeError):

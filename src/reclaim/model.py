@@ -44,10 +44,10 @@ the mask columns of the coordinates it clamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConvergenceError, ParameterError
 from .measurement import diag_gauss_logpdf
@@ -160,6 +160,21 @@ def spectral_normalize(params: ModelParams) -> ModelParams:
 # mask sampling and edge scores
 
 
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) is past the float range, so the sigmoid rounds to 0
+        return 0.0
+
+
+def expit(x) -> np.ndarray:
+    """Elementwise sigmoid, bit-equal to ``scipy.special.expit``, whose import took
+    0.3 s of the package's 0.5 s. numpy's vector ``exp`` rounds some entries
+    differently; masks are d x d, so one scalar ``math.exp`` per entry is cheap."""
+    x = np.asarray(x, dtype=float)
+    return np.array([_logistic(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def sample_mask(edge_logits: np.ndarray, temperature: float = 1.0,
                 seed=None) -> MaskSample:
     """Binary-concrete relaxation of the Bernoulli mask entries.
@@ -196,13 +211,6 @@ def _mask_values(mask) -> np.ndarray:
     if np.any(np.diag(m) != 0):
         raise ParameterError("mask diagonal must be zero")
     return m
-
-
-def _free_vector(d: int, targets) -> np.ndarray:
-    free = np.ones(d)
-    if len(targets):
-        free[list(targets)] = 0.0
-    return free
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +284,7 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = params.d
     _, _, core, _ = _forward_jacobian(params, M, x, np.arange(d))
-    return _free_vector(d, targets)[:, None] * M.T * core[0]
+    return InterventionRegime(targets).free_mask(d)[:, None] * M.T * core[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +369,7 @@ def _row_regimes(regime, intervention_var, n: int, d: int):
         regimes, index = (regime,), np.zeros(n, dtype=np.intp)
     else:
         regimes, index = regime.regimes, regime.index
-    free = np.ones((len(regimes), d))
-    for k, r in enumerate(regimes):
-        free[k, list(r.targets)] = 0.0
+    free = np.array([r.free_mask(d) for r in regimes], dtype=float)
     mean = np.array([r.mean for r in regimes], dtype=float)
     var = np.broadcast_to(np.asarray(intervention_var, dtype=float), (len(regimes),))
     return free[index], mean[index], var[index]

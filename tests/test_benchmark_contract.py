@@ -84,8 +84,8 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     """The traced run sees the E-step's proposal rows: one pass of the default
     n_proposals each, and the proposal keeps most of them effective. It sees the
     M-step score each minibatch, rows of every regime together, in one gradient call,
-    and the surrogate score each regime's distinct particles in one call, with no mask
-    draw."""
+    and the surrogate and the channel term score each regime's distinct particles in
+    one call, with no mask draw."""
     spans = _load(monkeypatch, "spans")
     s = _tiny(harness.set_up(MODULES, "gan-d10", seed=1, data_dir=tmp_path))
     caches, e_step = [], em.e_step
@@ -116,13 +116,20 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     # Resampling repeats proposals: q and the channel term score each distinct row once.
     names = {span[0]: span[1] for span in tracer.spans}
 
+    def under(caller, name):
+        return [span for span in tracer.spans if span[1] == name and names.get(span[4]) == caller]
+
     def rows_under(caller, name):
-        return sum(span[5]["rows"] for span in tracer.spans
-                   if span[1] == name and names.get(span[4]) == caller)
+        return sum(span[5]["rows"] for span in under(caller, name))
 
     distinct = sum(int(np.count_nonzero(cache.multiplicity)) for cache in caches)
     assert sum(cache.n_particles for cache in caches) == n_particles * n_rounds
     assert rows_under("em.surrogate_q", "model.latent_logpdf_batch") == distinct
     assert rows_under("em.channel_term", "measurement.channel_logpdf") == distinct
     assert distinct < n_particles * n_rounds
+    # One call per regime, not one over the whole cache: see em._distinct_rows.
+    assert len(under("em.surrogate_q", "model.latent_logpdf_batch")) == \
+        len(s.family.regimes) * n_rounds
+    assert len(under("em.channel_term", "measurement.channel_logpdf")) == \
+        len(s.family.regimes) * n_rounds
     assert em.sir_sample_batch is posterior.sir_sample_batch  # the tracer put them back

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,17 @@ from reclaim.errors import ConvergenceError, EStepError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
            "n_proposals": 8, "n_resample": 2}
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy was most of every command's start-up time; only the noise estimator's
+    NNLS imports it, and only when it runs."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import reclaim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("exc", [EStepError("12/40 observations degenerate (> 5%)"),

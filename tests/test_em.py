@@ -88,8 +88,10 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, caplog,
             em.e_step(theta, channel, datasets, family, cfg)
     else:
         cache = em.e_step(theta, channel, datasets, family, cfg)
-        assert cache.n_skipped == 5 and cache.n_observations == 100
-        assert all(rc.particles.shape == (19, 4, 4) for rc in cache.regimes)
+        assert cache.n_skipped == 5
+        assert cache.y.shape == (95, 4) and cache.ess.shape == (95,)
+        assert cache.particles.shape == (95 * 4, 4)
+        assert np.bincount(cache.regime_index).tolist() == [19 * 4] * 5
     skipped = 5 * dropped_per_regime
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.WARNING if raises else logging.INFO,
@@ -102,11 +104,14 @@ def test_e_step_passes_an_empty_regime_through_as_an_empty_cache_entry(data):
     cfg = em.EmConfig(**TINY)
     cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
                       datasets, family, cfg)
-    empty = cache.regimes[1]
-    assert empty.regime is family.regimes[1] and empty.y.shape == (0, 4)
-    assert empty.particles.shape == (0, 4, 4) and empty.ess.shape == (0,)
-    assert cache.n_observations == 80 and cache.n_skipped == 0
-    assert [rc.particles.shape[0] for rc in cache.regimes] == [20, 0, 20, 20, 20]
+    r = TINY["n_resample"]
+    obs_regime = cache.regime_index[::r]  # the regime of each kept observation
+    assert cache.regimes[1] is family.regimes[1] and cache.y[obs_regime == 1].shape == (0, 4)
+    assert cache.particles[cache.regime_index == 1].shape == (0, 4)
+    assert cache.ess[obs_regime == 1].shape == (0,)
+    assert cache.n_skipped == 0
+    assert np.bincount(obs_regime, minlength=5).tolist() == [20, 0, 20, 20, 20]
+    assert cache.y.shape == (80, 4) and cache.ess.shape == (80,)
     assert np.isfinite(em.channel_term(cache, GaussianAdditiveChannel(np.full(4, 0.2))))
 
 
@@ -117,37 +122,51 @@ def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     datasets, family = scm.read_dataset(tmp_path)
     channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
     cache = em.e_step(model.init_params(30), channel, datasets, family, em.EmConfig())
-    assert cache.n_skipped == 0 and cache.n_observations == 620
+    assert cache.n_skipped == 0 and cache.y.shape == (620, 30)
 
 
-def test_e_step_holds_each_particle_once_in_regime_order(data):
-    """Every regime's particles are a view into the cache's one flat array, whose
-    row i is row i of the regimes' flattened particles taken one after another."""
+def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
+    """Row i of the cache's particles is a particle of kept observation i // n_resample,
+    whose observation and ESS are row i // n_resample of ``y`` and ``ess``; the kept
+    observations come regime after regime, each regime's in its data's order."""
     datasets, family = data
     datasets = [datasets[0], np.zeros((0, 4)), *datasets[2:]]
+    r = TINY["n_resample"]
+
+    def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
+        """Drops every third observation; slot j of observation l holds Y[l] + j, and
+        its ESS is Y[l, 0]."""
+        kept = np.arange(len(Y)) % 3 != 1
+        particles = Y[kept][:, None, :] + np.arange(n_resample)[:, None]
+        return particles, Y[kept, 0], kept
+
+    monkeypatch.setattr(em, "sir_sample_batch", stub_sir)
     cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
-                      datasets, family, em.EmConfig(**TINY))
-    assert cache.particles.shape == (80 * TINY["n_resample"], 4)
-    assert all(np.shares_memory(rc.particles, cache.particles) for rc in cache.regimes
-               if rc.particles.size)
-    assert np.array_equal(cache.particles,
-                          np.concatenate([rc.flat_particles for rc in cache.regimes]))
-    assert np.array_equal(cache.regime_index, np.repeat(
-        np.arange(len(cache.regimes)), [rc.flat_particles.shape[0] for rc in cache.regimes]))
+                      datasets, family, em.EmConfig(**{**TINY, "skip_tolerance": 0.5}))
+    kept = [Y[np.arange(len(Y)) % 3 != 1] for Y in datasets]
+    n_kept = sum(map(len, kept))
+    assert cache.n_skipped == 80 - n_kept
+    assert np.array_equal(cache.y, np.concatenate(kept))
+    assert np.array_equal(cache.ess, cache.y[:, 0])
+    assert cache.particles.shape == (n_kept * r, 4)
+    i = np.arange(cache.n_particles)
+    assert np.array_equal(cache.particles, cache.y[i // r] + (i % r)[:, None])
+    assert np.array_equal(cache.regime_index,
+                          np.repeat(np.arange(len(family.regimes)), [len(Y) * r for Y in kept]))
+    assert np.all(cache.multiplicity == 1)
 
 
 def _per_regime_grads(theta, cache, rows, mask):
     """Reference: one latent_logpdf_grads call per regime over that regime's rows,
     each regime's mean scaled by its share of ``rows`` and summed; ``rows`` index
-    the regimes' flattened particles taken one after another."""
-    value, grads, offset = 0.0, None, 0
-    for rc in cache.regimes:
-        X = rc.flat_particles
-        sel = rows[(rows >= offset) & (rows < offset + len(X))] - offset
-        offset += len(X)
+    ``cache.particles``."""
+    value, grads = 0.0, None
+    for k, regime in enumerate(cache.regimes):
+        sel = rows[cache.regime_index[rows] == k]
         if sel.size == 0:
             continue
-        v, g = model.latent_logpdf_grads(theta, mask, rc.regime, rc.regime.variance, X[sel])
+        v, g = model.latent_logpdf_grads(theta, mask, regime, regime.variance,
+                                         cache.particles[sel])
         share = sel.size / rows.size
         value += share * v
         g = {name: share * g[name] for name in g}
@@ -201,8 +220,9 @@ def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * np.max(np.abs(ref[name]))
 
     # The all-target regime's rows: no coordinate is free, so nothing depends on theta.
-    start = n - mixed_cache.regimes[-1].flat_particles.shape[0]
-    value, grads = em._minibatch_grads(theta, mixed_cache, np.arange(start, n), mask)
+    rows = np.flatnonzero(mixed_cache.regime_index == len(mixed_cache.regimes) - 1)
+    assert rows.size
+    value, grads = em._minibatch_grads(theta, mixed_cache, rows, mask)
     assert np.isfinite(value)
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -219,8 +239,9 @@ def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_
                               edge_logits=rng.normal(0.0, 2.0, size=(d, d)),
                               sigma_z=np.array([1.0, 0.7, 1.3, 0.9]), activation="identity")
     weights = model.expected_mask(theta.edge_logits) * (theta.w_in @ theta.w_out)
-    exact = np.mean([scm.linear_latent_logpdf_oracle(weights, theta.sigma_z, rc.regime, x)
-                     for rc in mixed_cache.regimes for x in rc.flat_particles])
+    exact = np.mean([scm.linear_latent_logpdf_oracle(weights, theta.sigma_z,
+                                                     mixed_cache.regimes[k], x)
+                     for k, x in zip(mixed_cache.regime_index, mixed_cache.particles)])
 
     q = em.surrogate_q(theta, mixed_cache)
     assert abs(q - exact) <= 1e-10 * abs(exact)
@@ -264,20 +285,17 @@ def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resamp
     cache = _mixed_cache(_repeating_sir, theta, channel, n_resample)
 
     counts = cache.multiplicity.astype(int)
-    assert counts.tolist() == [c for rc in cache.regimes for c in _slot_counts(rc.particles)]
+    slots = cache.particles.reshape(-1, n_resample, 4)  # (kept observations, slots, d)
+    assert counts.tolist() == _slot_counts(slots)
     assert np.all(counts.reshape(-1, n_resample).sum(axis=1) == n_resample)
     assert counts[0] == n_resample
-    assert all(np.shares_memory(rc.multiplicity, cache.multiplicity) for rc in cache.regimes
-               if rc.multiplicity.size)
     assert 0 < np.count_nonzero(counts) < cache.n_particles
 
     mask = model.expected_mask(theta.edge_logits)
-    q_slots = sum(float(model.latent_logpdf_batch(theta, mask, rc.regime, rc.regime.variance,
-                                                  rc.flat_particles).sum())
-                  for rc in cache.regimes) / cache.n_particles
-    channel_slots = np.mean(np.concatenate([
-        measurement.channel_logpdf(channel, rc.y[:, None, :], rc.particles).ravel()
-        for rc in cache.regimes]))
+    q_slots = sum(float(model.latent_logpdf_batch(theta, mask, regime, regime.variance,
+                                                  cache.particles[cache.regime_index == k]).sum())
+                  for k, regime in enumerate(cache.regimes)) / cache.n_particles
+    channel_slots = np.mean(measurement.channel_logpdf(channel, cache.y[:, None, :], slots))
     assert abs(em.surrogate_q(theta, cache) - q_slots) <= 1e-12 * abs(q_slots)
     assert abs(em.channel_term(cache, channel) - channel_slots) <= 1e-12 * abs(channel_slots)
 

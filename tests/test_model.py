@@ -115,6 +115,17 @@ class TestEdgeScores:
         assert hi[0, 1] > lo[0, 1]
 
 
+def test_expit_is_bit_equal_to_scipy():
+    """The package's sigmoid, which keeps scipy out of its import, gives scipy's
+    value to the last bit at every scale, near both overflow edges and at +-inf, +-0."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(0.0, 1.0, 20000), rng.normal(0.0, 3.0, 20000),
+                        rng.uniform(-10.0, 10.0, 20000), rng.uniform(-800.0, 800.0, 20000),
+                        np.linspace(-750.0, -700.0, 20000), np.linspace(30.0, 40.0, 20000),
+                        [np.inf, -np.inf, 0.0, -0.0]]).reshape(-1, 4)
+    assert np.array_equal(model.expit(x).view(np.int64), expit(x).view(np.int64))
+
+
 class TestMaskedForward:
     def test_zero_mask_blocks_input(self):
         p = model.init_params(3, seed=3)
