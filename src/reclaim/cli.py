@@ -145,11 +145,8 @@ def _resolve_seed(config: dict, flag_seed):
 
 
 def _atomic_write(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    with scm.atomic_open(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ coordinates to externally drawn values and sever their incoming edges.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -293,17 +294,52 @@ def family_from_json(text: str) -> InterventionFamily:
     return InterventionFamily(regimes)
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text handle on ``path.tmp`` that replaces ``path`` once the block exits.
+
+    The parent directory is made first. If the block raises, the temporary
+    file is removed and ``path`` keeps its old content, so no reader sees a
+    file cut short.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+
+
+# Rows formatted by one % operation: bounds the text held at once.
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_regime_csv(path, data: np.ndarray) -> None:
-    """One regime's samples as CSV with a y0..y{p-1} header row."""
+    """One regime's samples as CSV with a y0..y{p-1} header row.
+
+    Each value is written as ``%.17g``, which round-trips a float exactly; the
+    bytes are those of ``np.savetxt(path, data, delimiter=",", fmt="%.17g",
+    header=..., comments="")``.
+    """
     data = np.asarray(data, dtype=float)
-    header = ",".join(f"y{j}" for j in range(data.shape[1]))
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(",".join(f"y{j}" for j in range(data.shape[1])) + "\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_regime_csv(path) -> np.ndarray:
+    """A regime CSV as an (n, p) array; a file with no data rows, only a
+    header and blank lines, is (0, p)."""
     with open(path) as fh:
         header = fh.readline()
-        if not fh.readline():
+        if not any(line.strip() for line in fh):
             return np.zeros((0, len(header.strip().split(","))))
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
@@ -316,7 +352,8 @@ def write_dataset(directory, datasets, family: InterventionFamily) -> None:
         raise ParameterError("one dataset per regime is required")
     for k, data in enumerate(datasets):
         write_regime_csv(directory / f"regime_{k}.csv", data)
-    (directory / "family.json").write_text(family_to_json(family))
+    with atomic_open(directory / "family.json") as fh:
+        fh.write(family_to_json(family))
 
 
 def read_dataset(directory):

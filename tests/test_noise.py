@@ -209,6 +209,48 @@ class TestProjectionSampler:
             noise.sample_projection_vectors(A, m=m, seed=0)
         assert err.value.achieved_rank == rank
 
+    # Recorded sampler output: (A shape, seed of A, sampler seed) -> the source
+    # nodes as (node, run length) pairs, the column sums of the vectors and the
+    # last vector. A change to the random stream or to acceptance moves them,
+    # so record them again only for a change meant to alter the sets.
+    @pytest.mark.parametrize("shape, a_seed, seed, runs, colsum, last", [
+        ((20, 10), 17, 3, [(i, 80) for i in range(10)],
+         [8.572628645524484, -0.4190306456964179, -6.8898725837540695, -4.376898625553248,
+          5.879409810421253, -1.1438982141510645, 8.328009505041916, 3.8662902688875587,
+          -8.815501626654564, 3.3129929991338334, 22.27293741483551, 4.057468978337034,
+          0.06411693520733736, 6.165438849552887, -2.227126107693634, 0.08258495367279461,
+          10.846816160658271, 13.813543072085293, 9.73595579657109, 5.472597005420439],
+         [-0.08015643415023273, -0.08356618612972916, 0.045176372254399605,
+          0.038891858373302404, -0.2514560438420543, -0.037697512810613155,
+          -0.3241803631090057, 0.25110173921337725, 0.6335906785339833, -0.045219471763021254,
+          -0.16191219439698076, 0.18863384472699252, 0.27031568089246844, 0.12686165235155217,
+          -0.3417319657483691, -0.19086497648172684, -0.0006069183475624144,
+          -0.08929948980651035, -0.07220923488426446, -0.17145881235408514]),
+        ((12, 6), 29, 5, [(i, 80) for i in range(6)],
+         [4.120125265151309, -0.37929831818668336, 0.04004272951016473, 13.995972845944864,
+          -8.70461666873817, 3.6948572222972054, 7.463005902659772, -3.2239635798532027,
+          -0.5750461418764431, -6.289078746639861, -1.7606383864247899, -11.332354898958304],
+         [-0.7289156996604423, 0.0438449350123393, -0.10109239526066512, -0.21535341715360873,
+          0.04555130374130375, -0.12161617225706907, 0.16471558789617147, 0.1479125566079366,
+          0.5424705101803321, -0.17682600910170493, 0.1307784407276356, -0.04053765420504884]),
+        ((6, 6), 31, 7, [(i, 1) for i in range(6)],
+         [-1.6340211613432365, 0.37020929471420516, 0.6513745420671591, 0.07994298785978327,
+          -1.5239629761975424, 2.440766232133772],
+         [-0.522657303845562, 0.1735107421938809, 0.2958795556583452, 0.7117698984698134,
+          -0.30008682752278565, 0.11184883192603476]),
+    ], ids=["20x10", "12x6", "square-6x6"])
+    def test_pipeline_settings_reproduce_the_recorded_set(self, shape, a_seed, seed, runs,
+                                                          colsum, last):
+        A = np.random.default_rng(a_seed).normal(0, np.sqrt(1.5), size=shape)
+        ps = noise.sample_projection_vectors(
+            A, m=noise.PIPELINE_ROWS_PER_MEASUREMENT * shape[0], delta=noise.PIPELINE_DELTA,
+            signal_cap=noise.PIPELINE_SIGNAL_CAP, seed=seed)
+        nodes, counts = zip(*runs)
+        assert np.array_equal(ps.source_node, np.repeat(nodes, counts))
+        np.testing.assert_allclose(ps.vectors.sum(axis=0), colsum, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ps.vectors[-1], last, rtol=1e-12, atol=0)
+
+
 class TestNnls:
     def test_matches_scipy_on_random_problems(self):
         rng = np.random.default_rng(7)

@@ -203,7 +203,7 @@ class TestDatasetIO:
         assert len(fam2) == len(fam)
         assert fam2.regimes[1].targets == (0,)
         for a, b in zip(datasets, loaded):
-            assert np.allclose(a, b)
+            assert np.array_equal(a, b)  # %.17g round-trips a float exactly
 
     def test_empty_dataset_keeps_header(self, tmp_path):
         fam = scm.InterventionFamily((scm.InterventionRegime(),))
@@ -212,3 +212,67 @@ class TestDatasetIO:
         assert text.splitlines()[0] == "y0,y1,y2"
         loaded, _ = scm.read_dataset(tmp_path)
         assert loaded[0].shape == (0, 3)
+
+    def test_a_header_and_blank_lines_load_as_no_rows(self, tmp_path):
+        fam = scm.InterventionFamily((scm.InterventionRegime(), scm.InterventionRegime((0,))))
+        scm.write_dataset(tmp_path, [np.ones((2, 3)), np.zeros((0, 3))], fam)
+        (tmp_path / "regime_1.csv").write_text("y0,y1,y2\n\n  \n\n")
+        assert scm.read_regime_csv(tmp_path / "regime_1.csv").shape == (0, 3)
+        loaded, _ = scm.read_dataset(tmp_path)
+        assert [data.shape for data in loaded] == [(2, 3), (0, 3)]
+
+    @pytest.mark.parametrize("data", [
+        np.array([[-0.0, 5e-324, -5e-324], [1.7976931348623157e308, -1.7976931348623157e308, 1 / 3],
+                  [np.nan, np.inf, -np.inf], [0.1, -2.5e-300, 123456789.0]]),
+        np.zeros((0, 3)),
+        np.zeros((0, 1)),
+        np.array([[1 / 3], [-0.0], [2.0 ** 60]]),
+        np.random.default_rng(0).normal(size=(scm._CSV_BLOCK_ROWS, 1)),
+        np.random.default_rng(1).normal(scale=1e5, size=(2 * scm._CSV_BLOCK_ROWS + 1, 2)),
+    ], ids=["extremes", "no-rows", "no-rows-p1", "p1", "one-full-block", "past-two-blocks"])
+    def test_csv_bytes_equal_numpy_savetxt(self, tmp_path, data):
+        header = ",".join(f"y{j}" for j in range(data.shape[1]))
+        np.savetxt(tmp_path / "oracle.csv", data, delimiter=",", header=header, comments="",
+                   fmt="%.17g")
+        scm.write_regime_csv(tmp_path / "regime.csv", data)
+        assert (tmp_path / "regime.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_an_interrupted_write_leaves_the_earlier_files_whole(self, tmp_path, monkeypatch):
+        fam = scm.single_node_family(2)
+        scm.write_dataset(tmp_path, [np.full((6, 2), k) for k in range(len(fam))], fam)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        class Interrupted(Exception):
+            pass
+
+        class CutAfterOneBlock:
+            """regime_1's file: the header and one block are written, then a write raises."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise Interrupted
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        def cut_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return CutAfterOneBlock(fh) if path.name == "regime_1.csv.tmp" else fh
+
+        monkeypatch.setattr(scm, "_CSV_BLOCK_ROWS", 2)
+        monkeypatch.setattr(scm, "open", cut_open, raising=False)
+        with pytest.raises(Interrupted):
+            scm.write_dataset(tmp_path, [np.full((6, 2), -1.0)] * len(fam), fam)
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)  # no .tmp file is left behind
+        assert after["regime_0.csv"] != before["regime_0.csv"]  # written before the cut
+        for name in ("regime_1.csv", "regime_2.csv", "family.json"):
+            assert after[name] == before[name]
