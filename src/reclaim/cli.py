@@ -3,19 +3,23 @@
 Exit codes: 0 success, 2 usage/config error (including a config file that
 is not a JSON object or whose "channel", sweep "base" or "em" is not one, a
 sweep "out_dir" that is not a string, a channel.json that is malformed,
-names an unknown type, lacks a key or has a rank-deficient mixing matrix, a
-family.json or regime CSV that does not parse, a regime CSV with a
-non-finite entry or another number of columns than the others, a channel
-whose p is not the data's column count, a regime whose target is not an
-integer node index in [0, d) or whose mean or variance is not a finite
-number, an "include_observational" or "use_true_noise" that is not true or
-false, a checkpoint.json to resume from that is malformed, has a round
-record field of the wrong type, or is of another dimension than the data, a
-truth graph or report that does not parse, and an evaluation against a
-truth graph with no edges), 3 I/O failure, 4 unmet interventional-coverage
+names an unknown type, lacks a key, has an "A" or "sigma_sq" that is not an
+array of numbers (a ragged one among them), an "A" with no columns or a
+non-finite entry, or a rank-deficient mixing matrix, a family.json or
+regime CSV that does not parse, a regime CSV with a non-finite entry or
+another number of columns than the others, a channel whose p is not the
+data's column count, a regime whose target is not an integer node index in
+[0, d) or whose mean or variance is not a finite number, an
+"include_observational" or "use_true_noise" that is not true or false, a
+checkpoint.json to resume from that is malformed, has a round record field
+of the wrong type, or is of another dimension than the data, a truth graph
+or report that does not parse, and an evaluation against a truth graph with
+no edges), 3 I/O failure (a data directory without family.json among them,
+which is what a cut ``simulate`` leaves), 4 unmet interventional-coverage
 requirement, 5 numerical failure (too many degenerate observations in an
-E-step, a fixed-point iteration that stalls, or a forward map that fails
-the orientation check).
+E-step, a fixed-point iteration that stalls, a forward map that fails the
+orientation check, or a linear channel whose projection design cannot reach
+rank p).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,
@@ -40,7 +44,8 @@ import numpy as np
 
 from . import em, graphs, measurement, scm
 from .errors import (ConvergenceError, EStepError, IdentifiabilityError,
-                     ParameterError, RankError, UndefinedMetricError, check_number)
+                     ParameterError, RankError, SamplingFailureError,
+                     UndefinedMetricError, check_number)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,7 +158,7 @@ def _atomic_write(path, text):
 # simulate
 
 
-def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.Channel:
+def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.LinearChannel:
     """The simulated channel: the config's "A" and "sigma_sq", or random draws."""
     spec = {"type": "gan", **channel_cfg}
     p = _config_number(spec, "p", d, integral=True) if spec["type"] == "linear" else d
@@ -198,7 +203,9 @@ def run_simulate(config: dict, out_dir) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scm.write_dataset(out, datasets, family)
+    # family.json marks a whole set (see scm.write_dataset): it goes before
+    # any file is replaced and comes back last.
+    (out / "family.json").unlink(missing_ok=True)
     _atomic_write(out / "channel.json", measurement.channel_to_json(channel))
     _atomic_write(out / "truth_graph.json", graphs.graph_to_json(graph))
     _atomic_write(out / "scm.json", json.dumps({
@@ -206,6 +213,7 @@ def run_simulate(config: dict, out_dir) -> None:
         "beta": truth.beta,
         "sigma_z": truth.noise_std.tolist(),
     }))
+    scm.write_dataset(out, datasets, family)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +463,7 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IDENTIFIABILITY
-    except (EStepError, ConvergenceError) as exc:
+    except (EStepError, ConvergenceError, SamplingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

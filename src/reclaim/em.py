@@ -19,18 +19,17 @@ import numpy as np
 from . import noise
 from .errors import EStepError, ParameterError, check_number
 from .graphs import DirectedGraph
-from .measurement import Channel, channel_from_dict, channel_logpdf
+from .measurement import LinearChannel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
                     params_to_dict, sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch, weighted_draws
-from .scm import InterventionFamily, InterventionRegime
+from .scm import InterventionFamily, InterventionRegime, atomic_open
 
 logger = logging.getLogger(__name__)
 
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
-_TRAINED_FIELDS = ("w_in", "b_in", "w_out", "b_out", "edge_logits")
 
 
 @dataclass
@@ -127,7 +126,7 @@ class RoundRecord(TypedDict):
 class FitReport:
     edge_scores: np.ndarray
     theta: ModelParams
-    phi_hat: Channel
+    phi_hat: LinearChannel
     diagnostics: dict  # "rounds_completed", "converged" and the "trace" they derive from
 
 
@@ -164,7 +163,7 @@ def _multiplicity(particles: np.ndarray) -> np.ndarray:
     return np.bincount(owner, minlength=n * r)
 
 
-def e_step(theta: ModelParams, phi_hat: Channel, datasets, family: InterventionFamily,
+def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: InterventionFamily,
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
 
@@ -255,7 +254,7 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
     return total / cache.n_particles
 
 
-def channel_term(cache: ParticleCache, phi_hat: Channel) -> float:
+def channel_term(cache: ParticleCache, phi_hat: LinearChannel) -> float:
     """Mean channel log-density over cached particles (constant in theta).
 
     Like ``surrogate_q``, it scores each regime's distinct particles once, in
@@ -361,7 +360,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
 
 
 def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
-                  seed) -> Channel:
+                  seed) -> LinearChannel:
     """The measurement channel a ``channel.json`` object describes.
 
     ``channel_spec`` is {"type": "gan", "sigma_sq": [...]} or {"type":
@@ -451,7 +450,7 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
                      diagnostics=diagnostics)
 
 
-def elbo_estimate(theta: ModelParams, phi_hat: Channel, datasets,
+def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
                   family: InterventionFamily, cfg: EmConfig, seed=None,
                   return_se: bool = False):
     """Self-normalized importance estimate of sum_k sum_l log p(y | theta, phi).
@@ -500,7 +499,7 @@ def write_trace_csv(path, trace: list) -> None:
     lines = [",".join(columns)]
     for entry in trace:
         lines.append(",".join("" if entry[c] is None else repr(entry[c]) for c in columns))
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

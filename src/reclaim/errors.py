@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one numeric-type check."""
+"""Exception types shared across the package, and its numeric-type checks."""
 
 import numbers
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -18,6 +20,15 @@ def check_number(name: str, value, kind=float):
         raise ParameterError(f"{name} must be "
                              f"{'an integer' if integral else 'a real number'}, got {value!r}")
     return int(value) if integral else float(value)
+
+
+def check_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array. A value numpy cannot read as one, such as a
+    ragged list or a list holding a string, is a ``ParameterError``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ParameterError(f"{name} must be an array of numbers: {exc}") from exc
 
 
 class ConvergenceError(RuntimeError):

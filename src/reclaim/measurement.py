@@ -1,9 +1,8 @@
 """Measurement channels: corrupt latents into observations.
 
-Two channels are supported: additive Gaussian noise on each coordinate
-(``y = x + eps``) and a known full-column-rank linear mixing
-(``y = A x + eps``), both with independent Gaussian noise of per-output
-variance ``noise_var``.
+A channel is a known full-column-rank linear mixing ``y = A x + eps`` with
+independent Gaussian noise of per-output variance ``noise_var``. The
+additive channel ``y = x + eps`` is the case A = I.
 """
 
 from __future__ import annotations
@@ -13,40 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RankError
+from .errors import ParameterError, RankError, check_array
 
 _RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class GaussianAdditiveChannel:
-    """y = x + eps, eps ~ N(0, diag(noise_var))."""
-
-    noise_var: np.ndarray
-
-    def __post_init__(self):
-        var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
-        if var.ndim != 1 or not np.all(np.isfinite(var) & (var > 0)):
-            raise ParameterError("noise variances must be a positive finite vector")
-        object.__setattr__(self, "noise_var", var)
-
-    @property
-    def d(self) -> int:
-        return self.noise_var.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.noise_var.shape[0]
-
-    @property
-    def mixing(self) -> np.ndarray:
-        """The identity: y = I x + eps."""
-        return np.eye(self.d)
-
-
-@dataclass(frozen=True)
 class LinearChannel:
-    """y = A x + eps with known A (p x d, rank d) and eps ~ N(0, diag(noise_var))."""
+    """y = A x + eps with known A (p x d, rank d >= 1) and eps ~ N(0, diag(noise_var))."""
 
     mixing: np.ndarray
     noise_var: np.ndarray
@@ -57,8 +30,12 @@ class LinearChannel:
         if A.ndim != 2:
             raise ParameterError("mixing matrix must be 2-dimensional")
         p, d = A.shape
+        if d == 0:
+            raise ParameterError("need at least one latent (d=0)")
         if p < d:
             raise ParameterError(f"need at least as many measurements as latents (p={p}, d={d})")
+        if not np.all(np.isfinite(A)):
+            raise ParameterError("mixing matrix must be finite")
         if var.shape != (p,) or not np.all(np.isfinite(var) & (var > 0)):
             raise ParameterError("noise variances must be a positive finite p-vector")
         smallest = np.linalg.svd(A, compute_uv=False)[-1]
@@ -76,20 +53,21 @@ class LinearChannel:
         return self.mixing.shape[0]
 
 
-Channel = GaussianAdditiveChannel | LinearChannel
+class GaussianAdditiveChannel(LinearChannel):
+    """y = x + eps, eps ~ N(0, diag(noise_var)): the linear channel at A = I."""
+
+    def __init__(self, noise_var):
+        var = np.atleast_1d(np.asarray(noise_var, dtype=float))
+        super().__init__(np.eye(len(var)), var)
 
 
-def channel_mean(channel: Channel, x: np.ndarray) -> np.ndarray:
+def channel_mean(channel: LinearChannel, x: np.ndarray) -> np.ndarray:
     """Noise-free measurement of latent(s) x; accepts (d,) or (n, d)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(channel, GaussianAdditiveChannel):
-        return x.copy()
-    return x @ channel.mixing.T
+    return np.asarray(x, dtype=float) @ channel.mixing.T
 
 
-def measure(channel: Channel, x: np.ndarray, seed) -> np.ndarray:
+def measure(channel: LinearChannel, x: np.ndarray, seed) -> np.ndarray:
     """Draw y | x; accepts a (d,) vector or an (n, d) batch."""
-    x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     mean = channel_mean(channel, x)
     return mean + rng.normal(0.0, np.sqrt(channel.noise_var), size=mean.shape)
@@ -100,7 +78,7 @@ def diag_gauss_logpdf(resid: np.ndarray, var) -> np.ndarray:
     return -0.5 * np.sum(np.log(2.0 * np.pi * var) + resid ** 2 / var, axis=-1)
 
 
-def channel_logpdf(channel: Channel, y: np.ndarray, x: np.ndarray):
+def channel_logpdf(channel: LinearChannel, y: np.ndarray, x: np.ndarray):
     """Exact diagonal-Gaussian log density log p(y | x).
 
     Vectorizes over leading batch dimensions of either argument; returns a
@@ -117,7 +95,7 @@ def channel_logpdf(channel: Channel, y: np.ndarray, x: np.ndarray):
     return float(ll) if ll.ndim == 0 else ll
 
 
-def channel_to_json(channel: Channel) -> str:
+def channel_to_json(channel: LinearChannel) -> str:
     if isinstance(channel, GaussianAdditiveChannel):
         return json.dumps({"type": "gan", "sigma_sq": channel.noise_var.tolist()})
     return json.dumps({
@@ -127,24 +105,27 @@ def channel_to_json(channel: Channel) -> str:
     })
 
 
-def channel_from_dict(spec: dict) -> Channel:
+def channel_from_dict(spec: dict) -> LinearChannel:
     """The channel a ``channel.json`` object describes.
 
     ``{"type": "gan", "sigma_sq": [...]}`` or ``{"type": "linear", "A": [[...]],
-    "sigma_sq": [...]}``; other keys are ignored. This is the one place a
-    channel type name becomes a class.
+    "sigma_sq": [...]}``; other keys are ignored. A missing key, or a value
+    that is not an array of numbers, is a ``ParameterError`` naming it. This
+    is the one place a channel type name becomes a class.
     """
     kind = spec.get("type")
-    try:
-        if kind == "gan":
-            return GaussianAdditiveChannel(np.asarray(spec["sigma_sq"], dtype=float))
-        if kind == "linear":
-            return LinearChannel(np.asarray(spec["A"], dtype=float),
-                                 np.asarray(spec["sigma_sq"], dtype=float))
-    except KeyError as exc:
-        raise ParameterError(f"{kind} channel spec has no {exc.args[0]!r}") from exc
-    raise ParameterError(f"unknown channel type {kind!r}; expected 'gan' or 'linear'")
+    if kind not in ("gan", "linear"):
+        raise ParameterError(f"unknown channel type {kind!r}; expected 'gan' or 'linear'")
+
+    def field(key):
+        if key not in spec:
+            raise ParameterError(f"{kind} channel spec has no {key!r}")
+        return check_array(f"{kind} channel's {key!r}", spec[key])
+
+    if kind == "gan":
+        return GaussianAdditiveChannel(field("sigma_sq"))
+    return LinearChannel(field("A"), field("sigma_sq"))
 
 
-def channel_from_json(text: str) -> Channel:
+def channel_from_json(text: str) -> LinearChannel:
     return channel_from_dict(json.loads(text))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, IdentifiabilityError, ParameterError, RankError,
-                     SamplingFailureError)
+                     SamplingFailureError, check_array)
 from .scm import InterventionFamily
 
 VARIANCE_FLOOR = 1e-6
@@ -116,8 +116,9 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     terminate with one row per node. Once every node has had its share of
     the m rows, nodes are asked round-robin for one row each until the
     squares reach rank p. Fails once the total draw budget (1e4 * m) is
-    spent without reaching rank p; a rank-deficient A, for which no vector
-    can isolate some latent, is rejected before any draw.
+    spent without reaching rank p, or at once when p = d, where the first
+    pass has already tried every node's one direction; a rank-deficient A,
+    for which no vector can isolate some latent, is rejected before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
@@ -130,7 +131,11 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     null space stay below the cosine limit.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or not np.all(np.isfinite(A)):
+        raise ParameterError("mixing matrix must be a finite 2-dimensional array")
     p, d = A.shape
+    if d == 0:
+        raise ParameterError("need at least one latent (d=0)")
     if m is None:
         m = 2 * p
     if m < p:
@@ -157,7 +162,9 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         if step >= d:  # top up until the design matrix certifies full rank
             if ranked != n:  # the rank changes only when a row is added
                 achieved, ranked = np.linalg.matrix_rank(sqs[:n]), n
-            if achieved == p or budget <= 0:
+            # With p = d the first pass has tried each node's one direction: a
+            # top-up cannot raise the rank.
+            if achieved == p or budget <= 0 or p == d:
                 break
             if n == len(vecs):
                 vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
@@ -207,7 +214,8 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
 
     if achieved < p:
         raise SamplingFailureError(
-            f"projection sampling exhausted its budget at rank {achieved} < {p}",
+            f"projection sampling found no design of full rank: it stopped at "
+            f"rank {achieved} < {p}",
             achieved_rank=achieved,
         )
     return ProjectionSet(vectors=vecs[:n], source_node=sources[:n])
@@ -294,7 +302,9 @@ def estimate_channel_noise(datasets, family: InterventionFamily,
     if channel_type == "linear":
         if A is None:
             raise ParameterError("linear channel estimation needs the mixing matrix")
-        A = np.asarray(A, dtype=float)
+        A = check_array("linear channel's 'A'", A)
+        if A.ndim != 2:
+            raise ParameterError("linear channel's 'A' must be a matrix")
         p = A.shape[0]
         proj = sample_projection_vectors(
             A, m=PIPELINE_ROWS_PER_MEASUREMENT * p,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import Channel, channel_logpdf
+from .measurement import LinearChannel, channel_logpdf
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
@@ -45,7 +45,7 @@ class GaussianProposal:
     in both cases the importance weights would collapse onto a few draws.
     """
 
-    def __init__(self, channel: Channel, Y: np.ndarray, regime: InterventionRegime, sigma_z):
+    def __init__(self, channel: LinearChannel, Y: np.ndarray, regime: InterventionRegime, sigma_z):
         self.d = channel.d
         free = regime.free_mask(self.d)
         prior_var = np.where(free, np.square(sigma_z), regime.variance)
@@ -66,7 +66,7 @@ class GaussianProposal:
         return xs, log_q
 
 
-def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
+def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: LinearChannel,
                    regime: InterventionRegime, intervention_var: float,
                    n_proposals: int, rng):
     """Proposal draws for a regime's observations with their log importance weights.
@@ -87,7 +87,7 @@ def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
         yield rows, xs, log_latent.reshape(rows.size, n_proposals) + log_chan - log_q
 
 
-def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: Channel,
+def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearChannel,
                      regime: InterventionRegime, intervention_var: float,
                      n_proposals: int, n_resample: int, seed=None):
     """Vectorized SIR across a regime's observations, in one importance pass.

@@ -345,11 +345,17 @@ def read_regime_csv(path) -> np.ndarray:
 
 
 def write_dataset(directory, datasets, family: InterventionFamily) -> None:
-    """Write regime_<k>.csv for every regime plus family.json."""
+    """Write regime_<k>.csv for every regime plus family.json.
+
+    family.json marks a whole set: it is removed before the first regime is
+    written and written last, so a write cut short leaves a directory that
+    ``read_dataset`` refuses, never one that mixes two sets.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if len(datasets) != len(family):
         raise ParameterError("one dataset per regime is required")
+    (directory / "family.json").unlink(missing_ok=True)
     for k, data in enumerate(datasets):
         write_regime_csv(directory / f"regime_{k}.csv", data)
     with atomic_open(directory / "family.json") as fh:
@@ -359,8 +365,9 @@ def write_dataset(directory, datasets, family: InterventionFamily) -> None:
 def read_dataset(directory):
     """Load (datasets, family) written by :func:`write_dataset`.
 
-    A regime CSV with a non-finite entry, or with another number of columns
-    than regime 0's, is a ``ParameterError``.
+    A directory without family.json, such as one whose write was cut short,
+    is a ``FileNotFoundError``. A regime CSV with a non-finite entry, or with
+    another number of columns than regime 0's, is a ``ParameterError``.
     """
     directory = Path(directory)
     family = family_from_json((directory / "family.json").read_text())

@@ -308,17 +308,63 @@ def test_rank_deficient_mixing_exits_2_before_any_output(tmp_path, capsys, comma
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"sigma_sq": [0.1, 0.2, 0.3]}', "error: unknown channel type None"),
-    ('{"type": "gan", "sigma_sq": [0.1, ', "error: malformed JSON in "),
-], ids=["no-type", "malformed-json"])
 @pytest.mark.parametrize("command", ["fit", "estimate-noise"])
+def test_a_projection_design_short_of_rank_p_exits_5_before_any_output(tmp_path, capsys,
+                                                                         command):
+    # Both columns' isolating directions, (1, -1) and (1, 1), square to the
+    # same row, so the squared projections have rank 1 < p = 2.
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 2, "n_per_regime": 50, "seed": 1, "graph_density": 1.0,
+                      "channel": {"type": "linear", "A": [[1, 1], [1, -1]]}}, data)
+    if command == "estimate-noise":
+        argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    else:
+        argv = _fit_argv(tmp_path, data, out)
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection sampling found no design of full rank") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Case id -> (channel.json text, the start of the error, the commands that read
+# the bad field). "fit" estimates the noise, as estimate-noise does, and
+# "fit-true-noise" reads "sigma_sq".
+_BAD_CHANNEL_JSON = {
+    "no-type": ('{"sigma_sq": [0.1, 0.2, 0.3]}', "error: unknown channel type None",
+                ("fit", "estimate-noise")),
+    "malformed-json": ('{"type": "gan", "sigma_sq": [0.1, ', "error: malformed JSON in ",
+                       ("fit", "estimate-noise")),
+    "non-numeric-A": ('{"type": "linear", "A": [[1, 0], [0, "one"], [1, 1]], '
+                      '"sigma_sq": [0.1, 0.2, 0.3]}',
+                      "error: linear channel's 'A' must be an array of numbers",
+                      ("fit", "fit-true-noise", "estimate-noise")),
+    "ragged-A": ('{"type": "linear", "A": [[1, 0], [0], [1, 1]], "sigma_sq": [0.1, 0.2, 0.3]}',
+                 "error: linear channel's 'A' must be an array of numbers",
+                 ("fit", "fit-true-noise", "estimate-noise")),
+    "null-in-A": ('{"type": "linear", "A": [[1, 0], [0, null], [1, 1]], '
+                  '"sigma_sq": [0.1, 0.2, 0.3]}',
+                  "error: mixing matrix must be", ("fit", "fit-true-noise", "estimate-noise")),
+    "empty-A": ('{"type": "linear", "A": [[]], "sigma_sq": [0.1]}',
+                "error: need at least one latent (d=0)",
+                ("fit", "fit-true-noise", "estimate-noise")),
+    "non-numeric-sigma_sq": ('{"type": "gan", "sigma_sq": [0.1, "low", 0.3]}',
+                             "error: gan channel's 'sigma_sq' must be an array of numbers",
+                             ("fit-true-noise",)),
+}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param(command, text, message, id=f"{command}-{case}")
+    for case, (text, message, commands) in _BAD_CHANNEL_JSON.items() for command in commands])
 def test_bad_channel_json_exits_2(tmp_path, capsys, text, message, command):
     data, out = tmp_path / "data", tmp_path / "out"
     cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
     (data / "channel.json").write_text(text)
-    argv = _fit_argv(tmp_path, data, out) if command == "fit" else \
-        ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    if command == "estimate-noise":
+        argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+    else:
+        argv = _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1

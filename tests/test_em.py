@@ -58,6 +58,41 @@ def test_trace_csv_reads_back_equal_to_the_trace(tmp_path, straight):
     assert [r["elbo_estimate"] is None for r in parsed] == [True, False, True, False]
 
 
+def test_a_cut_trace_csv_write_leaves_the_earlier_file_whole(tmp_path, monkeypatch, straight):
+    path = tmp_path / "trace.csv"
+    em.write_trace_csv(path, straight.diagnostics["trace"])
+    before = path.read_bytes()
+
+    class Interrupted(Exception):
+        pass
+
+    class HalfWritten:
+        """A handle whose write puts down half the text, then raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise Interrupted
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def cut_open(path, *args, **kwargs):
+        return HalfWritten(open(path, *args, **kwargs))
+
+    for module in (em, scm):  # wherever the file is opened
+        monkeypatch.setattr(module, "open", cut_open, raising=False)
+    with pytest.raises(Interrupted):
+        em.write_trace_csv(path, straight.diagnostics["trace"][:2])
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["trace.csv"]  # no .tmp file is left
+
+
 def test_trace_csv_of_an_empty_trace_is_its_header(tmp_path):
     em.write_trace_csv(tmp_path / "trace.csv", [])
     assert (tmp_path / "trace.csv").read_text() == \

@@ -20,6 +20,15 @@ class TestChannelConstruction:
         with pytest.raises(ParameterError, match="finite"):
             ms.LinearChannel(np.eye(2), np.array([0.1, bad]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: ms.GaussianAdditiveChannel(np.array([])),
+        lambda: ms.LinearChannel(np.zeros((0, 0)), np.array([])),
+        lambda: ms.LinearChannel(np.zeros((1, 0)), np.array([0.1])),
+    ], ids=["additive", "linear-0x0", "linear-1x0"])
+    def test_both_channels_reject_no_latents(self, make):
+        with pytest.raises(ParameterError, match=r"^need at least one latent \(d=0\)$"):
+            make()
+
     def test_linear_rejects_wide_matrix(self):
         with pytest.raises(ParameterError):
             ms.LinearChannel(np.ones((2, 3)), np.ones(2))
@@ -129,6 +138,39 @@ class TestChannelLogpdf:
         avg = float(np.mean(ms.channel_logpdf(chan, ys, np.tile(x, (40_000, 1)))))
         expected = -0.5 * np.sum(np.log(2 * np.pi * chan.noise_var) + 1.0)
         assert avg == pytest.approx(expected, abs=0.02)
+
+
+class TestAdditiveIsIdentityMixing:
+    """The additive channel's arithmetic is y = x + eps exactly, not up to rounding."""
+
+    @staticmethod
+    def batches():
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(9, 4))
+        x[2, 1], x[5, 3], x[7] = -0.0, 0.0, -0.0
+        return [x, x[:1], x[4]]  # a batch, a single row and a (d,) vector
+
+    def test_mean_is_x(self):
+        chan = ms.GaussianAdditiveChannel(np.array([0.2, 0.5, 0.3, 0.9]))
+        for x in self.batches():
+            assert np.array_equal(ms.channel_mean(chan, x), x)
+
+    def test_measure_adds_the_noise_to_x(self):
+        var = np.array([0.2, 0.5, 0.3, 0.9])
+        chan = ms.GaussianAdditiveChannel(var)
+        for x in self.batches():
+            noise = np.random.default_rng(11).normal(0.0, np.sqrt(var), size=x.shape)
+            assert np.array_equal(ms.measure(chan, x, seed=11), x + noise)
+
+    def test_logpdf_is_the_diagonal_density_of_y_minus_x(self):
+        var = np.array([0.2, 0.5, 0.3, 0.9])
+        chan = ms.GaussianAdditiveChannel(var)
+        rng = np.random.default_rng(12)
+        for x in self.batches():
+            y = x + rng.normal(size=x.shape)
+            y[..., 0] = x[..., 0]  # a zero residual
+            expected = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (y - x) ** 2 / var, axis=-1)
+            assert np.array_equal(ms.channel_logpdf(chan, y, x), expected)
 
 
 class TestDiagGaussLogpdf:

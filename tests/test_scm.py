@@ -272,7 +272,10 @@ class TestDatasetIO:
         with pytest.raises(Interrupted):
             scm.write_dataset(tmp_path, [np.full((6, 2), -1.0)] * len(fam), fam)
         after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        assert sorted(after) == sorted(before)  # no .tmp file is left behind
+        # family.json, the set's commit marker, is gone, and no .tmp file is left behind.
+        assert sorted(after) == sorted(set(before) - {"family.json"})
         assert after["regime_0.csv"] != before["regime_0.csv"]  # written before the cut
-        for name in ("regime_1.csv", "regime_2.csv", "family.json"):
+        for name in ("regime_1.csv", "regime_2.csv"):
             assert after[name] == before[name]
+        with pytest.raises(FileNotFoundError):  # the mixed set does not load
+            scm.read_dataset(tmp_path)
