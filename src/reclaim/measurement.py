@@ -17,6 +17,27 @@ from .errors import ParameterError, RankError, check_array
 _RANK_TOL = 1e-10
 
 
+def check_mixing(A) -> np.ndarray:
+    """A as a float array, once it is a finite p x d matrix with p >= d >= 1 and rank d.
+
+    The rank test is on the smallest singular value, at or below ``_RANK_TOL``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ParameterError("mixing matrix must be 2-dimensional")
+    p, d = A.shape
+    if d == 0:
+        raise ParameterError("need at least one latent (d=0)")
+    if p < d:
+        raise ParameterError(f"need at least as many measurements as latents (p={p}, d={d})")
+    if not np.all(np.isfinite(A)):
+        raise ParameterError("mixing matrix must be finite")
+    smallest = np.linalg.svd(A, compute_uv=False)[-1]
+    if smallest <= _RANK_TOL:
+        raise RankError(f"mixing matrix is rank deficient (smallest singular value {smallest:.2e})")
+    return A
+
+
 @dataclass(frozen=True)
 class LinearChannel:
     """y = A x + eps with known A (p x d, rank d >= 1) and eps ~ N(0, diag(noise_var))."""
@@ -25,22 +46,10 @@ class LinearChannel:
     noise_var: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.mixing, dtype=float)
+        A = check_mixing(self.mixing)
         var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
-        if A.ndim != 2:
-            raise ParameterError("mixing matrix must be 2-dimensional")
-        p, d = A.shape
-        if d == 0:
-            raise ParameterError("need at least one latent (d=0)")
-        if p < d:
-            raise ParameterError(f"need at least as many measurements as latents (p={p}, d={d})")
-        if not np.all(np.isfinite(A)):
-            raise ParameterError("mixing matrix must be finite")
-        if var.shape != (p,) or not np.all(np.isfinite(var) & (var > 0)):
+        if var.shape != (A.shape[0],) or not np.all(np.isfinite(var) & (var > 0)):
             raise ParameterError("noise variances must be a positive finite p-vector")
-        smallest = np.linalg.svd(A, compute_uv=False)[-1]
-        if smallest <= _RANK_TOL:
-            raise RankError(f"mixing matrix is rank deficient (smallest singular value {smallest:.2e})")
         object.__setattr__(self, "mixing", A)
         object.__setattr__(self, "noise_var", var)
 
@@ -62,8 +71,17 @@ class GaussianAdditiveChannel(LinearChannel):
 
 
 def channel_mean(channel: LinearChannel, x: np.ndarray) -> np.ndarray:
-    """Noise-free measurement of latent(s) x; accepts (d,) or (n, d)."""
-    return np.asarray(x, dtype=float) @ channel.mixing.T
+    """Noise-free measurement of latent(s) x, over any leading batch axes."""
+    return stacked_matmul(np.asarray(x, dtype=float), channel.mixing.T)
+
+
+def stacked_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` for x of any leading axes, as one GEMM over the flattened rows.
+
+    numpy runs a stacked product as one small GEMM per leading index; each
+    output row is the same dot products either way.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ M).reshape(*x.shape[:-1], M.shape[-1])
 
 
 def measure(channel: LinearChannel, x: np.ndarray, seed) -> np.ndarray:

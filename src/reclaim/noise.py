@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, IdentifiabilityError, ParameterError, RankError,
                      SamplingFailureError, check_array)
+from .measurement import check_mixing
 from .scm import InterventionFamily
 
 VARIANCE_FLOOR = 1e-6
@@ -27,6 +28,10 @@ _NULL_RESID_TOL = 1e-10
 EPS_SIG = 0.1
 DELTA_DIVERSITY = 0.05
 MAX_STREAK = 500  # consecutive rejections after which a node is passed over
+# The screened sampler: draws per block, and the slack (per unit of |a_i|, at
+# least 1) by which a screened signal may miss the window and still be tested.
+_SCREEN_BLOCK = 128
+_SCREEN_MARGIN = 1e-9
 
 
 def _covering_regimes(datasets, family, node):
@@ -117,8 +122,8 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     the m rows, nodes are asked round-robin for one row each until the
     squares reach rank p. Fails once the total draw budget (1e4 * m) is
     spent without reaching rank p, or at once when p = d, where the first
-    pass has already tried every node's one direction; a rank-deficient A,
-    for which no vector can isolate some latent, is rejected before any draw.
+    pass has already tried every node's one direction; a mixing matrix that
+    ``measurement.check_mixing`` rejects is rejected before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
@@ -129,22 +134,31 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     only where a node's null space is one-dimensional (p = d): the fixed
     direction's second draw repeats the first. Random directions in a wider
     null space stay below the cosine limit.
+
+    Most draws fail the signal window, so a node whose null space has r > 1
+    dimensions draws its normals ``_SCREEN_BLOCK`` at a time and screens the
+    block with one product. The basis B is orthonormal, so t = Bz / |Bz| has
+    signal |a_i' t| = |(B' a_i) . z| / |z|, and the screened signal differs
+    from the per-draw one by rounding only, far below the margin
+    (``_SCREEN_MARGIN`` times max(1, |a_i|)). Only a draw whose screened
+    signal lies within the margin of the window takes the per-draw
+    arithmetic: t = Bz, normalized, then the exact signal and diversity
+    tests. Every accepted row is therefore the one a per-draw loop computes;
+    the other draws only spend budget and lengthen the streak. A node that
+    stops inside a block rewinds the generator to the block's start and
+    redraws just the rows it used, so the next node sees the stream a
+    per-draw loop leaves. A node that accepts nothing replays its draws per
+    draw to find its strongest. The returned set is byte-equal to the
+    per-draw loop's.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or not np.all(np.isfinite(A)):
-        raise ParameterError("mixing matrix must be a finite 2-dimensional array")
+    A = check_mixing(A)
     p, d = A.shape
-    if d == 0:
-        raise ParameterError("need at least one latent (d=0)")
     if m is None:
         m = 2 * p
     if m < p:
         raise ParameterError(f"need at least p={p} rows, got m={m}")
     if signal_cap is not None and signal_cap <= EPS_SIG:
         raise ParameterError("signal_cap must exceed EPS_SIG")
-    rank = np.linalg.matrix_rank(A)
-    if rank < d:
-        raise RankError(f"mixing matrix is rank deficient (rank {rank} < d={d})")
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
@@ -158,6 +172,21 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     vecs, sqs = np.empty((m, p)), np.empty((m, p))
     sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
     n, budget, ranked = 0, 10_000 * m, -1
+
+    def admit(t, node, diverse_only=True):
+        """Add row t for node; with ``diverse_only``, only if its squares are diverse enough."""
+        nonlocal n
+        sq = t * t
+        sq_norm = math.sqrt(sq @ sq)
+        if diverse_only and n:
+            cos = sqs[:n] @ sq
+            cos /= sq_norm * sq_norms[:n]
+            if cos.max() > cos_limit:
+                return False
+        vecs[n], sqs[n], sq_norms[n], sources[n] = t, sq, sq_norm, node
+        n += 1
+        return True
+
     for step in itertools.count():
         if step >= d:  # top up until the design matrix certifies full rank
             if ranked != n:  # the rank changes only when a row is added
@@ -175,32 +204,59 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         r = basis.shape[1]
         got = streak = 0
         best_sig, best_t = 0.0, None
-        while got < want and streak < MAX_STREAK and budget > 0:
-            budget -= 1
-            if r == 1:
-                t = basis[:, 0]  # only admissible direction, already unit norm
-            else:
-                t = basis @ rng.standard_normal(r)
-                # The basis is orthonormal, so the norm is |z| > 0. math.sqrt(v @ v)
-                # is how np.linalg.norm takes a vector's norm: bit-equal, fewer calls.
-                t /= math.sqrt(t @ t)
-            sig = abs(col @ t)
-            if sig > best_sig:
-                best_sig, best_t = sig, t
-            if EPS_SIG <= sig <= cap:
-                sq = t * t
-                sq_norm = math.sqrt(sq @ sq)
-                cos = sqs[:n] @ sq
-                cos /= sq_norm * sq_norms[:n]
-                if not n or cos.max() <= cos_limit:
-                    vecs[n], sqs[n], sq_norms[n], sources[n] = t, sq, sq_norm, node
-                    n += 1
-                    got += 1
-                    streak = 0
-                    continue
-            if r == 1:
-                break  # redraws cannot change a fixed direction
-            streak += 1
+        if r == 1:
+            t = basis[:, 0]  # only admissible direction, already unit norm
+            while got < want and budget > 0:
+                budget -= 1
+                sig = abs(col @ t)
+                if sig > best_sig:
+                    best_sig, best_t = sig, t
+                if not (EPS_SIG <= sig <= cap and admit(t, node)):
+                    break  # redraws cannot change a fixed direction
+                got += 1
+        else:
+            w = basis.T @ col  # screened signal of z: |w . z| / |z|
+            margin = _SCREEN_MARGIN * max(1.0, math.sqrt(col @ col))
+            lo, hi = EPS_SIG - margin, cap + margin
+            drawn = []  # the node's draws while it has accepted none, for the fallback
+            while got < want and streak < MAX_STREAK and budget > 0:
+                state = rng.bit_generator.state
+                Z = rng.standard_normal((_SCREEN_BLOCK, r))
+                screened = np.abs(Z @ w)
+                screened /= np.sqrt(np.einsum("ij,ij->i", Z, Z))
+                used = 0
+                for c in [*np.flatnonzero((screened >= lo) & (screened <= hi)).tolist(),
+                          _SCREEN_BLOCK]:
+                    # The draws before candidate c fail the signal test: each
+                    # only spends budget and lengthens the streak.
+                    skip = min(c - used, MAX_STREAK - streak, budget)
+                    used, streak, budget = used + skip, streak + skip, budget - skip
+                    if c == _SCREEN_BLOCK or streak >= MAX_STREAK or budget <= 0:
+                        break
+                    used, budget = used + 1, budget - 1
+                    t = basis @ Z[c]
+                    # The basis is orthonormal, so the norm is |z| > 0. math.sqrt(v @ v)
+                    # is how np.linalg.norm takes a vector's norm: bit-equal, fewer calls.
+                    t /= math.sqrt(t @ t)
+                    if EPS_SIG <= abs(col @ t) <= cap and admit(t, node):
+                        got, streak = got + 1, 0
+                        if got == want:
+                            break
+                    else:
+                        streak += 1
+                if not got:
+                    drawn.append(Z[:used])
+                if used < _SCREEN_BLOCK:  # stopped inside the block
+                    rng.bit_generator.state = state
+                    rng.standard_normal((used, r))
+            if not got and node not in sources[:n]:
+                # Replay the node's draws per draw to find its strongest one.
+                for z in itertools.chain.from_iterable(drawn):
+                    t = basis @ z
+                    t /= math.sqrt(t @ t)
+                    sig = abs(col @ t)
+                    if sig > best_sig:
+                        best_sig, best_t = sig, t
         # A node whose admissible directions cannot pass the signal or
         # diversity tests (e.g. a one-dimensional null space whose forced
         # direction has weak signal or resembles another node's) would
@@ -208,9 +264,7 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         # deficient. Fall back to the node's strongest draw as long as it
         # is genuinely admissible (nonzero signal).
         if got == 0 and best_sig > 1e-8 and node not in sources[:n]:
-            sq = best_t * best_t
-            vecs[n], sqs[n], sq_norms[n], sources[n] = best_t, sq, math.sqrt(sq @ sq), node
-            n += 1
+            admit(best_t, node, diverse_only=False)
 
     if achieved < p:
         raise SamplingFailureError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import LinearChannel, channel_logpdf
+from .measurement import LinearChannel, channel_logpdf, stacked_matmul
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
@@ -60,7 +60,7 @@ class GaussianProposal:
     def draw(self, rng, rows, n_samples: int):
         """``(xs, log_q)``: (len(rows), n_samples, d) draws and their log-densities."""
         eps = rng.normal(size=(len(rows), n_samples, self.d))
-        xs = self.mean[rows][:, None, :] + eps @ self.chol.T
+        xs = self.mean[rows][:, None, :] + stacked_matmul(eps, self.chol.T)
         log_q = -0.5 * (self.d * np.log(2.0 * np.pi) + self.logdet_cov
                         + np.sum(eps * eps, axis=-1))
         return xs, log_q

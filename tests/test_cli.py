@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reclaim import cli, em, graphs, measurement, model, noise, scm
-from reclaim.errors import ConvergenceError, EStepError
+from reclaim.errors import ConvergenceError, EStepError, RankError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
            "n_proposals": 8, "n_resample": 2}
@@ -302,9 +302,12 @@ def test_rank_deficient_mixing_exits_2_before_any_output(tmp_path, capsys, comma
         argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
     else:
         argv = _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
+    with pytest.raises(RankError) as expected:
+        measurement.check_mixing(A)
     assert cli.main(argv) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: mixing matrix is rank deficient") and err.count("\n") == 1
+    # One check, so one message, whichever command meets the matrix first.
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert str(expected.value).startswith("mixing matrix is rank deficient")
     assert not out.exists()
 
 

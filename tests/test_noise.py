@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -139,6 +142,114 @@ class TestNullSpaceBasis:
             noise.null_space_basis(np.delete(A, 0, axis=1).T)
 
 
+def per_draw_sampler(A, m, delta, seed, signal_cap, events):
+    """``noise.sample_projection_vectors`` as a per-draw loop, its arguments already checked.
+
+    Each draw pays a normal draw, a product, a norm and the exact tests: the
+    reference the screened sampler must match byte for byte. ``events``
+    collects the branches of the screened sampler a run exercises.
+    """
+    A = np.asarray(A, dtype=float)
+    p, d = A.shape
+    rng = np.random.default_rng(seed)
+    bases = [noise.null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
+    quota = [m // d + (i < m % d) for i in range(d)]
+    cos_limit = 1.0 - delta
+    cap = math.inf if signal_cap is None else signal_cap
+    vecs, sqs = np.empty((m, p)), np.empty((m, p))
+    sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
+    n, budget, ranked = 0, 10_000 * m, -1
+    for step in itertools.count():
+        if step >= d:
+            if ranked != n:
+                achieved, ranked = np.linalg.matrix_rank(sqs[:n]), n
+            if achieved == p or budget <= 0 or p == d:
+                break
+            if n == len(vecs):
+                vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
+                                                for a in (vecs, sqs, sq_norms, sources))
+        node = step % d
+        want = quota[node] if step < d else 1
+        basis, col = bases[node], A[:, node]
+        r = basis.shape[1]
+        got = streak = draws = 0
+        best_sig, best_t = 0.0, None
+        while got < want and streak < noise.MAX_STREAK and budget > 0:
+            budget -= 1
+            draws += 1
+            if r == 1:
+                t = basis[:, 0]
+            else:
+                t = basis @ rng.standard_normal(r)
+                t /= math.sqrt(t @ t)
+            sig = abs(col @ t)
+            if sig > best_sig:
+                best_sig, best_t = sig, t
+            if noise.EPS_SIG <= sig <= cap:
+                sq = t * t
+                sq_norm = math.sqrt(sq @ sq)
+                cos = sqs[:n] @ sq
+                cos /= sq_norm * sq_norms[:n]
+                if not n or cos.max() <= cos_limit:
+                    vecs[n], sqs[n], sq_norms[n], sources[n] = t, sq, sq_norm, node
+                    n += 1
+                    got += 1
+                    streak = 0
+                    continue
+            if r == 1:
+                break
+            streak += 1
+        events.add("r=1" if r == 1 else "r>1")
+        if streak == noise.MAX_STREAK:
+            events.add("max-streak")
+        if budget == 0 and draws % noise._SCREEN_BLOCK:
+            events.add("budget-mid-block")
+        if got == 0 and best_sig > 1e-8 and node not in sources[:n]:
+            events.add("fallback r=1" if r == 1 else "fallback r>1")
+            sq = best_t * best_t
+            vecs[n], sqs[n], sq_norms[n], sources[n] = best_t, sq, math.sqrt(sq @ sq), node
+            n += 1
+    if achieved < p:
+        raise SamplingFailureError(
+            f"projection sampling found no design of full rank: it stopped at "
+            f"rank {achieved} < {p}",
+            achieved_rank=achieved,
+        )
+    return noise.ProjectionSet(vectors=vecs[:n], source_node=sources[:n])
+
+
+def _normal_mixing(shape, a_seed):
+    return np.random.default_rng(a_seed).normal(0, np.sqrt(1.5), size=shape)
+
+
+_PIPELINE = (noise.PIPELINE_DELTA, noise.PIPELINE_SIGNAL_CAP)
+# (A, m, delta, signal_cap, sampler seed) for the screened sampler against the
+# per-draw loop: default and pipeline settings on tall and square matrices, a
+# narrow window whose nodes run out their streak and fall back to their best
+# draw, and a design whose squares cannot reach rank 3, so the top-up spends
+# the whole budget and stops inside a block.
+_ORACLE_GRID = {
+    **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0],
+                                       noise.DELTA_DIVERSITY, None, a + 10)
+       for s in [(12, 8), (20, 10), (8, 5), (5, 2), (6, 6), (3, 3)] for a in range(2)},
+    **{f"pipeline-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a),
+                                       noise.PIPELINE_ROWS_PER_MEASUREMENT * s[0], *_PIPELINE, a)
+       for s in [(20, 10), (12, 6), (30, 4), (10, 10)] for a in range(2)},
+    **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, noise.DELTA_DIVERSITY, 0.12, 0)
+       for a in range(3)},
+    "budget-spent": (np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), 3, 0.5, None, 0),
+}
+
+
+def _outcome(run):
+    try:
+        ps = run()
+    except SamplingFailureError as exc:
+        return type(exc), str(exc), exc.achieved_rank
+    return (ps.vectors.shape, ps.vectors.tobytes(), ps.source_node.dtype,
+            ps.source_node.tobytes())
+
+
 class TestProjectionSampler:
     def test_padded_identity_full_rank(self):
         A = np.vstack([np.eye(2), np.zeros((1, 2))])
@@ -178,6 +289,29 @@ class TestProjectionSampler:
         cos = (unit @ unit.T)[np.triu_indices(ps.m, k=1)]
         assert np.max(cos) <= 1.0 - delta + 1e-12
 
+    @pytest.mark.parametrize("case", list(_ORACLE_GRID))
+    def test_screened_sampler_matches_the_per_draw_loop(self, case):
+        A, m, delta, cap, seed = _ORACLE_GRID[case]
+        ours = _outcome(lambda: noise.sample_projection_vectors(
+            A, m=m, delta=delta, seed=seed, signal_cap=cap))
+        assert ours == _outcome(lambda: per_draw_sampler(A, m, delta, seed, cap, set()))
+
+    def test_the_oracle_grid_reaches_every_branch(self):
+        events = set()
+        for A, m, delta, cap, seed in _ORACLE_GRID.values():
+            try:
+                per_draw_sampler(A, m, delta, seed, cap, events)
+            except SamplingFailureError:
+                events.add("failure")
+        assert events >= {"r=1", "r>1", "max-streak", "budget-mid-block", "fallback r>1",
+                          "failure"}
+
+    def test_the_fallback_keeps_a_row_outside_the_signal_window(self):
+        A = _normal_mixing((8, 5), 1)
+        ps = noise.sample_projection_vectors(A, m=8, signal_cap=0.12, seed=0)
+        sig = np.abs(np.sum(ps.vectors * A[:, ps.source_node].T, axis=1))
+        assert np.any((sig < noise.EPS_SIG) | (sig > 0.12))
+
     def test_m_below_p_rejected(self):
         A = np.random.default_rng(0).normal(size=(5, 3))
         with pytest.raises(ParameterError):
@@ -192,7 +326,7 @@ class TestProjectionSampler:
         np.column_stack([np.eye(3)[:, :2], np.eye(3)[:, :2] @ [1.0, 1e-7]]),
     ], ids=["column-sum", "near-parallel-columns"])
     def test_rank_deficient_mixing_rejected_before_any_draw(self, A):
-        with pytest.raises(RankError, match=r"rank 2 < d=3"):
+        with pytest.raises(RankError, match=r"^mixing matrix is rank deficient \(smallest "):
             noise.sample_projection_vectors(A, seed=0)
 
     @pytest.mark.parametrize("A, m, rank", [
