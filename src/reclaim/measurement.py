@@ -20,7 +20,9 @@ _RANK_TOL = 1e-10
 def check_mixing(A) -> np.ndarray:
     """A as a float array, once it is a finite p x d matrix with p >= d >= 1 and rank d.
 
-    The rank test is on the smallest singular value, at or below ``_RANK_TOL``.
+    The rank test is relative to the scale of A: it fails when the smallest
+    singular value is at or below ``_RANK_TOL`` times the largest, so a
+    multiple of A gets the same verdict as A.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -32,9 +34,11 @@ def check_mixing(A) -> np.ndarray:
         raise ParameterError(f"need at least as many measurements as latents (p={p}, d={d})")
     if not np.all(np.isfinite(A)):
         raise ParameterError("mixing matrix must be finite")
-    smallest = np.linalg.svd(A, compute_uv=False)[-1]
-    if smallest <= _RANK_TOL:
-        raise RankError(f"mixing matrix is rank deficient (smallest singular value {smallest:.2e})")
+    singular = np.linalg.svd(A, compute_uv=False)
+    smallest, largest = singular[-1], singular[0]
+    if smallest <= _RANK_TOL * largest:
+        raise RankError(f"mixing matrix is rank deficient (smallest singular value "
+                        f"{smallest:.2e}, largest {largest:.2e})")
     return A
 
 

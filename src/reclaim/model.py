@@ -217,27 +217,73 @@ def _mask_values(mask) -> np.ndarray:
 # forward pass and Jacobian
 
 
-def _forward_core(params: ModelParams, M: np.ndarray, X: np.ndarray, idx=slice(None)):
-    """Returns (outputs, hidden) of the output coordinates ``idx``; hidden is (s, i, h).
+class _Kernel:
+    """Forward pass and Jacobian block of the output coordinates ``idx``, a block of
+    rows at a time.
 
-    The bias rides in the input GEMM: X gains a column of ones and W a row b_in.
+    The layer constants are built once, when the kernel is: W (d+1, |F|*h), with
+    W[j, a*h + k] = M[j, F[a]] * w_in[j, k] and b_in as its last row, so the bias
+    rides in the input GEMM; w_out[:, F] and its (a, h)-ordered flattening;
+    w_in[F].T; and -M[F, F].T flattened. Each call writes its block into buffers
+    of ``rows`` rows, so the arrays it returns are views that the next call
+    overwrites. With ``jacobian=False`` only the forward buffers exist.
     """
-    n, d = X.shape
-    h = params.hidden
-    M = M[:, idx]
-    k = M.shape[1]
-    X1 = np.empty((n, d + 1))
-    X1[:, :d] = X
-    X1[:, d] = 1.0
-    W = np.empty((d + 1, k, h))
-    np.multiply(M[:, :, None], params.w_in[:, None, :], out=W[:d])
-    W[d] = params.b_in
-    hid = (X1 @ W.reshape(d + 1, k * h)).reshape(n, k, h)
-    if params.activation == "tanh":
-        np.tanh(hid, out=hid)
-    out = np.einsum("sih,hi->si", hid, params.w_out[:, idx])
-    out += params.b_out[idx]
-    return out, hid
+
+    def __init__(self, params: ModelParams, M: np.ndarray, idx, rows: int,
+                 jacobian: bool = True):
+        d, h = params.d, params.hidden
+        M_idx = M[:, idx]
+        k = M_idx.shape[1]
+        self.params = params
+        self.k, self.h = k, h
+        W = np.empty((d + 1, k, h))
+        np.multiply(M_idx[:, :, None], params.w_in[:, None, :], out=W[:d])
+        W[d] = params.b_in
+        self.W = W.reshape(d + 1, k * h)
+        self.w_out = params.w_out[:, idx]
+        self.b_out = params.b_out[idx]
+        self.X1 = np.empty((rows, d + 1))
+        self.X1[:, d] = 1.0
+        self.hid = np.empty((rows, k * h))
+        if jacobian:
+            self.w_out_flat = self.w_out.T.ravel()
+            self.w_in_t = params.w_in[idx].T
+            self.neg_mask = -M_idx[idx].T.ravel()
+            self.dw = np.empty((rows, k * h))
+            self.core = np.empty((rows * k, k))
+            self.B = np.empty((rows, k * k))
+
+    def forward(self, X: np.ndarray):
+        """(outputs (n, |F|), hidden units (n, |F|, h)) of the rows of X."""
+        n, d = X.shape
+        X1 = self.X1[:n]
+        X1[:, :d] = X
+        hid = np.matmul(X1, self.W, out=self.hid[:n]).reshape(n, self.k, self.h)
+        if self.params.activation == "tanh":
+            np.tanh(hid, out=hid)
+        out = np.einsum("sih,hi->si", hid, self.w_out)
+        out += self.b_out
+        return out, hid
+
+    def jacobian(self, X: np.ndarray):
+        """Forward pass and Jacobian block of the rows of X: ``(out, hid, core, B)``.
+
+        ``out`` (n, |F|) and ``hid`` (n, |F|, h) are the outputs and hidden units
+        of F; ``core[s, a, b]`` (n, |F|, |F|) is sum_h tanh'[s, a, h] w_out[h, F[a]]
+        w_in[F[b], h], the Jacobian entry dF_{F[a]}/dx_{F[b]} before masking; and
+        ``B = I - J_FF`` with J_FF = core * M[F, F].T. The broadcast products run on
+        flat (n, .) views, whose inner loops are |F|*h and |F|*|F| long instead of
+        h and |F|.
+        """
+        out, hid = self.forward(X)
+        n, f, h = hid.shape
+        dw = _act_deriv(self.params, self.hid[:n], out=self.dw[:n])
+        dw *= self.w_out_flat
+        core = np.matmul(dw.reshape(n * f, h), self.w_in_t, out=self.core[:n * f])
+        B = np.multiply(core.reshape(n, f * f), self.neg_mask, out=self.B[:n])
+        # The mask diagonal is zero, so J_FF has a zero diagonal and B a unit one.
+        B[:, ::f + 1] = 1.0
+        return out, hid, core.reshape(n, f, f), B.reshape(n, f, f)
 
 
 def masked_forward(params: ModelParams, mask, x: np.ndarray) -> np.ndarray:
@@ -245,37 +291,20 @@ def masked_forward(params: ModelParams, mask, x: np.ndarray) -> np.ndarray:
     M = _mask_values(mask)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out, _ = _forward_core(params, M, np.atleast_2d(x))
+    X = np.atleast_2d(x)
+    out, _ = _Kernel(params, M, slice(None), X.shape[0], jacobian=False).forward(X)
     return out[0] if single else out
 
 
-def _act_deriv(params: ModelParams, hid: np.ndarray) -> np.ndarray:
+def _act_deriv(params: ModelParams, hid: np.ndarray, out=None) -> np.ndarray:
+    """The activation's derivative at the hidden units ``hid``: 1 - hid^2 for tanh."""
+    if out is None:
+        out = np.empty_like(hid)
     if params.activation != "tanh":
-        return np.ones_like(hid)
-    deriv = np.multiply(hid, hid)
-    return np.subtract(1.0, deriv, out=deriv)
-
-
-def _forward_jacobian(params: ModelParams, M: np.ndarray, X: np.ndarray,
-                      free_idx: np.ndarray):
-    """Forward pass and Jacobian block of the free coordinates F = ``free_idx``.
-
-    Returns (out, hid, core, B): ``out`` (n, |F|) and ``hid`` (n, |F|, h) are
-    the outputs and hidden units of F; ``core[s, a, b]`` (n, |F|, |F|) is
-    sum_h tanh'[s, a, h] w_out[h, F[a]] w_in[F[b], h], the Jacobian entry
-    dF_{F[a]}/dx_{F[b]} before masking; and ``B = I - J_FF`` with
-    J_FF = core * M[F, F].T. The broadcast products run on flat (n, .) views,
-    whose inner loops are |F|*h and |F|*|F| long instead of h and |F|.
-    """
-    out, hid = _forward_core(params, M, X, free_idx)
-    n, f, h = hid.shape
-    dw = _act_deriv(params, hid).reshape(n, f * h)
-    dw *= params.w_out[:, free_idx].T.ravel()
-    core = dw.reshape(n * f, h) @ params.w_in[free_idx].T
-    B = core.reshape(n, f * f) * -M[free_idx][:, free_idx].T.ravel()
-    # The mask diagonal is zero, so J_FF has a zero diagonal and B a unit one.
-    B[:, ::f + 1] = 1.0
-    return out, hid, core.reshape(n, f, f), B.reshape(n, f, f)
+        out.fill(1.0)
+        return out
+    np.multiply(hid, hid, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray:
@@ -283,7 +312,7 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
     M = _mask_values(mask)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = params.d
-    _, _, core, _ = _forward_jacobian(params, M, x, np.arange(d))
+    _, _, core, _ = _Kernel(params, M, np.arange(d), x.shape[0]).jacobian(x)
     return InterventionRegime(targets).free_mask(d)[:, None] * M.T * core[0]
 
 
@@ -305,12 +334,6 @@ def _clamp_logpdf(X: np.ndarray, regime: InterventionRegime, intervention_var: f
     return diag_gauss_logpdf(X[:, list(regime.targets)] - regime.mean, intervention_var)
 
 
-def _free_noise_logpdf(params: ModelParams, free_idx: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Per-row Gaussian log-density of the free coordinates' noise Z (n, |F|)."""
-    var = params.sigma_z[free_idx] ** 2
-    return -0.5 * (np.sum(np.log(2.0 * np.pi * var)) + (Z * Z) @ (1.0 / var))
-
-
 def _logdet(B: np.ndarray) -> np.ndarray:
     """log det of each (|F|, |F|) block of the stack B; a non-positive one fails."""
     sign, logdet = np.linalg.slogdet(B)
@@ -324,21 +347,27 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
     """Interventional log-density of each row of X under the learned model.
 
     Rows are scored in blocks of about ``_BLOCK_FLOATS`` entries per (rows, d, h)
-    temporary, so the temporaries stay in cache. Every step is row-wise: a
-    block changes a value by no more than BLAS rounding in the last bits.
+    temporary, so the temporaries stay in cache; one ``_Kernel`` holds the layer
+    constants and the block buffers for the whole call. Every step is row-wise:
+    a block changes a value by no more than BLAS rounding in the last bits.
     """
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     free_idx = np.flatnonzero(regime.free_mask(d))
+    step = max(1, _BLOCK_FLOATS // (d * max(d, params.hidden)))
+    kernel = _Kernel(params, M, free_idx, min(step, n))
+    # Gaussian log-density of the free coordinates' noise Z: const - (Z * Z) @ inv_var / 2
+    var = params.sigma_z[free_idx] ** 2
+    noise_const, inv_var = np.sum(np.log(2.0 * np.pi * var)), 1.0 / var
 
     ll = np.zeros(n)
     ll += _clamp_logpdf(X, regime, intervention_var)
-    step = max(1, _BLOCK_FLOATS // (d * max(d, params.hidden)))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        out, _, _, B = _forward_jacobian(params, M, X[rows], free_idx)
-        ll[rows] += _free_noise_logpdf(params, free_idx, X[rows, free_idx] - out)
+        out, _, _, B = kernel.jacobian(X[rows])
+        Z = X[rows, free_idx] - out
+        ll[rows] += -0.5 * (noise_const + (Z * Z) @ inv_var)
         ll[rows] += _logdet(B)
     return ll
 
@@ -407,7 +436,7 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
     free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, n, d)
 
     h = params.hidden
-    out, hid, core, B = _forward_jacobian(params, M, X, slice(None))
+    out, hid, core, B = _Kernel(params, M, slice(None), n).jacobian(X)
     B *= free[:, :, None]
     B.reshape(n, d * d)[:, ::d + 1] = 1.0
     Z = X - out

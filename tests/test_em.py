@@ -382,11 +382,14 @@ class TestMStepRecovery:
         assert not np.array_equal(result.edge_logits, thetas[0].edge_logits)
 
 
-def test_elbo_matches_closed_form_marginal_likelihood():
-    """Identity activation, zero biases, additive channel: y is exactly Gaussian.
+@pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
+def test_elbo_matches_closed_form_marginal_likelihood(linear):
+    """Identity activation, zero biases, Gaussian channel y = A x + eps: y is exactly Gaussian.
 
     The latent law is x = B^-1 u, B = I - diag(free) W', W = M o (w_in w_out),
-    with u ~ N(mu_u, diag(var_u)); so y = x + eps ~ N(B^-1 mu_u, B^-1 diag(var_u) B^-T + D).
+    with u ~ N(mu_u, diag(var_u)); so
+    y ~ N(A B^-1 mu_u, A B^-1 diag(var_u) B^-T A' + D), with A = I for the
+    additive channel and a 5 x 3 A (p > d) for the linear one.
     """
     from scipy.stats import multivariate_normal
 
@@ -398,7 +401,12 @@ def test_elbo_matches_closed_form_marginal_likelihood():
                               edge_logits=rng.normal(1.0, 1.0, size=(d, d)),
                               sigma_z=np.array([1.0, 0.8, 1.2]), activation="identity")
     mask = model.expected_mask(theta.edge_logits)
-    channel = GaussianAdditiveChannel(np.array([0.05, 0.08, 0.06]))
+    if linear:
+        channel = measurement.LinearChannel(rng.normal(size=(5, d)),
+                                            np.array([0.05, 0.08, 0.06, 0.07, 0.04]))
+    else:
+        channel = GaussianAdditiveChannel(np.array([0.05, 0.08, 0.06]))
+    A = channel.mixing
     family = scm.InterventionFamily((scm.InterventionRegime(),
                                      scm.InterventionRegime((1,), 1.5, mean=0.4)))
     datasets, exact = [], 0.0
@@ -408,13 +416,14 @@ def test_elbo_matches_closed_form_marginal_likelihood():
         B_inv = np.linalg.inv(B)
         mean = B_inv @ np.where(free, 0.0, regime.mean)
         cov = B_inv @ np.diag(np.where(free, theta.sigma_z ** 2, regime.variance)) @ B_inv.T
-        marginal = multivariate_normal(mean, cov + np.diag(channel.noise_var))
+        marginal = multivariate_normal(A @ mean, A @ cov @ A.T + np.diag(channel.noise_var))
         Y = marginal.rvs(size=40, random_state=rng)
         datasets.append(Y)
         exact += float(np.sum(marginal.logpdf(Y)))
 
     cfg = em.EmConfig(seed=3, elbo_proposals=256)
     estimate, se = em.elbo_estimate(theta, channel, datasets, family, cfg, return_se=True)
-    # The prior-informed proposal keeps the Monte-Carlo error small: 0.12 at seed 3.
+    # The prior-informed proposal keeps the Monte-Carlo error small: 0.12 at seed 3
+    # for the additive channel.
     assert 0.0 < se < 0.2
     assert abs(estimate - exact) <= 4.0 * se

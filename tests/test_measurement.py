@@ -38,6 +38,13 @@ class TestChannelConstruction:
         with pytest.raises(RankError):
             ms.LinearChannel(A, np.ones(4))
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e9])
+    def test_rank_test_is_relative_to_the_scale_of_a(self, scale):
+        # A well-conditioned matrix passes at any scale; condition number 1e16 fails.
+        ms.LinearChannel(scale * np.eye(3), np.ones(3))
+        with pytest.raises(RankError):
+            ms.LinearChannel(scale * np.diag([1e7, 1e-9]), np.ones(2))
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         chan = ms.LinearChannel(rng.normal(size=(5, 3)), rng.uniform(0.1, 1.0, 5))

@@ -324,10 +324,16 @@ class TestProjectionSampler:
         np.random.default_rng(1).normal(size=(5, 2)) @ [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
         # Two columns along one direction leave a genuinely deficient system.
         np.column_stack([np.eye(3)[:, :2], np.eye(3)[:, :2] @ [1.0, 1e-7]]),
-    ], ids=["column-sum", "near-parallel-columns"])
+        # Condition number 1e16: the smallest singular value, 1e-9, is above 1e-10
+        # but only 1e-16 of the largest, so the sampler could never isolate node 1.
+        np.diag([1e7, 1e-9]),
+    ], ids=["column-sum", "near-parallel-columns", "condition-1e16"])
     def test_rank_deficient_mixing_rejected_before_any_draw(self, A):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(RankError, match=r"^mixing matrix is rank deficient \(smallest "):
-            noise.sample_projection_vectors(A, seed=0)
+            noise.sample_projection_vectors(A, seed=rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("A, m, rank", [
         # Node 2's only admissible direction has a signal of 1e-9: below

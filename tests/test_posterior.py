@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from reclaim import posterior
-from reclaim.measurement import GaussianAdditiveChannel, LinearChannel
-from reclaim.model import ModelParams
+from reclaim.measurement import GaussianAdditiveChannel, LinearChannel, channel_logpdf
+from reclaim.model import ModelParams, expected_mask, init_params, latent_logpdf_batch
 from reclaim.scm import InterventionRegime
 
 
@@ -81,10 +81,10 @@ class TestSirSampleBatch:
         draw = posterior.GaussianProposal.draw
 
         def recording_draw(self, rng, rows, n_samples):
-            xs, log_q = draw(self, rng, rows, n_samples)
+            xs = draw(self, rng, rows, n_samples)
             for row, row_xs in zip(rows, xs):
                 drawn[int(row)] = row_xs
-            return xs, log_q
+            return xs
 
         monkeypatch.setattr(posterior.GaussianProposal, "draw", recording_draw)
         particles, _, kept = run_sir(linear_gaussian, 6, 5, seed=3)
@@ -113,17 +113,23 @@ class TestSirSampleBatch:
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
-def test_proposal_draws_and_log_q_are_the_gaussian_it_defines(linear):
-    """Prior N(m, diag(v)): v = sigma_z^2, m = 0 on free coordinates and the
-    regime's variance and mean on clamped ones. Proposal: precision
-    A'D^-1 A + diag(1/v), mean cov (A'D^-1 y + m / v), A = I for the
-    additive channel."""
+def test_log_weights_are_latent_plus_channel_minus_the_proposal_density(linear):
+    """The weights are taken as log p(x) - log prior(x) + log Z(y); they must equal
+    the direct log p(x) + log p(y | x) - log q(x | y), with q the Gaussian of
+    prior N(m, diag(v)) (v = sigma_z^2, m = 0 on free coordinates, the regime's
+    variance and mean on clamped ones) under the channel: precision
+    A'D^-1 A + diag(1/v), mean cov (A'D^-1 y + m / v), A = I for the additive
+    channel. The linear channel's A has condition number 1e6."""
     rng = np.random.default_rng(9)
     regime = InterventionRegime((1,), variance=1.5, mean=0.4)
-    sigma_z = np.array([0.7, 1.1, 0.9])
+    params = init_params(3, seed=4, weight_scale=0.5, sigma_z=np.array([0.7, 1.1, 0.9]))
+    mask = expected_mask(rng.normal(size=(3, 3)))
     if linear:
-        channel = LinearChannel(rng.normal(size=(5, 3)), rng.uniform(0.2, 0.6, 5))
-        A = channel.mixing
+        U, _ = np.linalg.qr(rng.normal(size=(5, 3)))
+        V, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = U @ np.diag([2.0, 0.3, 2e-6]) @ V.T
+        channel = LinearChannel(A, rng.uniform(0.2, 0.6, 5))
+        assert np.linalg.cond(channel.mixing) == pytest.approx(1e6, rel=1e-6)
     else:
         channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
         A = np.eye(3)
@@ -132,11 +138,16 @@ def test_proposal_draws_and_log_q_are_the_gaussian_it_defines(linear):
     A_Dinv = A.T @ np.diag(1.0 / channel.noise_var)
     cov = np.linalg.inv(A_Dinv @ A + np.diag(1.0 / prior_var))
     Y = rng.normal(size=(4, channel.p))
-    proposal = posterior.GaussianProposal(channel, Y, regime, sigma_z)
-    rows = np.array([2, 0])
-    xs, log_q = proposal.draw(rng, rows, 6)
-    assert xs.shape == (2, 6, 3) and log_q.shape == (2, 6)
-    for k, r in enumerate(rows):
+
+    chunks = list(posterior.weighted_draws(Y, params, mask, channel, regime,
+                                           regime.variance, 6, np.random.default_rng(2)))
+    assert len(chunks) == 1
+    rows, xs, log_w = chunks[0]
+    assert np.array_equal(rows, np.arange(4))
+    assert xs.shape == (4, 6, 3) and log_w.shape == (4, 6)
+    for r in rows:
         mean = cov @ (A_Dinv @ Y[r] + prior_mean / prior_var)
-        assert np.allclose(log_q[k], multivariate_normal(mean, cov).logpdf(xs[k]),
-                           rtol=1e-10, atol=0.0)
+        direct = (latent_logpdf_batch(params, mask, regime, regime.variance, xs[r])
+                  + channel_logpdf(channel, Y[r], xs[r])
+                  - multivariate_normal(mean, cov).logpdf(xs[r]))
+        assert np.allclose(log_w[r], direct, rtol=1e-10, atol=0.0)
