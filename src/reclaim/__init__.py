@@ -11,8 +11,7 @@ from .errors import (ConvergenceError, EStepError, IdentifiabilityError,
                      UndefinedMetricError)
 from .graphs import (DirectedGraph, auprc, erdos_renyi, graph_from_json,
                      graph_to_json, shd, threshold_edges)
-from .scm import (GroundTruthScm, InterventionFamily, InterventionRegime,
-                  linear_latent_logpdf_oracle, mechanism,
+from .scm import (GroundTruthScm, InterventionFamily, InterventionRegime, mechanism,
                   rescale_to_contractive, sample_benchmark_scm, sample_latents,
                   single_node_family, solve_fixed_point)
 from .measurement import (GaussianAdditiveChannel, LinearChannel,
@@ -24,7 +23,7 @@ from .noise import (ProjectionSet, estimate_channel_noise,
                     sample_projection_vectors)
 from .model import (MaskSample, ModelParams, RegimeRows, edge_scores, init_params,
                     jacobian, latent_logpdf_batch, latent_logpdf_grads,
-                    masked_forward, sample_mask, spectral_normalize)
+                    sample_mask, spectral_normalize)
 from .posterior import sir_sample_batch
 from .em import (EmConfig, FitReport, build_channel, e_step, elbo_estimate,
                  fit, m_step, surrogate_q)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import noise
 from .errors import EStepError, ParameterError, check_number
-from .graphs import DirectedGraph
 from .measurement import LinearChannel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
@@ -303,18 +302,6 @@ class _Adam:
         return out
 
 
-def _minibatch_grads(theta, cache, rows, mask):
-    """Objective value and parameter gradients over selected cache rows.
-
-    ``rows`` indexes ``cache.particles``; each row has weight 1/len(rows).
-    The rows come from mixed regimes and are scored in one
-    ``latent_logpdf_grads`` call, each at its own regime's free coordinates
-    and clamp law, so one minibatch costs one kernel call's fixed overhead.
-    """
-    return latent_logpdf_grads(theta, mask, RegimeRows(cache.regimes, cache.regime_index[rows]),
-                               [r.variance for r in cache.regimes], cache.particles[rows])
-
-
 def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -> ModelParams:
     """Minibatch Adam ascent on (surrogate - penalty) over the frozen cache.
 
@@ -336,7 +323,10 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         rows = rng.choice(n_total, size=min(cfg.batch_size, n_total), replace=False)
         mask = sample_mask(current.edge_logits, cfg.temperature,
                            seed=rng.integers(2 ** 63))
-        value, grads = _minibatch_grads(current, cache, rows, mask)
+        # One call scores rows of mixed regimes, each at its own regime's free coordinates.
+        value, grads = latent_logpdf_grads(
+            current, mask, RegimeRows(cache.regimes, cache.regime_index[rows]),
+            [r.variance for r in cache.regimes], cache.particles[rows])
         pen_value, pen_grad = sparsity_penalty(current, cfg.sparsity_lambda)
         objective = value - pen_value
         grads["edge_logits"] = grads["edge_logits"] - pen_grad

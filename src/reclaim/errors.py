@@ -24,8 +24,11 @@ def check_number(name: str, value, kind=float):
 
 def check_array(name: str, value) -> np.ndarray:
     """``value`` as a float array. A value numpy cannot read as one, such as a
-    ragged list or a list holding a string, is a ``ParameterError``."""
+    ragged list or a list holding a string, is a ``ParameterError``; so is one
+    holding a bool, at any depth or as a bool array."""
     try:
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+            raise TypeError("true and false are not numbers")
         return np.asarray(value, dtype=float)
     except (ValueError, TypeError) as exc:
         raise ParameterError(f"{name} must be an array of numbers: {exc}") from exc

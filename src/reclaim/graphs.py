@@ -143,12 +143,12 @@ def graph_to_json(graph: DirectedGraph) -> str:
 
 
 def graph_from_json(text: str) -> DirectedGraph:
-    """The graph of ``{"d": d, "edges": [[i, j], ...]}``; each index an integer in [0, d)."""
+    """The graph of ``{"d": d, "edges": [[i, j], ...]}``; each index an int in [0, d), not a bool."""
     obj = json.loads(text)
     d = obj["d"]
     adj = np.zeros((d, d), dtype=bool)
     for i, j in obj["edges"]:
-        if not all(isinstance(v, int) and 0 <= v < d for v in (i, j)):
+        if not all(type(v) is int and 0 <= v < d for v in (i, j)):
             raise ParameterError(f"edge {[i, j]} is not a pair of node indices below d={d}")
         adj[i, j] = True
     return DirectedGraph(adj)

@@ -226,11 +226,10 @@ class _Kernel:
     rides in the input GEMM; w_out[:, F] and its (a, h)-ordered flattening;
     w_in[F].T; and -M[F, F].T flattened. Each call writes its block into buffers
     of ``rows`` rows, so the arrays it returns are views that the next call
-    overwrites. With ``jacobian=False`` only the forward buffers exist.
+    overwrites.
     """
 
-    def __init__(self, params: ModelParams, M: np.ndarray, idx, rows: int,
-                 jacobian: bool = True):
+    def __init__(self, params: ModelParams, M: np.ndarray, idx, rows: int):
         d, h = params.d, params.hidden
         M_idx = M[:, idx]
         k = M_idx.shape[1]
@@ -245,13 +244,12 @@ class _Kernel:
         self.X1 = np.empty((rows, d + 1))
         self.X1[:, d] = 1.0
         self.hid = np.empty((rows, k * h))
-        if jacobian:
-            self.w_out_flat = self.w_out.T.ravel()
-            self.w_in_t = params.w_in[idx].T
-            self.neg_mask = -M_idx[idx].T.ravel()
-            self.dw = np.empty((rows, k * h))
-            self.core = np.empty((rows * k, k))
-            self.B = np.empty((rows, k * k))
+        self.w_out_flat = self.w_out.T.ravel()
+        self.w_in_t = params.w_in[idx].T
+        self.neg_mask = -M_idx[idx].T.ravel()
+        self.dw = np.empty((rows, k * h))
+        self.core = np.empty((rows * k, k))
+        self.B = np.empty((rows, k * k))
 
     def forward(self, X: np.ndarray):
         """(outputs (n, |F|), hidden units (n, |F|, h)) of the rows of X."""
@@ -286,16 +284,6 @@ class _Kernel:
         return out, hid, core.reshape(n, f, f), B.reshape(n, f, f)
 
 
-def masked_forward(params: ModelParams, mask, x: np.ndarray) -> np.ndarray:
-    """Coordinate-wise masked mechanism; accepts (d,) or (n, d) inputs."""
-    M = _mask_values(mask)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    out, _ = _Kernel(params, M, slice(None), X.shape[0], jacobian=False).forward(X)
-    return out[0] if single else out
-
-
 def _act_deriv(params: ModelParams, hid: np.ndarray, out=None) -> np.ndarray:
     """The activation's derivative at the hidden units ``hid``: 1 - hid^2 for tanh."""
     if out is None:
@@ -308,7 +296,7 @@ def _act_deriv(params: ModelParams, hid: np.ndarray, out=None) -> np.ndarray:
 
 
 def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray:
-    """Analytic Jacobian of x -> free_mask * masked_forward(x)."""
+    """Analytic Jacobian, [i, j] = dF_i/dx_j, of x -> free_mask * F(x), F the masked network."""
     M = _mask_values(mask)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = params.d

@@ -124,10 +124,6 @@ class GroundTruthScm:
         return self.graph.d
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix, 2)) if matrix.size else 0.0
-
-
 def rescale_to_contractive(weights: np.ndarray, target_lipschitz: float) -> np.ndarray:
     """Scale a weight matrix down so its spectral norm is <= target.
 
@@ -137,7 +133,7 @@ def rescale_to_contractive(weights: np.ndarray, target_lipschitz: float) -> np.n
     if not (0 < target_lipschitz < 1):
         raise ParameterError("target_lipschitz must lie in (0, 1)")
     weights = np.asarray(weights, dtype=float)
-    norm = spectral_norm(weights)
+    norm = float(np.linalg.norm(weights, 2)) if weights.size else 0.0
     if norm <= target_lipschitz:
         return weights.copy()
     return weights * (target_lipschitz / norm)
@@ -172,36 +168,17 @@ def mechanism(scm: GroundTruthScm, x: np.ndarray) -> np.ndarray:
     return (1.0 - scm.beta) * wx + scm.beta * np.tanh(wx)
 
 
-def solve_fixed_point(scm: GroundTruthScm, z: np.ndarray,
-                      regime: InterventionRegime = InterventionRegime(),
-                      values=None, tol: float = FIXED_POINT_TOL,
+def solve_fixed_point(scm: GroundTruthScm, Z: np.ndarray,
+                      regime: InterventionRegime = InterventionRegime(), values=None,
+                      tol: float = FIXED_POINT_TOL,
                       max_iter: int = FIXED_POINT_MAX_ITER) -> np.ndarray:
-    """Solve the (possibly intervened) structural equations at equilibrium.
+    """Solve the (possibly intervened) structural equations of each row of Z (n, d).
 
-    Iterates ``x <- free*(f(x) + z) + clamped`` from ``x0 = z`` until the
-    update is below ``tol`` in infinity norm. Intervened coordinates equal
-    their clamped values exactly on every iterate. ``values`` holds the
-    clamp values, either one per target or as a full d-vector.
+    Iterates ``X <- free*(f(X) + Z) + clamped`` from ``X0 = Z`` until the
+    update is below ``tol`` in infinity norm. ``values`` (n, len(targets)),
+    aligned with ``regime.targets``, holds the clamp values; intervened
+    coordinates equal them exactly on every iterate.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    z = np.asarray(z, dtype=float)
-    d = z.shape[0]
-    vals = None
-    if regime.targets:
-        if values is None:
-            raise ParameterError("intervention values required for a non-empty regime")
-        v = np.asarray(values, dtype=float)
-        if v.shape == (d,):
-            v = v[list(regime.targets)]
-        elif v.shape != (len(regime.targets),):
-            raise ParameterError("intervention values must cover the targets")
-        vals = v[None, :]
-    return _solve_fixed_point_batch(scm, z[None, :], regime, vals, tol, max_iter)[0]
-
-
-def _solve_fixed_point_batch(scm, Z, regime, values, tol, max_iter):
-    # values: (n, len(targets)) aligned with regime.targets, or None.
     n, d = Z.shape
     free = regime.free_mask(d).astype(float)
     C = np.zeros((n, d))
@@ -236,40 +213,7 @@ def sample_latents(scm: GroundTruthScm, regime: InterventionRegime,
         vals = None
     if n == 0:
         return np.zeros((0, d))
-    return _solve_fixed_point_batch(scm, Z, regime, vals,
-                                    FIXED_POINT_TOL, FIXED_POINT_MAX_ITER)
-
-
-def linear_latent_logpdf_oracle(weights: np.ndarray, noise_std, regime: InterventionRegime,
-                                x: np.ndarray) -> float:
-    """Exact interventional log-density for the linear (beta=0) system.
-
-    Intervened coordinates contribute their clamp density, free coordinates
-    the Gaussian density of the implied exogenous noise, plus the
-    log-determinant of the masked forward map.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (d,))
-    free = regime.free_mask(d)
-    z = x - free * (x @ weights)
-
-    ll = 0.0
-    if regime.targets:
-        idx = list(regime.targets)
-        ll += _gauss_logpdf(x[idx], regime.mean, regime.variance)
-    ll += _gauss_logpdf(z[free], 0.0, noise_std[free] ** 2)
-    jac = free[:, None] * weights.T
-    sign, logdet = np.linalg.slogdet(np.eye(d) - jac)
-    if sign <= 0:
-        raise ConvergenceError("masked forward map is not orientation-preserving")
-    return float(ll + logdet)
-
-
-def _gauss_logpdf(values, mean, var) -> float:
-    values = np.asarray(values, dtype=float)
-    var = np.broadcast_to(np.asarray(var, dtype=float), values.shape)
-    return float(np.sum(-0.5 * (np.log(2.0 * np.pi * var) + (values - mean) ** 2 / var)))
+    return solve_fixed_point(scm, Z, regime, vals)
 
 
 # ---------------------------------------------------------------------------

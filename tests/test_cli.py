@@ -345,6 +345,10 @@ _BAD_CHANNEL_JSON = {
     "ragged-A": ('{"type": "linear", "A": [[1, 0], [0], [1, 1]], "sigma_sq": [0.1, 0.2, 0.3]}',
                  "error: linear channel's 'A' must be an array of numbers",
                  ("fit", "fit-true-noise", "estimate-noise")),
+    "bool-in-A": ('{"type": "linear", "A": [[1, 0], [0, true], [1, 1]], '
+                  '"sigma_sq": [0.1, 0.2, 0.3]}',
+                  "error: linear channel's 'A' must be an array of numbers: true and false",
+                  ("fit", "fit-true-noise", "estimate-noise")),
     "null-in-A": ('{"type": "linear", "A": [[1, 0], [0, null], [1, 1]], '
                   '"sigma_sq": [0.1, 0.2, 0.3]}',
                   "error: mixing matrix must be", ("fit", "fit-true-noise", "estimate-noise")),
@@ -354,6 +358,9 @@ _BAD_CHANNEL_JSON = {
     "non-numeric-sigma_sq": ('{"type": "gan", "sigma_sq": [0.1, "low", 0.3]}',
                              "error: gan channel's 'sigma_sq' must be an array of numbers",
                              ("fit-true-noise",)),
+    "bool-in-sigma_sq": ('{"type": "gan", "sigma_sq": [true, 0.5, 0.3]}',
+                         "error: gan channel's 'sigma_sq' must be an array of numbers: true and",
+                         ("fit-true-noise",)),
 }
 
 
@@ -394,10 +401,13 @@ def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
      "error: malformed truth graph {truth}: edge [0, 3] is not a pair of node indices"),
     ('{"d": 3, "edges": [[0, -1]]}', None,
      "error: malformed truth graph {truth}: edge [0, -1] is not a pair of node indices"),
+    ('{"d": 3, "edges": [[true, 2]]}', None,
+     "error: malformed truth graph {truth}: edge [True, 2] is not a pair of node indices"),
     (None, '{"scores": []}', "error: malformed report {report}: no key 'edge_scores'"),
     (None, '{"edge_scores": ', "error: malformed report {report}: Expecting value"),
 ], ids=["truth-not-json", "truth-without-d", "truth-without-edges", "edge-out-of-range",
-        "negative-edge-index", "report-without-edge-scores", "report-not-json"])
+        "negative-edge-index", "bool-edge-index", "report-without-edge-scores",
+        "report-not-json"])
 def test_evaluate_with_a_malformed_truth_graph_or_report_exits_2(tmp_path, capsys, truth_text,
                                                                  report_text, message):
     report, truth = tmp_path / "report.json", tmp_path / "truth_graph.json"

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from oracles import linear_latent_logpdf_oracle
 from reclaim import cli, em, measurement, model, scm
 from reclaim.errors import EStepError
 from reclaim.measurement import GaussianAdditiveChannel
@@ -235,6 +236,13 @@ def mixed_cache():
     return _mixed_cache(stub_sir, model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)))
 
 
+def _minibatch_grads(theta, cache, rows, mask):
+    """m_step's call: the cache rows ``rows`` of mixed regimes scored in one call."""
+    return model.latent_logpdf_grads(theta, mask,
+                                     model.RegimeRows(cache.regimes, cache.regime_index[rows]),
+                                     [r.variance for r in cache.regimes], cache.particles[rows])
+
+
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 @pytest.mark.parametrize("relaxed", [True, False], ids=["mask-sample", "plain-mask"])
 def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation, relaxed):
@@ -246,7 +254,7 @@ def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation
     n = mixed_cache.n_particles
     rng = np.random.default_rng(14)
     for rows in (rng.permutation(n), rng.choice(n, size=9, replace=False)):
-        value, grads = em._minibatch_grads(theta, mixed_cache, rows, mask)
+        value, grads = _minibatch_grads(theta, mixed_cache, rows, mask)
         ref_value, ref = _per_regime_grads(theta, mixed_cache, rows, mask)
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
         assert set(grads) == set(ref) == {"w_in", "b_in", "w_out", "b_out", "mask",
@@ -257,7 +265,7 @@ def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation
     # The all-target regime's rows: no coordinate is free, so nothing depends on theta.
     rows = np.flatnonzero(mixed_cache.regime_index == len(mixed_cache.regimes) - 1)
     assert rows.size
-    value, grads = em._minibatch_grads(theta, mixed_cache, rows, mask)
+    value, grads = _minibatch_grads(theta, mixed_cache, rows, mask)
     assert np.isfinite(value)
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -274,8 +282,8 @@ def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_
                               edge_logits=rng.normal(0.0, 2.0, size=(d, d)),
                               sigma_z=np.array([1.0, 0.7, 1.3, 0.9]), activation="identity")
     weights = model.expected_mask(theta.edge_logits) * (theta.w_in @ theta.w_out)
-    exact = np.mean([scm.linear_latent_logpdf_oracle(weights, theta.sigma_z,
-                                                     mixed_cache.regimes[k], x)
+    exact = np.mean([linear_latent_logpdf_oracle(weights, theta.sigma_z,
+                                                 mixed_cache.regimes[k], x)
                      for k, x in zip(mixed_cache.regime_index, mixed_cache.particles)])
 
     q = em.surrogate_q(theta, mixed_cache)

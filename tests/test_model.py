@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from oracles import linear_latent_logpdf_oracle, masked_forward
 from reclaim import em, model
 from reclaim.errors import ConvergenceError, ParameterError
 from reclaim.scm import InterventionRegime
@@ -131,14 +132,14 @@ class TestMaskedForward:
         p = model.init_params(3, seed=3)
         M = np.zeros((3, 3))
         x = np.random.default_rng(0).normal(size=3)
-        base = model.masked_forward(p, M, x)
-        moved = model.masked_forward(p, M, x + 1.7)
+        base = masked_forward(p, M, x)
+        moved = masked_forward(p, M, x + 1.7)
         assert np.allclose(base, moved)
 
     def test_single_node_output_constant(self):
         p = model.init_params(1, seed=4)
         M = np.zeros((1, 1))
-        vals = [model.masked_forward(p, M, np.array([v]))[0] for v in (-2.0, 0.0, 3.0)]
+        vals = [masked_forward(p, M, np.array([v]))[0] for v in (-2.0, 0.0, 3.0)]
         assert np.allclose(vals, vals[0])
 
     def test_matches_per_coordinate_reference(self):
@@ -146,7 +147,7 @@ class TestMaskedForward:
         p = model.init_params(4, seed=5)
         ms = model.sample_mask(p.edge_logits, seed=6)
         X = rng.normal(size=(7, 4))
-        batched = model.masked_forward(p, ms, X)
+        batched = masked_forward(p, ms, X)
         for s in range(7):
             for i in range(4):
                 masked_in = ms.values[:, i] * X[s]
@@ -164,8 +165,7 @@ class TestMaskedForward:
         for j in range(3):
             dx = np.zeros(3)
             dx[j] = eps
-            diff = (model.masked_forward(p, M, x + dx)
-                    - model.masked_forward(p, M, x - dx)) / (2 * eps)
+            diff = (masked_forward(p, M, x + dx) - masked_forward(p, M, x - dx)) / (2 * eps)
             for i in range(3):
                 if M[j, i] == 0.0:
                     assert abs(diff[i]) < 1e-6
@@ -196,14 +196,28 @@ class TestJacobian:
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            num[:, j] = free * (model.masked_forward(p, ms, x + dx)
-                                - model.masked_forward(p, ms, x - dx)) / (2 * eps)
+            num[:, j] = free * (masked_forward(p, ms, x + dx)
+                                - masked_forward(p, ms, x - dx)) / (2 * eps)
         assert np.max(np.abs(jac - num)) <= 1e-5
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: per-layer norms do not bound the "
+                                        "masked map")
+def test_spectral_normalize_makes_the_masked_map_contractive():
+    """Per-layer norms bound ||w_in w_out||_2 by lipschitz_target, but the mask zeroes
+    the product's diagonal, which can raise its norm. With the reflection w_in =
+    I - (2/d) 11' and w_out = I, the masked product is -0.9 * 0.25 (11' - I), whose
+    norm is 0.9 * 1.75 = 1.575 at d = 8."""
+    d = 8
+    params = model.spectral_normalize(model.ModelParams(
+        w_in=np.eye(d) - (2 / d) * np.ones((d, d)), b_in=np.zeros(d), w_out=np.eye(d),
+        b_out=np.zeros(d), edge_logits=np.zeros((d, d)), activation="identity"))
+    assert np.linalg.norm(model.jacobian(params, full_mask(d), np.zeros(d)), 2) < 1.0
 
 
 def noise_logpdf(p, mask, x):
     """Closed-form noise term of an observational row: sum log N(x - F(x); 0, sigma_z^2)."""
-    z = x - model.masked_forward(p, mask, x)
+    z = x - masked_forward(p, mask, x)
     return np.sum(-0.5 * (np.log(2 * np.pi * p.sigma_z ** 2) + z ** 2 / p.sigma_z ** 2))
 
 
@@ -252,7 +266,6 @@ class TestLatentLogpdf:
         assert val == pytest.approx(expected)
 
     def test_linear_mode_matches_closed_form_oracle(self):
-        from reclaim.scm import linear_latent_logpdf_oracle
         rng = np.random.default_rng(22)
         for trial in range(100):
             d = int(rng.integers(2, 5))
@@ -450,7 +463,7 @@ class TestKernelsMatchReference:
     def test_forward(self, params, batch):
         mask, X = batch
         ref, _ = _reference_forward(params, mask.values, X)
-        _assert_rel_close(model.masked_forward(params, mask, X), ref)
+        _assert_rel_close(masked_forward(params, mask, X), ref)
 
     def test_jacobian(self, params, regime, batch):
         mask, X = batch
@@ -484,7 +497,6 @@ class TestKernelsMatchReference:
             _assert_rel_close(ours[name], ref[name])
 
     def test_linear_batch_matches_closed_form_oracle(self, shape, regime):
-        from reclaim.scm import linear_latent_logpdf_oracle
         d, h = shape
         rng = np.random.default_rng(46)
         p = model.init_params(d, hidden=h, seed=47, weight_scale=0.8, activation="identity",

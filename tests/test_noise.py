@@ -59,6 +59,21 @@ def simulate_gan(d, sigma, n, seed, graph_seed=0):
     return datasets, fam, sigma ** 2
 
 
+CONSISTENCY_NS = (500, 2000, 8000)
+
+
+def assert_root_n_consistent(rel_err):
+    """``rel_err[n]`` holds one vector of relative errors est / true - 1 per seed, at
+    n rows per regime. A consistent estimator at the sqrt(n) rate has a mean error
+    over seeds within 3 standard errors of 0 at the largest n, and its RMSE falls
+    by half, here by a ratio in [0.35, 0.7], at each 4x step in n."""
+    per_seed = np.mean(rel_err[CONSISTENCY_NS[-1]], axis=1)
+    assert abs(per_seed.mean()) <= 3 * per_seed.std(ddof=1) / np.sqrt(per_seed.size)
+    rmse = [np.sqrt(np.mean(np.square(rel_err[n]))) for n in CONSISTENCY_NS]
+    for small, large in zip(rmse, rmse[1:]):
+        assert 0.35 <= large / small <= 0.7
+
+
 class TestGanEstimator:
     def test_noiseless_data_clips_to_floor(self):
         # noiseless measurements: the intervened column carries exactly the
@@ -95,17 +110,15 @@ class TestGanEstimator:
         assert np.max(np.abs(est - true_var) / true_var) <= 0.05
 
     def test_error_shrinks_with_sample_size(self):
-        rng = np.random.default_rng(6)
-        sigma = rng.uniform(0.3, 0.6, 4)
-        errs = []
-        for n in (1000, 100_000):
-            per_seed = []
-            for seed in range(8):
-                datasets, fam, true_var = simulate_gan(4, sigma, n, seed=seed + 1)
-                est = noise.estimate_gan_variances(datasets, fam)
-                per_seed.append(np.median(np.abs(est - true_var) / true_var))
-            errs.append(np.median(per_seed))
-        assert errs[1] < errs[0]
+        sigma = np.random.default_rng(6).uniform(0.3, 0.6, 5)
+        rel_err = {}
+        for n in CONSISTENCY_NS:
+            rel_err[n] = []
+            for seed in range(1, 21):
+                datasets, fam, true_var = simulate_gan(5, sigma, n, seed=seed)
+                est = noise.estimate_channel_noise(datasets, fam, "gan")
+                rel_err[n].append(est / true_var - 1.0)
+        assert_root_n_consistent(rel_err)
 
     def test_identifiability_enforced(self):
         with pytest.raises(IdentifiabilityError):
@@ -498,15 +511,14 @@ class TestLinearEstimator:
         assert np.max(np.abs(est - sigma_sq) / sigma_sq) <= 0.10
 
     def test_error_decreases_with_sample_size(self):
-        med = []
-        for n in (1000, 30_000):
-            errs = []
-            for seed in range(20, 26):
-                A, sigma_sq, fam, datasets = simulate_linear(6, 4, n, seed=seed)
+        rel_err = {}
+        for n in CONSISTENCY_NS:
+            rel_err[n] = []
+            for seed in range(20, 40):
+                A, sigma_sq, fam, datasets = simulate_linear(10, 5, n, seed=seed)
                 est = noise.estimate_channel_noise(datasets, fam, "linear", A)
-                errs.append(np.median(np.abs(est - sigma_sq) / sigma_sq))
-            med.append(np.median(errs))
-        assert med[1] < med[0]
+                rel_err[n].append(est / sigma_sq - 1.0)
+        assert_root_n_consistent(rel_err)
 
     def test_rank_deficient_design_rejected(self):
         fam = scm.single_node_family(2)
