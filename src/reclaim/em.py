@@ -22,7 +22,7 @@ from .measurement import LinearChannel, channel_from_dict, channel_logpdf
 from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
                     params_to_dict, sample_mask, spectral_normalize)
-from .posterior import sir_sample_batch, weighted_draws
+from .posterior import sir_sample_batch, weight_summary, weighted_draws
 from .scm import InterventionFamily, InterventionRegime, atomic_open
 
 logger = logging.getLogger(__name__)
@@ -356,11 +356,14 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     ``channel_spec`` is {"type": "gan", "sigma_sq": [...]} or {"type":
     "linear", "A": [[...]], "sigma_sq": [...]}. A given "sigma_sq" pins the
     noise variances; a missing or null one is estimated from the regime
-    data, with ``seed`` driving the linear channel's projection sampling. A
-    regime target outside [0, d) of the channel's d latent nodes is a
-    ``ParameterError``; the estimators check it before they read the data.
-    So is a channel whose p is not the data's column count.
+    data, with ``seed`` driving the linear channel's projection sampling.
+    A ``ParameterError`` meets a dataset count other than the regime count, a
+    regime target outside [0, d) of the channel's d latent nodes (which the
+    estimators check before they read the data) and a p other than the
+    data's column count.
     """
+    if len(datasets) != len(family):
+        raise ParameterError(f"{len(datasets)} datasets for {len(family)} regimes")
     if channel_spec.get("sigma_sq") is None:
         var = noise.estimate_channel_noise(datasets, family, channel_spec.get("type"),
                                            channel_spec.get("A"), seed=seed)
@@ -425,8 +428,8 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
         )
         del cache  # else the next E-step would hold these particles beside its own
         if cfg.elbo_every and (r + 1) % cfg.elbo_every == 0:
-            record["elbo_estimate"] = elbo_estimate(theta, phi_hat, datasets, family,
-                                                    cfg, seed=elbo_seed)
+            record["elbo_estimate"], _ = elbo_estimate(theta, phi_hat, datasets, family,
+                                                       cfg, seed=elbo_seed)
         trace.append(record)
         if round_callback is not None:
             round_callback(r, theta, trace)
@@ -441,13 +444,12 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
 
 
 def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
-                  family: InterventionFamily, cfg: EmConfig, seed=None,
-                  return_se: bool = False):
+                  family: InterventionFamily, cfg: EmConfig, seed=None):
     """Self-normalized importance estimate of sum_k sum_l log p(y | theta, phi).
 
-    Per observation: log-mean-exp of (latent + channel - proposal) log ratios
-    over ``cfg.elbo_proposals`` fresh proposal draws. ``return_se`` adds a
-    delta-method standard error for the Monte-Carlo noise of the total.
+    Returns ``(total, se)``: per observation, the log mean importance weight
+    over S = ``cfg.elbo_proposals`` fresh draws, and the delta-method standard
+    error, from var(w) / (S mean(w)^2) = (S / ESS - 1) / (S - 1) (Kong 1992).
     """
     S = cfg.elbo_proposals
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -457,14 +459,10 @@ def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
     for Y, regime in zip(datasets, family.regimes):
         for _, _, lw in weighted_draws(Y, theta, mask, phi_hat, regime, regime.variance, S,
                                        rng):
-            m = np.max(lw, axis=1)
-            w = np.exp(lw - m[:, None])
-            mean_w = w.mean(axis=1)
-            total += float(np.sum(m + np.log(mean_w)))
-            var_total += float(np.sum(w.var(axis=1, ddof=1) / (S * mean_w ** 2)))
-    if return_se:
-        return total, float(np.sqrt(var_total))
-    return total
+            log_mean, norm_w = weight_summary(lw)
+            total += float(np.sum(log_mean))
+            var_total += float(np.sum((S * np.sum(norm_w ** 2, axis=1) - 1.0) / (S - 1)))
+    return total, float(np.sqrt(var_total))
 
 
 # ---------------------------------------------------------------------------

@@ -315,13 +315,6 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
 _BLOCK_FLOATS = 1 << 16
 
 
-def _clamp_logpdf(X: np.ndarray, regime: InterventionRegime, intervention_var: float):
-    """Per-row log-density of the clamped coordinates (constant in theta)."""
-    if not regime.targets:
-        return 0.0
-    return diag_gauss_logpdf(X[:, list(regime.targets)] - regime.mean, intervention_var)
-
-
 def _logdet(B: np.ndarray) -> np.ndarray:
     """log det of each (|F|, |F|) block of the stack B; a non-positive one fails."""
     sign, logdet = np.linalg.slogdet(B)
@@ -345,17 +338,13 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
     free_idx = np.flatnonzero(regime.free_mask(d))
     step = max(1, _BLOCK_FLOATS // (d * max(d, params.hidden)))
     kernel = _Kernel(params, M, free_idx, min(step, n))
-    # Gaussian log-density of the free coordinates' noise Z: const - (Z * Z) @ inv_var / 2
     var = params.sigma_z[free_idx] ** 2
-    noise_const, inv_var = np.sum(np.log(2.0 * np.pi * var)), 1.0 / var
-
-    ll = np.zeros(n)
-    ll += _clamp_logpdf(X, regime, intervention_var)
+    # The clamped coordinates' term (constant in theta); per block, noise and log-det.
+    ll = diag_gauss_logpdf(X[:, list(regime.targets)] - regime.mean, intervention_var)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         out, _, _, B = kernel.jacobian(X[rows])
-        Z = X[rows, free_idx] - out
-        ll[rows] += -0.5 * (noise_const + (Z * Z) @ inv_var)
+        ll[rows] += diag_gauss_logpdf(X[rows, free_idx] - out, var)
         ll[rows] += _logdet(B)
     return ll
 

@@ -1,11 +1,12 @@
 """Measurement-noise variance estimation from interventional data.
 
-Additive channel: when node i is intervened its latent variance is pinned to
-the known interventional variance, so the measurement variance is the excess
-observed variance. Linear channel: projection vectors orthogonal to all but
-one mixing column isolate a single latent; the squared projections stack into
-a linear system in the per-measurement noise variances, solved exactly under
-a non-negativity constraint by an active-set NNLS solver.
+Projection vectors t orthogonal to all but one mixing column a_i isolate a
+single latent. When node i is intervened its latent variance is pinned to the
+known interventional variance v, so the variance of t . y in excess of
+v (t . a_i)^2 is noise. Linear channel: the squared projections stack into a
+linear system in the per-measurement noise variances, solved exactly under a
+non-negativity constraint by an active-set NNLS solver. Additive channel: the
+same statistic at A = I and t = e_i is the estimate, with no sampler or solver.
 """
 
 from __future__ import annotations
@@ -52,36 +53,36 @@ def _require_identifiable(datasets, family, d):
 
 
 def estimate_gan_variances(datasets, family: InterventionFamily) -> np.ndarray:
-    """Per-coordinate noise variances for the additive channel.
+    """Per-coordinate noise variances for the additive channel, floored.
 
-    For each node, the sample variance of its measurement column under a
-    covering regime minus the interventional variance; estimates from
-    multiple covering regimes are averaged, and the result is floored at
-    a small positive value.
+    The linear statistic at the identity projections: per node, its column's
+    sample variance minus the interventional variance, averaged over the
+    covering regimes. ``scm.read_dataset`` refuses non-finite data, so y . e_i
+    is the column exactly.
     """
     d = np.asarray(datasets[0]).shape[1]
     _require_identifiable(datasets, family, d)
-    out = np.empty(d)
-    for i in range(d):
-        ests = []
-        for k in _covering_regimes(datasets, family, i):
-            col = np.asarray(datasets[k], dtype=float)[:, i]
-            ests.append(np.var(col, ddof=1) - family.regimes[k].variance)
-        out[i] = np.mean(ests)
-    return np.maximum(out, VARIANCE_FLOOR)
+    identity = ProjectionSet(vectors=np.eye(d), source_node=np.arange(d))
+    _, excess = _projected_variances(datasets, family, np.eye(d), identity)
+    return np.maximum(excess, VARIANCE_FLOOR)
 
 
 def null_space_basis(a_minus_i_t: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of a (d-1) x p matrix of rank d-1."""
+    """Orthonormal basis of the null space of a (d-1) x p matrix of rank d-1.
+
+    The rank and residual tests are relative to the largest singular value.
+    """
     M = np.asarray(a_minus_i_t, dtype=float)
     k, p = M.shape
     _, svals, vt = np.linalg.svd(M, full_matrices=True)
-    if svals.size and svals[-1] <= _NULL_RESID_TOL * max(1.0, svals[0]):
+    largest = svals[0] if svals.size else 0.0
+    if svals.size and svals[-1] <= _NULL_RESID_TOL * largest:
         raise RankError("column-deleted mixing matrix is numerically rank deficient")
     basis = vt[k:].T
-    resid = np.max(np.abs(M @ basis)) if basis.size else 0.0
-    if resid > _NULL_RESID_TOL:
-        raise RankError(f"null-space residual {resid:.2e} exceeds tolerance")
+    resid = np.max(np.abs(M @ basis), initial=0.0)
+    if resid > _NULL_RESID_TOL * largest:
+        raise RankError(f"null-space residual {resid:.2e} exceeds {_NULL_RESID_TOL:.0e} "
+                        f"times the largest singular value {largest:.2e}")
     return basis
 
 
@@ -203,18 +204,15 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         basis, col = bases[node], A[:, node]
         r = basis.shape[1]
         got = streak = 0
-        best_sig, best_t = 0.0, None
         if r == 1:
-            t = basis[:, 0]  # only admissible direction, already unit norm
-            while got < want and budget > 0:
-                budget -= 1
-                sig = abs(col @ t)
-                if sig > best_sig:
-                    best_sig, best_t = sig, t
-                if not (EPS_SIG <= sig <= cap and admit(t, node)):
-                    break  # redraws cannot change a fixed direction
+            # p = d: the one admissible direction, already unit norm. A per-draw loop
+            # admits its repeats while they stay diverse; no budget is read at p = d.
+            best_t = basis[:, 0]
+            best_sig = abs(col @ best_t)
+            while got < want and EPS_SIG <= best_sig <= cap and admit(best_t, node):
                 got += 1
         else:
+            best_sig, best_t = 0.0, None
             w = basis.T @ col  # screened signal of z: |w . z| / |z|
             margin = _SCREEN_MARGIN * max(1.0, math.sqrt(col @ col))
             lo, hi = EPS_SIG - margin, cap + margin
@@ -294,6 +292,24 @@ def nnls_projected_gradient(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"NNLS did not converge: {exc}") from exc
 
 
+def _projected_variances(datasets, family: InterventionFamily, A: np.ndarray,
+                         proj: ProjectionSet):
+    """Per projection row t of node i, ``(projected variance, excess)``: the mean over
+    the regimes that cover i of var(t . y), and of var(t . y) - variance (t . a_i)^2."""
+    excess = np.empty(proj.m)
+    proj_var = np.empty(proj.m)
+    for node in range(A.shape[1]):
+        rows = proj.source_node == node
+        T = proj.vectors[rows]
+        covering = _covering_regimes(datasets, family, node)
+        var = np.array([np.var(np.asarray(datasets[k], dtype=float) @ T.T, axis=0, ddof=1)
+                        for k in covering])
+        pinned = np.outer([family.regimes[k].variance for k in covering], (T @ A[:, node]) ** 2)
+        proj_var[rows] = var.mean(axis=0)
+        excess[rows] = (var - pinned).mean(axis=0)
+    return proj_var, excess
+
+
 def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarray,
                               proj: ProjectionSet) -> np.ndarray:
     """Per-measurement noise variances for the linear channel.
@@ -319,17 +335,7 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
     _require_identifiable(datasets, family, d)
     if np.linalg.matrix_rank(proj.squares) < p:
         raise RankError("projection design matrix must have rank p")
-    rhs = np.empty(proj.m)
-    proj_var = np.empty(proj.m)
-    for node in range(d):
-        rows = proj.source_node == node
-        T = proj.vectors[rows]
-        covering = _covering_regimes(datasets, family, node)
-        var = np.array([np.var(np.asarray(datasets[k], dtype=float) @ T.T, axis=0, ddof=1)
-                        for k in covering])
-        pinned = np.outer([family.regimes[k].variance for k in covering], (T @ A[:, node]) ** 2)
-        proj_var[rows] = var.mean(axis=0)
-        rhs[rows] = (var - pinned).mean(axis=0)
+    proj_var, rhs = _projected_variances(datasets, family, A, proj)
     w = 1.0 / np.maximum(proj_var, VARIANCE_FLOOR)
     sigma_sq = nnls_projected_gradient(proj.squares * w[:, None], rhs * w)
     return np.maximum(sigma_sq, VARIANCE_FLOOR)

@@ -11,15 +11,16 @@ since q(x | y) = prior(x) p(y | x) / Z(y) exactly: the channel and proposal
 terms cancel, leaving the learned latent density, the d-wide stand-in prior
 and the evidence Z(y) of the stand-in, one number per observation (the
 locally optimal proposal weight of Doucet, Godsill & Andrieu 2000; Owen 2013,
-ch. 9). ``weighted_draws`` is the one draw-and-weight loop: the E-step
-resamples from its weights and the ELBO estimate averages them.
+ch. 9). ``weighted_draws`` is the one draw-and-weight loop, and SIR and the
+ELBO read one summary of its weights, ``weight_summary``: the E-step resamples
+from the normalized weights, the ELBO sums the log mean weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measurement import LinearChannel, channel_logpdf, stacked_matmul
+from .measurement import LinearChannel, channel_logpdf, diag_gauss_logpdf, stacked_matmul
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
@@ -27,15 +28,17 @@ from .scm import InterventionRegime
 CHUNK_ROWS = 65536
 
 
-def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
-    """Row-wise normalized weights exp(log_w) / sum(exp(log_w)).
+def weight_summary(log_w: np.ndarray):
+    """Per row of log importance weights, ``(log mean weight, normalized weights)``.
 
+    Both are taken after shifting the row by its largest finite entry.
     Non-finite log-weights get weight 0; every row needs a finite entry.
     """
     finite = np.isfinite(log_w)
-    shifted = log_w - np.max(np.where(finite, log_w, -np.inf), axis=1, keepdims=True)
-    w = np.where(finite, np.exp(np.where(finite, shifted, -np.inf)), 0.0)
-    return w / w.sum(axis=1, keepdims=True)
+    top = np.max(np.where(finite, log_w, -np.inf), axis=1, keepdims=True)
+    w = np.where(finite, np.exp(np.where(finite, log_w - top, -np.inf)), 0.0)
+    total = w.sum(axis=1, keepdims=True)
+    return (top + np.log(total / log_w.shape[1]))[:, 0], w / total
 
 
 class GaussianProposal:
@@ -72,15 +75,8 @@ class GaussianProposal:
                       + 0.5 * (self.d * np.log(2.0 * np.pi) + logdet_cov))
 
     def log_prior(self, xs: np.ndarray) -> np.ndarray:
-        """log N(x; m, diag(v)) of each d-vector of xs, over any leading axes.
-
-        The squared residuals meet 1/v in one matrix-vector product: a sum over
-        the short last axis costs about 7x more at d = 10.
-        """
-        sq = xs - self.prior_mean
-        sq *= sq
-        quad = (sq.reshape(-1, self.d) @ (1.0 / self.prior_var)).reshape(xs.shape[:-1])
-        return -0.5 * (np.sum(np.log(2.0 * np.pi * self.prior_var)) + quad)
+        """log N(x; m, diag(v)) of each d-vector of xs, over any leading axes."""
+        return diag_gauss_logpdf(xs - self.prior_mean, self.prior_var)
 
     def draw(self, rng, rows, n_samples: int) -> np.ndarray:
         """(len(rows), n_samples, d) draws for the observations ``rows``."""
@@ -134,7 +130,7 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
         del rows, xs, lw  # held through resampling, it raised linear-d10-p20 peak RSS ~5 MB
 
     kept = np.isfinite(log_w).any(axis=1)
-    norm_w = _normalize_rows(log_w[kept])
+    _, norm_w = weight_summary(log_w[kept])
     ess = 1.0 / np.sum(norm_w ** 2, axis=1)
     if S > 1:
         enough = ess >= 2.0

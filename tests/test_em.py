@@ -7,7 +7,7 @@ import pytest
 
 from oracles import linear_latent_logpdf_oracle
 from reclaim import cli, em, measurement, model, scm
-from reclaim.errors import EStepError
+from reclaim.errors import EStepError, ParameterError
 from reclaim.measurement import GaussianAdditiveChannel
 
 # Tiny fits: d = 4, five regimes of 20 observations, few proposals and steps.
@@ -159,6 +159,17 @@ def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
     cache = em.e_step(model.init_params(30), channel, datasets, family, em.EmConfig())
     assert cache.n_skipped == 0 and cache.y.shape == (620, 30)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+@pytest.mark.parametrize("spec", [{"type": "gan"}, {"type": "gan", "sigma_sq": [0.2] * 4}],
+                         ids=["estimated", "given"])
+def test_a_dataset_count_other_than_the_regime_count_is_refused(data, extra, spec):
+    datasets, family = data
+    datasets = list(datasets) + [datasets[0]] if extra > 0 else datasets[:-1]
+    with pytest.raises(ParameterError, match=rf"^{len(family) + extra} datasets for "
+                                             rf"{len(family)} regimes"):
+        em.build_channel(spec, datasets, family, seed=0)
 
 
 def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
@@ -430,7 +441,7 @@ def test_elbo_matches_closed_form_marginal_likelihood(linear):
         exact += float(np.sum(marginal.logpdf(Y)))
 
     cfg = em.EmConfig(seed=3, elbo_proposals=256)
-    estimate, se = em.elbo_estimate(theta, channel, datasets, family, cfg, return_se=True)
+    estimate, se = em.elbo_estimate(theta, channel, datasets, family, cfg)
     # The prior-informed proposal keeps the Monte-Carlo error small: 0.12 at seed 3
     # for the additive channel.
     assert 0.0 < se < 0.2

@@ -176,7 +176,7 @@ class TestAdditiveIsIdentityMixing:
         for x in self.batches():
             y = x + rng.normal(size=x.shape)
             y[..., 0] = x[..., 0]  # a zero residual
-            expected = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (y - x) ** 2 / var, axis=-1)
+            expected = ms.diag_gauss_logpdf(y - x, var)
             assert np.array_equal(ms.channel_logpdf(chan, y, x), expected)
 
 
@@ -189,3 +189,17 @@ class TestDiagGaussLogpdf:
         got = ms.diag_gauss_logpdf(resid, var)
         assert got.shape == (4, 2)
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_single_vector_gives_a_scalar(self):
+        var = np.array([0.3, 1.0, 2.5])
+        resid = np.array([0.4, -1.2, 0.0])
+        got = ms.diag_gauss_logpdf(resid, var)
+        assert got.shape == ()
+        assert got == pytest.approx(norm.logpdf(resid, scale=np.sqrt(var)).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (2, 3, 0), (0,), (0, 3)])
+    def test_empty_axes(self, shape):
+        # A zero-width last axis is a regime that clamps every node: log 1 = 0 per row.
+        got = ms.diag_gauss_logpdf(np.zeros(shape), 0.5)
+        assert got.shape == shape[:-1]
+        assert np.all(got == 0.0)

@@ -154,6 +154,20 @@ class TestNullSpaceBasis:
         with pytest.raises(RankError):
             noise.null_space_basis(np.delete(A, 0, axis=1).T)
 
+    @pytest.mark.parametrize("scale", [1e-11, 1e6, 1e9])
+    def test_tolerances_are_relative_to_the_scale(self, scale):
+        # check_mixing accepts every multiple of a well-conditioned matrix, and
+        # deleting a column cannot raise the condition number.
+        A = _normal_mixing((20, 10), 0) * scale
+        for i in range(10):
+            basis = noise.null_space_basis(np.delete(A, i, axis=1).T)
+            assert basis.shape == (20, 11)
+            assert np.max(np.abs(np.delete(A, i, axis=1).T @ basis)) <= 1e-12 * scale
+
+    def test_one_latent_leaves_the_whole_space(self):
+        basis = noise.null_space_basis(np.empty((0, 3)))
+        assert np.array_equal(basis @ basis.T, np.eye(3))
+
 
 def per_draw_sampler(A, m, delta, seed, signal_cap, events):
     """``noise.sample_projection_vectors`` as a per-draw loop, its arguments already checked.
@@ -248,6 +262,10 @@ _ORACLE_GRID = {
     **{f"pipeline-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a),
                                        noise.PIPELINE_ROWS_PER_MEASUREMENT * s[0], *_PIPELINE, a)
        for s in [(20, 10), (12, 6), (30, 4), (10, 10)] for a in range(2)},
+    # At delta = 0 only a repeat of an accepted square is too similar, so a
+    # node's fixed direction (p = d) is admitted more than once.
+    **{f"square-delta0-{p}x{p}": (_normal_mixing((p, p), 0), 2 * p, 0.0, None, p)
+       for p in (6, 3, 10)},
     **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, noise.DELTA_DIVERSITY, 0.12, 0)
        for a in range(3)},
     "budget-spent": (np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), 3, 0.5, None, 0),
@@ -316,14 +334,28 @@ class TestProjectionSampler:
                 per_draw_sampler(A, m, delta, seed, cap, events)
             except SamplingFailureError:
                 events.add("failure")
-        assert events >= {"r=1", "r>1", "max-streak", "budget-mid-block", "fallback r>1",
-                          "failure"}
+        assert events >= {"r=1", "r>1", "max-streak", "budget-mid-block", "fallback r=1",
+                          "fallback r>1", "failure"}
 
     def test_the_fallback_keeps_a_row_outside_the_signal_window(self):
         A = _normal_mixing((8, 5), 1)
         ps = noise.sample_projection_vectors(A, m=8, signal_cap=0.12, seed=0)
         sig = np.abs(np.sum(ps.vectors * A[:, ps.source_node].T, axis=1))
         assert np.any((sig < noise.EPS_SIG) | (sig > 0.12))
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_a_large_multiple_of_the_mixing_gives_every_row(self, scale):
+        A = _normal_mixing((20, 10), 0)
+        ps = noise.sample_projection_vectors(A * scale, seed=1)
+        assert ps.m == 40
+        assert np.linalg.matrix_rank(ps.squares) == 20
+
+    @pytest.mark.parametrize("p", [3, 2, 1])
+    def test_one_latent_gives_a_rank_p_design(self, p):
+        A = np.arange(1.0, p + 1.0)[:, None]
+        ps = noise.sample_projection_vectors(A, seed=0)
+        assert np.all(ps.source_node == 0)
+        assert np.linalg.matrix_rank(ps.squares) == p
 
     def test_m_below_p_rejected(self):
         A = np.random.default_rng(0).normal(size=(5, 3))

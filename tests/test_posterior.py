@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from reclaim import posterior
@@ -47,12 +48,12 @@ def run_sir(case, n_proposals, n_resample, seed=0):
                                       n_proposals, n_resample, seed=seed)
 
 
-class TestNormalizeRows:
+class TestWeightSummary:
     def test_rows_sum_to_one_and_minus_inf_gets_zero(self):
         log_w = np.array([[0.0, -np.inf, 1.0, -np.inf],
                           [-1000.0, -1001.0, -np.inf, -999.0],
                           [800.0, 801.0, 799.0, 800.5]])
-        w = posterior._normalize_rows(log_w)
+        _, w = posterior.weight_summary(log_w)
         assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         assert np.all(w[np.isneginf(log_w)] == 0.0)
         assert np.all(w[np.isfinite(log_w)] > 0.0)
@@ -61,8 +62,16 @@ class TestNormalizeRows:
         assert np.allclose(w, expected, rtol=1e-14, atol=0)
 
     def test_single_finite_entry_takes_all_weight(self):
-        w = posterior._normalize_rows(np.array([[-np.inf, 3.0, -np.inf]]))
+        log_mean, w = posterior.weight_summary(np.array([[-np.inf, 3.0, -np.inf]]))
         assert np.array_equal(w, [[0.0, 1.0, 0.0]])
+        assert log_mean[0] == pytest.approx(3.0 - np.log(3.0), rel=1e-15)
+
+    def test_log_mean_is_logsumexp_minus_log_s(self):
+        log_w = np.random.default_rng(3).normal(0.0, 30.0, size=(6, 17))
+        log_w[0] += 900.0  # exp would overflow without the shift
+        log_w[1] -= 900.0  # and underflow
+        log_mean, _ = posterior.weight_summary(log_w)
+        assert np.allclose(log_mean, logsumexp(log_w, axis=1) - np.log(17), rtol=1e-14, atol=0)
 
 
 class TestSirSampleBatch:
