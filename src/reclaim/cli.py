@@ -2,24 +2,25 @@
 
 Exit codes: 0 success, 2 usage/config error (including a config file that is
 not a JSON object or whose "channel", sweep "base" or "em" is not one, a
-sweep "out_dir" that is not a string, a channel.json that is malformed,
-names an unknown type, lacks a key, has an "A" or "sigma_sq" that is not an
-array of numbers (a ragged one, or one holding true or false, among them),
-an "A" with no columns or a non-finite entry, or a rank-deficient mixing
-matrix, a family.json or regime CSV that does not parse, a regime CSV with a
-non-finite entry or another number of columns than the others, a channel
-whose p is not the data's column count, a regime whose target is not an
-integer node index in [0, d) or whose mean or variance is not a finite
-number, an "include_observational" or "use_true_noise" that is not true or
-false, a checkpoint.json to resume from that is malformed, has a round
-record field of the wrong type, or is of another dimension than the data, a
-truth graph or report that does not parse, and an evaluation against a truth
-graph with no edges), 3 I/O failure (a data directory without family.json
-among them, which is what a cut ``simulate`` leaves), 4 unmet
-interventional-coverage requirement, 5 numerical failure (too many
-degenerate observations in an E-step, a fixed-point iteration that stalls, a
-forward map that fails the orientation check, or a linear channel whose
-projection design cannot reach rank p).
+number that is not finite (JSON reads 1e400 as inf), a sweep "out_dir" that
+is not a string, a channel.json that is malformed, names an unknown type,
+lacks a key, has an "A" or "sigma_sq" that is not an array of numbers (a
+ragged one, or one holding true or false, among them), an "A" with no
+columns or a non-finite entry, or a rank-deficient mixing matrix, a
+family.json or regime CSV that does not parse, a regime CSV with a non-
+finite entry or another number of columns than the others, a channel whose p
+is not the data's column count, a regime whose target is not an integer node
+index in [0, d) or whose mean or variance is not a finite number, an
+"include_observational" or "use_true_noise" that is not true or false, a
+checkpoint.json to resume from that is malformed, has a round record field
+of the wrong type or a "sigma_z" that is not positive and finite, or is of
+another dimension than the data, a truth graph or report that does not
+parse, and an evaluation against a truth graph with no edges), 3 I/O failure
+(a data directory without family.json among them, which is what a cut
+``simulate`` leaves), 4 unmet interventional-coverage requirement, 5
+numerical failure (too many degenerate observations in an E-step, a fixed-
+point iteration that stalls, a forward map that fails the orientation check,
+or a linear channel whose projection design cannot reach rank p).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,

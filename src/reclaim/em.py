@@ -116,7 +116,7 @@ class RoundRecord(TypedDict):
     round: int
     q_value: float
     elbo_estimate: float | None
-    ess_median: float
+    ess_median: float | None  # None when the round kept no observation
     channel_term: float
     n_skipped: int
 
@@ -422,7 +422,7 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
             round=r,
             q_value=q,
             elbo_estimate=None,
-            ess_median=float(np.median(cache.ess)) if cache.ess.size else float("nan"),
+            ess_median=float(np.median(cache.ess)) if cache.ess.size else None,
             channel_term=channel_term(cache, phi_hat),
             n_skipped=cache.n_skipped,
         )
@@ -473,16 +473,14 @@ def report_to_json(report: FitReport) -> str:
     payload = {
         "d": int(report.edge_scores.shape[0]),
         "edge_scores": report.edge_scores.tolist(),
-        # The surrogate q per round (taken at the expected mask), under the key
-        # report.json has always used.
-        "elbo_trace": [entry["q_value"] for entry in report.diagnostics["trace"]],
         "diagnostics": report.diagnostics,
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def write_trace_csv(path, trace: list) -> None:
-    """One row per ``RoundRecord``; an ELBO not estimated that round is an empty cell."""
+    """One row per ``RoundRecord``; a ``None`` field, such as an ELBO not estimated
+    that round, is an empty cell."""
     columns = list(RoundRecord.__annotations__)
     lines = [",".join(columns)]
     for entry in trace:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RankError, check_array
+from .errors import ParameterError, RankError, check_array, check_positive
 
 _RANK_TOL = 1e-10
 
@@ -52,11 +52,9 @@ class LinearChannel:
 
     def __post_init__(self):
         A = check_mixing(self.mixing)
-        var = np.atleast_1d(np.asarray(self.noise_var, dtype=float))
-        if var.shape != (A.shape[0],) or not np.all(np.isfinite(var) & (var > 0)):
-            raise ParameterError("noise variances must be a positive finite p-vector")
         object.__setattr__(self, "mixing", A)
-        object.__setattr__(self, "noise_var", var)
+        object.__setattr__(self, "noise_var", check_positive(
+            "noise variances", np.atleast_1d(self.noise_var), (A.shape[0],)))
 
     @property
     def d(self) -> int:
@@ -71,7 +69,7 @@ class GaussianAdditiveChannel(LinearChannel):
     """y = x + eps, eps ~ N(0, diag(noise_var)): the linear channel at A = I."""
 
     def __init__(self, noise_var):
-        var = np.atleast_1d(np.asarray(noise_var, dtype=float))
+        var = np.atleast_1d(noise_var)
         super().__init__(np.eye(len(var)), var)
 
 

@@ -45,11 +45,11 @@ the mask columns of the coordinates it clamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, check_positive
 from .measurement import diag_gauss_logpdf
 from .scm import InterventionRegime, rescale_to_contractive
 
@@ -88,15 +88,12 @@ class ModelParams:
             raise ParameterError("lipschitz_target must lie in (0, 1)")
         if self.activation not in ("tanh", "identity"):
             raise ParameterError("activation must be 'tanh' or 'identity'")
-        sigma = np.broadcast_to(np.asarray(self.sigma_z, dtype=float), (d,)).copy()
-        if np.any(sigma <= 0):
-            raise ParameterError("sigma_z must be positive")
         object.__setattr__(self, "w_in", w_in)
         object.__setattr__(self, "b_in", np.asarray(self.b_in, dtype=float))
         object.__setattr__(self, "w_out", w_out)
         object.__setattr__(self, "b_out", np.asarray(self.b_out, dtype=float))
         object.__setattr__(self, "edge_logits", logits)
-        object.__setattr__(self, "sigma_z", sigma)
+        object.__setattr__(self, "sigma_z", check_positive("sigma_z", self.sigma_z, (d,)))
 
     @property
     def d(self) -> int:
@@ -464,29 +461,13 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    """The parameters as a JSON-ready dict of lists, numbers and strings."""
-    return {
-        "w_in": params.w_in.tolist(),
-        "b_in": params.b_in.tolist(),
-        "w_out": params.w_out.tolist(),
-        "b_out": params.b_out.tolist(),
-        "edge_logits": params.edge_logits.tolist(),
-        "lipschitz_target": params.lipschitz_target,
-        "sigma_z": params.sigma_z.tolist(),
-        "activation": params.activation,
-    }
+    """The parameters as a JSON-ready dict of lists, numbers and strings, one key
+    per ``ModelParams`` field."""
+    values = {f.name: getattr(params, f.name) for f in fields(ModelParams)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
 def params_from_dict(obj: dict) -> ModelParams:
     """Parameters from a ``params_to_dict`` dict; other keys, such as the
     "pow_u_in"/"pow_u_out" vectors older checkpoints hold, are ignored."""
-    return ModelParams(
-        w_in=np.asarray(obj["w_in"], dtype=float),
-        b_in=np.asarray(obj["b_in"], dtype=float),
-        w_out=np.asarray(obj["w_out"], dtype=float),
-        b_out=np.asarray(obj["b_out"], dtype=float),
-        edge_logits=np.asarray(obj["edge_logits"], dtype=float),
-        lipschitz_target=obj["lipschitz_target"],
-        sigma_z=np.asarray(obj["sigma_z"], dtype=float),
-        activation=obj["activation"],
-    )
+    return ModelParams(**{f.name: obj[f.name] for f in fields(ModelParams)})

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, check_number, check_positive
 from .graphs import DirectedGraph
 
 FIXED_POINT_TOL = 1e-8
@@ -37,21 +35,14 @@ class InterventionRegime:
     mean: float = 0.0
 
     def __post_init__(self):
-        targets = tuple(self.targets)
-        if not all(isinstance(t, numbers.Integral) and not isinstance(t, bool) for t in targets):
-            raise ParameterError(f"intervention targets must be integers, got {list(targets)}")
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(check_number("intervention target", t, int) for t in self.targets)
         if len(set(targets)) != len(targets):
             raise ParameterError(f"duplicate intervention targets: {targets}")
-        for name in ("mean", "variance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ParameterError(f"intervention {name} must be a finite real number, "
-                                     f"got {value!r}")
-        if self.variance <= 0:
-            raise ParameterError("intervention variance must be positive")
         object.__setattr__(self, "targets", targets)
+        for name in ("mean", "variance"):
+            object.__setattr__(self, name, check_number(f"intervention {name}",
+                                                         getattr(self, name)))
+        check_positive("intervention variance", self.variance)
 
     def free_mask(self, d: int) -> np.ndarray:
         """Boolean d-vector, True on coordinates governed by the SCM."""
@@ -113,11 +104,9 @@ class GroundTruthScm:
             raise ParameterError("weights outside the graph support")
         if not (0 <= self.beta <= 1):
             raise ParameterError("beta must lie in [0, 1]")
-        sigma = np.broadcast_to(np.asarray(self.noise_std, dtype=float), (self.graph.d,)).copy()
-        if np.any(sigma <= 0):
-            raise ParameterError("exogenous noise std must be positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "noise_std", sigma)
+        object.__setattr__(self, "noise_std", check_positive("noise_std", self.noise_std,
+                                                             (self.graph.d,)))
 
     @property
     def d(self) -> int:

@@ -249,6 +249,8 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
     ("sweep", {"sweep": "n_nodes", "grid": [3, 2.5]},
      "n_nodes grid value must be an integer, got 2.5"),
     ("sweep", {"sweep": "beta", "grid": 0.5}, "sweep grid must be a non-empty list"),
+    ("sweep", {"sweep": "beta", "grid": [float("inf")]},
+     "beta grid value must be a finite real number, got inf"),
     ("simulate", {"channel": {"type": "gan", "sigma_min": "x"}},
      "sigma_min must be a real number, got 'x'"),
     ("simulate", {"channel": {"type": "gan", "sigma_max": 0}}, "sigma_max must be positive, got 0.0"),
@@ -259,9 +261,9 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
     ("simulate", {"channel": {"type": "linear", "p": 4, "mixing_var": -1}},
      "mixing_var must be positive, got -1.0"),
     ("simulate", {"n_per_regime": -1}, "n_per_regime must be >= 0, got -1"),
-], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "sigma_min", "sigma_max",
-        "weight_range-string", "weight_range-reversed", "weight_range-entry", "sigma_z",
-        "mixing_var", "n_per_regime"])
+], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "grid-inf", "sigma_min",
+        "sigma_max", "weight_range-string", "weight_range-reversed", "weight_range-entry",
+        "sigma_z", "mixing_var", "n_per_regime"])
 def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
                                                                 config, message):
     path, out = tmp_path / "config.json", tmp_path / "out"
@@ -272,6 +274,34 @@ def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys
         config = {"d": 3, "n_per_regime": 5, **config}
         argv = ["simulate", "--out-dir", str(out)]
     path.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", '{"d": 3, "n_per_regime": 5, "sigma_z": 1e400}',
+     "sigma_z must be a finite real number, got inf"),
+    ("simulate", '{"d": 3, "n_per_regime": 5, "weight_range": [0.2, 1e400]}',
+     "weight_range must be a finite real number, got inf"),
+    ("simulate", '{"d": 3, "n_per_regime": 5, "sigma_I_sq": 1' + "0" * 400 + '}',
+     f"sigma_I_sq must be a finite real number, got {10 ** 400}"),
+    ("fit", '{"em_rounds": 1, "learning_rate": 1e400}',
+     "learning_rate must be a finite real number, got inf"),
+    ("fit", '{"em_rounds": 1, "convergence_tol": NaN}',
+     "convergence_tol must be a finite real number, got nan"),
+], ids=["simulate-sigma_z", "simulate-weight_range", "simulate-int-past-float-range",
+        "fit-learning_rate", "fit-nan"])
+def test_a_number_that_is_not_finite_exits_2_before_any_output(tmp_path, capsys, command,
+                                                               text, message):
+    """JSON reads 1e400 as inf, Python's reader takes NaN, and an int may lie past the
+    float range."""
+    path, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
+    path.write_text(text)
+    if command == "fit":
+        cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    argv = ["simulate", "--out-dir", str(out)] if command == "simulate" else \
+        ["fit", "--data-dir", str(data), "--out-dir", str(out)]
     assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -534,14 +564,15 @@ def test_malformed_family_json_exits_2_from_fit_and_estimate_noise(tmp_path, cap
 @pytest.mark.parametrize("key, value, message", [
     ("targets", [3], "regime 1 targets [3], not all nodes in [0, 3)"),
     ("targets", [-1], "regime 1 targets [-1], not all nodes in [0, 3)"),
-    ("targets", [0.5], "intervention targets must be integers, got [0.5]"),
-    ("targets", [True], "intervention targets must be integers, got [True]"),
-    ("mean", "x", "intervention mean must be a finite real number, got 'x'"),
+    ("targets", [0.5], "intervention target must be an integer, got 0.5"),
+    ("targets", [True], "intervention target must be an integer, got True"),
+    ("mean", "x", "intervention mean must be a real number, got 'x'"),
     ("mean", float("nan"), "intervention mean must be a finite real number, got nan"),
     ("sigma_I_sq", float("nan"), "intervention variance must be a finite real number, got nan"),
     ("sigma_I_sq", float("inf"), "intervention variance must be a finite real number, got inf"),
+    ("sigma_I_sq", 0, "intervention variance must be positive and finite, got 0.0"),
 ], ids=["target-d", "target-negative", "target-fraction", "target-bool", "mean-string",
-        "mean-nan", "variance-nan", "variance-inf"])
+        "mean-nan", "variance-nan", "variance-inf", "variance-zero"])
 @pytest.mark.parametrize("command", ["fit", "fit-true-noise", "estimate-noise"])
 def test_a_regime_that_is_not_a_regime_exits_2(tmp_path, capsys, key, value, message,
                                                command):
@@ -666,7 +697,25 @@ def test_a_checkpoint_with_round_count_and_q_history_resumes_like_a_straight_fit
     _same_files(tmp_path, ("report.json", "trace.csv"))
 
 
+def test_a_fit_of_empty_regimes_resumes_like_a_straight_fit(tmp_path, monkeypatch):
+    """A round that keeps no observation has no median ESS: it is None, not NaN, which
+    a checkpoint's round record refuses."""
+    monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    data = tmp_path / "data"
+    cli.run_simulate({"d": 3, "n_per_regime": 0}, data)
+    for out, em_rounds, flags in [("straight", 2, []), ("resumed", 1, []),
+                                  ("resumed", 2, ["--resume"])]:
+        argv = _fit_argv(tmp_path, data, tmp_path / out, em_rounds=em_rounds,
+                         use_true_noise=True)
+        assert cli.main([*argv, *flags]) == cli.EXIT_OK
+    _same_files(tmp_path)
+    report = json.loads((tmp_path / "straight" / "report.json").read_text())
+    assert [r["ess_median"] for r in report["diagnostics"]["trace"]] == [None, None]
+
+
 _PARAMS = json.dumps(model.params_to_dict(model.init_params(3)))
+_NAN_SIGMA_PARAMS = json.dumps({**model.params_to_dict(model.init_params(3)),
+                                "sigma_z": [1.0, float("nan"), 1.0]})
 _RECORD = json.dumps({"round": 0, "q_value": -4.5, "elbo_estimate": None, "ess_median": 7.5,
                       "channel_term": -3.25, "n_skipped": 0})
 
@@ -688,8 +737,13 @@ _RECORD = json.dumps({"round": 0, "q_value": -4.5, "elbo_estimate": None, "ess_m
     ('{"params": ' + _PARAMS + ', "trace": [' + _RECORD.replace(
         '"n_skipped": 0', '"n_skipped": 1.5') + ']}',
      "trace[0].n_skipped must be an integer, got 1.5"),
+    ('{"params": ' + _PARAMS + ', "trace": [' + _RECORD.replace(
+        '"ess_median": 7.5', '"ess_median": NaN') + ']}',
+     "trace[0].ess_median must be a finite real number, got nan"),
+    ('{"params": ' + _NAN_SIGMA_PARAMS + ', "trace": []}',
+     "sigma_z must be positive and finite, got nan"),
 ], ids=["truncated", "no-params", "no-trace", "params-without-w_in", "trace-of-partial-records",
-        "not-an-object", "string-q", "null-q", "non-integer-skips"])
+        "not-an-object", "string-q", "null-q", "non-integer-skips", "nan-ess", "nan-sigma_z"])
 def test_resume_from_a_malformed_checkpoint_exits_2(tmp_path, capsys, text, message):
     data, out = tmp_path / "data", tmp_path / "out"
     cli.run_simulate({"d": 3, "n_per_regime": 20}, data)

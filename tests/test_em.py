@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_trace_csv_of_an_empty_trace_is_its_header(tmp_path):
     em.write_trace_csv(tmp_path / "trace.csv", [])
     assert (tmp_path / "trace.csv").read_text() == \
         "round,q_value,elbo_estimate,ess_median,channel_term,n_skipped\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_every_float_field_of_em_config_refuses_a_value_that_is_not_finite(value):
+    names = [name for name, hint in get_type_hints(em.EmConfig).items()
+             if hint in (float, float | None)]
+    assert "learning_rate" in names
+    for name in names:
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite real number, "
+                                                 f"got {value!r}$"):
+            em.EmConfig(**{name: value})
 
 
 @pytest.mark.parametrize("dropped_per_regime,raises", [(1, False), (2, True)])

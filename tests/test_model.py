@@ -519,6 +519,17 @@ class TestCheckpointIO:
         assert np.isneginf(back.edge_logits[0, 0])
         assert back.activation == p.activation
 
+    def test_dict_has_one_key_per_field(self):
+        assert list(model.params_to_dict(model.init_params(3))) == \
+            [f.name for f in dataclasses.fields(model.ModelParams)]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_z_must_be_positive_and_finite(self, bad):
+        obj = {**model.params_to_dict(model.init_params(3)), "sigma_z": [1.0, bad, 1.0]}
+        with pytest.raises(ParameterError,
+                           match=rf"^sigma_z must be positive and finite, got {bad!r}$"):
+            model.params_from_dict(obj)
+
     def test_checkpoint_with_power_iteration_vectors_loads(self):
         p = model.init_params(3, seed=31)
         obj = {**model.params_to_dict(p), "pow_u_in": [0.6, 0.0, 0.8], "pow_u_out": None}

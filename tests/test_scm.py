@@ -163,6 +163,13 @@ class TestInterventionTypes:
         with pytest.raises(ParameterError):
             scm.InterventionRegime((0,), 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_noise_std_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ParameterError,
+                           match=rf"^noise_std must be positive and finite, got {bad!r}$"):
+            scm.GroundTruthScm(two_node_example().graph, np.zeros((2, 2)),
+                               noise_std=np.array([1.0, bad]))
+
     def test_single_node_family_covers_all(self):
         fam = scm.single_node_family(4)
         assert len(fam) == 5
