@@ -46,7 +46,7 @@ import numpy as np
 from . import em, graphs, measurement, scm
 from .errors import (ConvergenceError, EStepError, IdentifiabilityError,
                      ParameterError, RankError, SamplingFailureError,
-                     UndefinedMetricError, check_number)
+                     UndefinedMetricError, check_number, check_positive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,17 +93,17 @@ def _config_number(config: dict, key: str, default=None, integral: bool = False,
                    positive: bool = False):
     """The number ``config[key]``, or ``default`` when the key is absent.
 
-    A key without a default is required. A missing required key, or a
-    ``positive`` value not above 0, is a ConfigError; a value that is not an
-    integer (``integral``) or a real number is a ParameterError.
+    A key without a default is required. A missing required key is a
+    ConfigError; a value that is not an integer (``integral``) or a real
+    number, or a ``positive`` one not above 0, is a ParameterError.
     """
     if key not in config:
         if default is None:
             raise ConfigError(f"config has no {key!r}")
         return default
     value = check_number(key, config[key], int if integral else float)
-    if positive and not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value!r}")
+    if positive:
+        check_positive(key, value)
     return value
 
 
@@ -126,11 +126,14 @@ def _config_flag(config: dict, key: str, default: bool) -> bool:
 
 
 def _weight_range(config: dict) -> tuple[float, float]:
-    """The config's "weight_range" [lo, hi] of edge-weight magnitudes, lo <= hi."""
+    """The config's "weight_range" [lo, hi] of edge-weight magnitudes, 0 <= lo <= hi;
+    so the width hi - lo that the weights are drawn over is finite."""
     value = config.get("weight_range", [0.2, 0.9])
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"weight_range must be two numbers [lo, hi], got {value!r}")
     lo, hi = (check_number("weight_range", v) for v in value)
+    if not lo >= 0:
+        raise ConfigError(f"weight_range must have lo >= 0, got {value!r}")
     if not lo <= hi:
         raise ConfigError(f"weight_range must have lo <= hi, got {value!r}")
     return lo, hi

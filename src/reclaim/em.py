@@ -76,38 +76,36 @@ class EmConfig:
 
 @dataclass
 class ParticleCache:
-    """Every regime's frozen particles, one row per particle.
+    """Every regime's frozen particles, a weighted set: each distinct particle once.
 
     The E-step keeps, regime after regime, the observations whose weights did
     not collapse: ``y[l]`` is kept observation l and ``ess[l]`` its effective
-    sample size. Its ``n_resample`` resampled particles are consecutive rows
-    of ``particles`` (N, d), so row i belongs to kept observation
-    ``i // n_resample``; the M-step's row indices address these rows.
+    sample size. SIR resamples each observation's ``n_resample`` slots in
+    proposal order, so its copies of one proposal are adjacent slots; each run
+    of equal adjacent slots is one row of ``particles`` (N, d), ``counts[i]``
+    its number of slots and ``obs[i]`` its kept observation.
     ``regime_index[i]`` is the position in ``regimes`` of row i's regime. It
     is nondecreasing, so each regime's rows are one slice. ``n_skipped``
     counts the observations not kept.
 
-    Resampling repeats proposals, so many rows are copies. Within one
-    observation, ``multiplicity[i]`` is the number of its slots that hold
-    row i's value if row i is the first of them, and 0 for every later copy
-    (see ``_multiplicity`` for the one exception, which real particles do
-    not meet). So the counts of an observation sum to ``n_resample``, and a
-    sum over all N rows equals a sum over the rows of nonzero count weighted
-    by their counts, which is how ``surrogate_q`` and ``channel_term`` score
-    the cache. The M-step still draws uniformly over all N rows.
+    A sum over the ``n_particles`` slots is the count-weighted sum over the
+    rows, which is how ``surrogate_q`` and ``channel_term`` score the cache;
+    the M-step draws slots uniformly.
     """
 
     regimes: tuple[InterventionRegime, ...]
     y: np.ndarray
     particles: np.ndarray
+    counts: np.ndarray
+    obs: np.ndarray
     regime_index: np.ndarray
-    multiplicity: np.ndarray
     ess: np.ndarray
     n_skipped: int
 
     @property
     def n_particles(self) -> int:
-        return self.particles.shape[0]
+        """The number of slots, ``n_resample`` per kept observation."""
+        return int(self.counts.sum())
 
 
 class RoundRecord(TypedDict):
@@ -134,34 +132,6 @@ def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
 
-def _multiplicity(particles: np.ndarray) -> np.ndarray:
-    """Per-slot counts of equal rows within each observation, flattened.
-
-    ``particles`` is (n, r, d). A slot's candidate owner is the first slot of
-    its observation with the same first coordinate; a full-row comparison
-    confirms it, and a slot it does not confirm owns itself. A slot's count
-    is the number of slots it owns, so the first copy of a row counts every
-    copy and later copies count 0. Rows that share the first coordinate but
-    differ elsewhere, which continuous proposals do not produce, can leave
-    one value split over several owners; the counts still sum to r per
-    observation, and a count-weighted sum over the owners still equals the
-    sum over all slots.
-    """
-    n, r, d = particles.shape
-    first = particles[:, :, 0]
-    order = np.argsort(first, axis=1, kind="stable")  # ties keep slot order
-    ranked = np.take_along_axis(first, order, axis=1)
-    new = np.ones((n, r), dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    run_start = np.maximum.accumulate(np.where(new, np.arange(r), 0), axis=1)
-    candidate = np.empty_like(order)
-    np.put_along_axis(candidate, order, np.take_along_axis(order, run_start, axis=1), axis=1)
-    candidate = (candidate + r * np.arange(n)[:, None]).ravel()
-    flat = particles.reshape(n * r, d)
-    owner = np.where(np.all(flat == flat[candidate], axis=1), candidate, np.arange(n * r))
-    return np.bincount(owner, minlength=n * r)
-
-
 def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: InterventionFamily,
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
@@ -177,14 +147,15 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
           for k in range(len(family.regimes))]
     n_obs = sum(Y.shape[0] for Y in ys)
     r = cfg.n_resample
-    # Each regime's draws are copied into buffers sized for every observation
-    # as they come, so no second copy of them all is ever held.
+    # Each regime's draws are copied into buffers sized for every slot as they
+    # come, so no second copy of them all is ever held.
     y = np.empty((n_obs, phi_hat.p))
     ess = np.empty(n_obs)
     particles = np.empty((n_obs * r, theta.d))
+    counts = np.empty(len(particles), dtype=np.min_scalar_type(r))
+    obs = np.empty(len(particles), dtype=np.min_scalar_type(n_obs))
     regime_index = np.empty(len(particles), dtype=np.min_scalar_type(len(family.regimes)))
-    multiplicity = np.empty(len(particles), dtype=np.min_scalar_type(r))
-    n_kept = 0
+    n_kept = n_rows = 0
     for k, (regime, Y) in enumerate(zip(family.regimes, ys)):
         drawn, drawn_ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
@@ -196,12 +167,16 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
         stop = n_kept + len(drawn_ess)
         y[n_kept:stop] = Y[kept]
         ess[n_kept:stop] = drawn_ess
-        rows = slice(n_kept * r, stop * r)
-        particles[rows] = drawn.reshape(-1, theta.d)
+        # A slot starts a row unless it equals the slot before it in its observation.
+        starts = np.ones(drawn.shape[:2], dtype=bool)
+        starts[:, 1:] = np.any(drawn[:, 1:] != drawn[:, :-1], axis=2)
+        starts = np.flatnonzero(starts)
+        rows = slice(n_rows, n_rows + starts.size)
+        particles[rows] = drawn.reshape(-1, theta.d)[starts]
+        counts[rows] = np.diff(starts, append=drawn.shape[0] * r)
+        obs[rows] = n_kept + starts // r
         regime_index[rows] = k
-        # Per regime, as the scoring passes below: see _distinct_rows.
-        multiplicity[rows] = _multiplicity(drawn)
-        n_kept = stop
+        n_kept, n_rows = stop, rows.stop
         del drawn  # held through the next regime's draws, it would be a second copy
     n_skipped = n_obs - n_kept
     too_many = n_obs > 0 and n_skipped / n_obs > cfg.skip_tolerance
@@ -211,24 +186,20 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     if too_many:
         raise EStepError(
             f"{n_skipped}/{n_obs} observations degenerate (> {cfg.skip_tolerance:.0%})")
-    return ParticleCache(family.regimes, y[:n_kept], particles[:n_kept * r],
-                         regime_index[:n_kept * r], multiplicity[:n_kept * r], ess[:n_kept],
-                         n_skipped)
+    return ParticleCache(family.regimes, y[:n_kept], particles[:n_rows], counts[:n_rows],
+                         obs[:n_rows], regime_index[:n_rows], ess[:n_kept], n_skipped)
 
 
-def _distinct_rows(cache: ParticleCache):
-    """Per regime, ``(regime, rows, counts)``: the indices into ``cache.particles`` of
-    the regime's rows of nonzero multiplicity, and their multiplicities.
+def _regime_rows(cache: ParticleCache):
+    """Per regime, ``(regime, rows)``: the slice of ``cache``'s rows in that regime.
 
     Callers score each regime's rows in a call of its own. A pass over the whole
-    cache at once holds the temporaries of every distinct row together: made so,
-    the channel term and the multiplicities raised ``gan-d10``'s peak RSS by 16 %
-    (118 to 137 MB).
+    cache at once holds the temporaries of every row together: made so, the
+    channel term raised ``gan-d10``'s peak RSS by 16 % (118 to 137 MB).
     """
     bounds = np.searchsorted(cache.regime_index, np.arange(len(cache.regimes) + 1))
     for regime, start, stop in zip(cache.regimes, bounds[:-1], bounds[1:]):
-        rows = start + np.flatnonzero(cache.multiplicity[start:stop])
-        yield regime, rows, cache.multiplicity[rows]
+        yield regime, slice(start, stop)
 
 
 def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
@@ -237,36 +208,33 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
     Like the E-step's weights and the ELBO, q scores theta at
     ``expected_mask(edge_logits)``, so it draws no mask and is a fixed function
     of (theta, cache); only the M-step's edge-logit gradient needs relaxed
-    masks. Each regime's distinct particles are scored once, in one
-    ``latent_logpdf_batch`` call, and weighted by their multiplicity, which
-    gives the mean over all ``n_particles`` slots. The measurement term is
-    omitted (it does not depend on the latent parameters).
+    masks. Each regime's particles are scored once, in one
+    ``latent_logpdf_batch`` call, and weighted by their counts, which gives
+    the mean over all ``n_particles`` slots. The measurement term is omitted
+    (it does not depend on the latent parameters).
     """
     if cache.n_particles == 0:
         return 0.0
     mask = expected_mask(theta.edge_logits)
     total = 0.0
-    for regime, rows, counts in _distinct_rows(cache):
-        ll = latent_logpdf_batch(theta, mask, regime, regime.variance,
-                                 np.take(cache.particles, rows, axis=0))
-        total += float(ll @ counts)
+    for regime, rows in _regime_rows(cache):
+        ll = latent_logpdf_batch(theta, mask, regime, regime.variance, cache.particles[rows])
+        total += float(ll @ cache.counts[rows])
     return total / cache.n_particles
 
 
 def channel_term(cache: ParticleCache, phi_hat: LinearChannel) -> float:
     """Mean channel log-density over cached particles (constant in theta).
 
-    Like ``surrogate_q``, it scores each regime's distinct particles once, in
-    one ``channel_logpdf`` call, weighted by their multiplicity.
+    Like ``surrogate_q``, it scores each regime's particles once, in one
+    ``channel_logpdf`` call, weighted by their counts.
     """
     if cache.n_particles == 0:
         return 0.0
-    n_resample = cache.n_particles // len(cache.y)
     total = 0.0
-    for _, rows, counts in _distinct_rows(cache):
-        y = np.take(cache.y, rows // n_resample, axis=0)
-        total += float(channel_logpdf(phi_hat, y, np.take(cache.particles, rows, axis=0))
-                       @ counts)
+    for _, rows in _regime_rows(cache):
+        total += float(channel_logpdf(phi_hat, cache.y[cache.obs[rows]], cache.particles[rows])
+                       @ cache.counts[rows])
     return total / cache.n_particles
 
 
@@ -312,7 +280,8 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     """
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    n_total = cache.n_particles
+    slots = np.repeat(np.arange(len(cache.counts)), cache.counts)  # slot -> row
+    n_total = slots.size
     if n_total == 0:
         return theta
     adam = _Adam(cfg.learning_rate)
@@ -320,7 +289,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     last_finite = theta
     halved = False
     for _ in range(cfg.m_steps_per_round):
-        rows = rng.choice(n_total, size=min(cfg.batch_size, n_total), replace=False)
+        rows = slots[rng.choice(n_total, size=min(cfg.batch_size, n_total), replace=False)]
         mask = sample_mask(current.edge_logits, cfg.temperature,
                            seed=rng.integers(2 ** 63))
         # One call scores rows of mixed regimes, each at its own regime's free coordinates.

@@ -113,8 +113,9 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     """Vectorized SIR across a regime's observations, in one importance pass.
 
     Returns ``(particles, ess, kept)``: resampled particles of shape
-    (n_kept, n_resample, d), per-kept-observation effective sample sizes,
-    and the boolean keep mask over input rows. An observation is dropped
+    (n_kept, n_resample, d), each observation's in proposal order so that its
+    copies of one proposal are adjacent, per-kept-observation effective sample
+    sizes, and the boolean keep mask over input rows. An observation is dropped
     when none of its weights is finite or, with more than one proposal,
     when its effective sample size is below 2.
     """
@@ -139,8 +140,11 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     keep_idx = np.nonzero(kept)[0]
 
     # Vectorized multinomial resampling: each uniform picks the first cdf entry above it.
+    # Sorted uniforms pick in proposal order, so an observation's copies of one proposal
+    # fill adjacent slots; the multiset of picks is that of the unsorted draw.
     cdf = np.cumsum(norm_w, axis=1)
     cdf[:, -1] = 1.0
     u = rng.random((keep_idx.size, n_resample))
+    u.sort(axis=1)
     pick = np.sum(u[:, :, None] > cdf[:, None, :], axis=2)
     return xs_all[keep_idx[:, None], pick], ess, kept

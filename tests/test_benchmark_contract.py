@@ -122,12 +122,12 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     def rows_under(caller, name):
         return sum(span[5]["rows"] for span in under(caller, name))
 
-    distinct = sum(int(np.count_nonzero(cache.multiplicity)) for cache in caches)
+    distinct = sum(len(cache.counts) for cache in caches)
     assert sum(cache.n_particles for cache in caches) == n_particles * n_rounds
     assert rows_under("em.surrogate_q", "model.latent_logpdf_batch") == distinct
     assert rows_under("em.channel_term", "measurement.channel_logpdf") == distinct
     assert distinct < n_particles * n_rounds
-    # One call per regime, not one over the whole cache: see em._distinct_rows.
+    # One call per regime, not one over the whole cache: see em._regime_rows.
     assert len(under("em.surrogate_q", "model.latent_logpdf_batch")) == \
         len(s.family.regimes) * n_rounds
     assert len(under("em.channel_term", "measurement.channel_logpdf")) == \

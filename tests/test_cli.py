@@ -253,16 +253,22 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
      "beta grid value must be a finite real number, got inf"),
     ("simulate", {"channel": {"type": "gan", "sigma_min": "x"}},
      "sigma_min must be a real number, got 'x'"),
-    ("simulate", {"channel": {"type": "gan", "sigma_max": 0}}, "sigma_max must be positive, got 0.0"),
+    ("simulate", {"channel": {"type": "gan", "sigma_max": 0}},
+     "sigma_max must be positive and finite, got 0.0"),
     ("simulate", {"weight_range": "ab"}, "weight_range must be two numbers [lo, hi], got 'ab'"),
     ("simulate", {"weight_range": [0.9, 0.2]}, "weight_range must have lo <= hi, got [0.9, 0.2]"),
     ("simulate", {"weight_range": [0.2, "x"]}, "weight_range must be a real number, got 'x'"),
+    ("simulate", {"weight_range": [-0.5, 0.5]}, "weight_range must have lo >= 0, got [-0.5, 0.5]"),
+    # hi - lo overflows: the uniform draw would raise OverflowError.
+    ("simulate", {"weight_range": [-1e308, 1e308]},
+     "weight_range must have lo >= 0, got [-1e+308, 1e+308]"),
     ("simulate", {"sigma_z": "x"}, "sigma_z must be a real number, got 'x'"),
     ("simulate", {"channel": {"type": "linear", "p": 4, "mixing_var": -1}},
-     "mixing_var must be positive, got -1.0"),
+     "mixing_var must be positive and finite, got -1.0"),
     ("simulate", {"n_per_regime": -1}, "n_per_regime must be >= 0, got -1"),
 ], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "grid-inf", "sigma_min",
         "sigma_max", "weight_range-string", "weight_range-reversed", "weight_range-entry",
+        "weight_range-negative", "weight_range-infinite-width",
         "sigma_z", "mixing_var", "n_per_regime"])
 def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
                                                                 config, message):

@@ -138,8 +138,10 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, caplog,
         cache = em.e_step(theta, channel, datasets, family, cfg)
         assert cache.n_skipped == 5
         assert cache.y.shape == (95, 4) and cache.ess.shape == (95,)
-        assert cache.particles.shape == (95 * 4, 4)
-        assert np.bincount(cache.regime_index).tolist() == [19 * 4] * 5
+        # Each kept observation's 4 slots hold one particle: one row, counted 4 times.
+        assert cache.particles.shape == (95, 4) and cache.n_particles == 95 * 4
+        assert np.all(cache.counts == 4) and np.array_equal(cache.obs, np.arange(95))
+        assert np.bincount(cache.regime_index).tolist() == [19] * 5
     skipped = 5 * dropped_per_regime
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.WARNING if raises else logging.INFO,
@@ -152,14 +154,15 @@ def test_e_step_passes_an_empty_regime_through_as_an_empty_cache_entry(data):
     cfg = em.EmConfig(**TINY)
     cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
                       datasets, family, cfg)
-    r = TINY["n_resample"]
-    obs_regime = cache.regime_index[::r]  # the regime of each kept observation
+    obs_regime = np.empty(len(cache.y), dtype=int)
+    obs_regime[cache.obs] = cache.regime_index  # the regime of each kept observation
     assert cache.regimes[1] is family.regimes[1] and cache.y[obs_regime == 1].shape == (0, 4)
     assert cache.particles[cache.regime_index == 1].shape == (0, 4)
     assert cache.ess[obs_regime == 1].shape == (0,)
     assert cache.n_skipped == 0
     assert np.bincount(obs_regime, minlength=5).tolist() == [20, 0, 20, 20, 20]
     assert cache.y.shape == (80, 4) and cache.ess.shape == (80,)
+    assert cache.n_particles == 80 * TINY["n_resample"]
     assert np.isfinite(em.channel_term(cache, GaussianAdditiveChannel(np.full(4, 0.2))))
 
 
@@ -185,18 +188,20 @@ def test_a_dataset_count_other_than_the_regime_count_is_refused(data, extra, spe
 
 
 def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
-    """Row i of the cache's particles is a particle of kept observation i // n_resample,
-    whose observation and ESS are row i // n_resample of ``y`` and ``ess``; the kept
-    observations come regime after regime, each regime's in its data's order."""
+    """Row i of the cache's particles is a run of equal adjacent slots of kept
+    observation ``obs[i]``, whose observation and ESS are row ``obs[i]`` of ``y`` and
+    ``ess``, and ``counts[i]`` is the run's length; the kept observations come regime
+    after regime, each regime's in its data's order."""
     datasets, family = data
     datasets = [datasets[0], np.zeros((0, 4)), *datasets[2:]]
     r = TINY["n_resample"]
+    per_obs = r // 2  # rows per kept observation
 
     def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
-        """Drops every third observation; slot j of observation l holds Y[l] + j, and
-        its ESS is Y[l, 0]."""
+        """Drops every third observation; slots 2j and 2j + 1 of observation l hold
+        Y[l] + j, and its ESS is Y[l, 0]."""
         kept = np.arange(len(Y)) % 3 != 1
-        particles = Y[kept][:, None, :] + np.arange(n_resample)[:, None]
+        particles = Y[kept][:, None, :] + (np.arange(n_resample) // 2)[:, None]
         return particles, Y[kept, 0], kept
 
     monkeypatch.setattr(em, "sir_sample_batch", stub_sir)
@@ -207,12 +212,33 @@ def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
     assert cache.n_skipped == 80 - n_kept
     assert np.array_equal(cache.y, np.concatenate(kept))
     assert np.array_equal(cache.ess, cache.y[:, 0])
-    assert cache.particles.shape == (n_kept * r, 4)
-    i = np.arange(cache.n_particles)
-    assert np.array_equal(cache.particles, cache.y[i // r] + (i % r)[:, None])
-    assert np.array_equal(cache.regime_index,
-                          np.repeat(np.arange(len(family.regimes)), [len(Y) * r for Y in kept]))
-    assert np.all(cache.multiplicity == 1)
+    assert cache.particles.shape == (n_kept * per_obs, 4)
+    assert cache.n_particles == n_kept * r
+    i = np.arange(len(cache.particles))
+    assert np.array_equal(cache.obs, i // per_obs)
+    assert np.all(cache.counts == 2)
+    assert np.array_equal(cache.particles, cache.y[i // per_obs] + (i % per_obs)[:, None])
+    assert np.array_equal(cache.regime_index, np.repeat(np.arange(len(family.regimes)),
+                                                        [len(Y) * per_obs for Y in kept]))
+
+
+def test_distinct_particles_sharing_a_first_coordinate_get_one_row_each(data, monkeypatch):
+    """Only equal adjacent slots share a row: the slots a, a, b, b with b equal to a
+    but for its last coordinate give two rows of count 2."""
+    datasets, family = data
+    shift = np.array([0.0, 0.0, 0.0, 1.0])
+
+    def stub_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
+        particles = np.stack([Y, Y, Y + shift, Y + shift], axis=1)
+        return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
+
+    monkeypatch.setattr(em, "sir_sample_batch", stub_sir)
+    cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
+                      datasets, family, em.EmConfig(**TINY))
+    assert cache.particles.shape == (200, 4) and cache.n_particles == 400
+    assert np.array_equal(cache.particles[0::2], cache.y)
+    assert np.array_equal(cache.particles[1::2], cache.y + shift)
+    assert np.all(cache.counts == 2) and np.array_equal(cache.obs, np.arange(200) // 2)
 
 
 def _per_regime_grads(theta, cache, rows, mask):
@@ -315,52 +341,61 @@ def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_
 
 
 def _repeating_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample, seed=None):
-    """Each observation's slots hold copies of three rows, the first two of which
-    share their first coordinate; every slot of the first observation holds row 0."""
+    """Each observation's slots hold copies of three rows in row order, as SIR resamples
+    in proposal order; the first two rows share their first coordinate, and every slot
+    of the first observation holds row 0."""
     rng = np.random.default_rng(seed)
     rows = rng.normal(0.0, 0.8, size=(len(Y), 3, params.d))
     rows[:, 1, 0] = rows[:, 0, 0]
-    pick = rng.integers(0, 3, size=(len(Y), n_resample))
+    pick = np.sort(rng.integers(0, 3, size=(len(Y), n_resample)), axis=1)
     pick[:1] = 0
     particles = rows[np.arange(len(Y))[:, None], pick]
     return particles, np.ones(len(Y)), np.ones(len(Y), dtype=bool)
 
 
-def _slot_counts(particles):
-    """Reference multiplicities: each slot's owner is the first slot of its observation
-    with the same first coordinate if their rows are equal, else the slot itself; a
-    slot counts the slots it owns."""
-    counts = []
-    for slots in particles:
-        owners = []
+def _runs(particles):
+    """Reference cache rows of (observations, slots, d) particles: per observation,
+    each run of equal adjacent slots once, with its length and the observation."""
+    rows, counts, obs = [], [], []
+    for l, slots in enumerate(particles):
         for j, row in enumerate(slots):
-            i = next(i for i, other in enumerate(slots) if other[0] == row[0])
-            owners.append(i if np.array_equal(slots[i], row) else j)
-        counts.extend(owners.count(j) for j in range(len(slots)))
-    return counts
+            if j and np.array_equal(row, slots[j - 1]):
+                counts[-1] += 1
+            else:
+                rows.append(row)
+                counts.append(1)
+                obs.append(l)
+    return np.array(rows), counts, obs
 
 
 @pytest.mark.parametrize("n_resample", [16, 300])
 def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resample):
-    """q and the channel term score only the rows of nonzero multiplicity; weighted by
-    their multiplicities, they equal the plain means over every slot. 300 slots holding
-    one row would wrap a uint8 count."""
+    """The cache holds each run of equal adjacent slots once, with its length; weighted
+    by those counts, q and the channel term equal the plain means over every slot. 300
+    slots holding one row would wrap a uint8 count."""
     theta = model.init_params(4, hidden=3, seed=12, weight_scale=0.6)
     theta = dataclasses.replace(theta, b_in=np.full(3, 0.1), b_out=np.full(4, -0.2))
     channel = GaussianAdditiveChannel(np.array([0.2, 0.3, 0.25, 0.4]))
-    cache = _mixed_cache(_repeating_sir, theta, channel, n_resample)
+    drawn = []  # each regime's slots, as the E-step got them
 
-    counts = cache.multiplicity.astype(int)
-    slots = cache.particles.reshape(-1, n_resample, 4)  # (kept observations, slots, d)
-    assert counts.tolist() == _slot_counts(slots)
-    assert np.all(counts.reshape(-1, n_resample).sum(axis=1) == n_resample)
-    assert counts[0] == n_resample
-    assert 0 < np.count_nonzero(counts) < cache.n_particles
+    def recording_sir(*args, **kwargs):
+        out = _repeating_sir(*args, **kwargs)
+        drawn.append(out[0])
+        return out
+
+    cache = _mixed_cache(recording_sir, theta, channel, n_resample)
+    slots = np.concatenate(drawn)  # (kept observations, slots, d)
+    rows, counts, obs = _runs(slots)
+    assert np.array_equal(cache.particles, rows)
+    assert cache.counts.tolist() == counts and cache.obs.tolist() == obs
+    assert cache.n_particles == slots.shape[0] * n_resample
+    assert cache.counts[0] == n_resample
+    assert len(cache.counts) < cache.n_particles
 
     mask = model.expected_mask(theta.edge_logits)
     q_slots = sum(float(model.latent_logpdf_batch(theta, mask, regime, regime.variance,
-                                                  cache.particles[cache.regime_index == k]).sum())
-                  for k, regime in enumerate(cache.regimes)) / cache.n_particles
+                                                  x.reshape(-1, 4)).sum())
+                  for x, regime in zip(drawn, cache.regimes)) / cache.n_particles
     channel_slots = np.mean(measurement.channel_logpdf(channel, cache.y[:, None, :], slots))
     assert abs(em.surrogate_q(theta, cache) - q_slots) <= 1e-12 * abs(q_slots)
     assert abs(em.channel_term(cache, channel) - channel_slots) <= 1e-12 * abs(channel_slots)

@@ -84,8 +84,9 @@ class TestSirSampleBatch:
         assert np.all(ess >= 1.0) and np.all(ess <= S * (1 + 1e-12))
         assert ess.min() < S  # the weights are not all equal
 
-    def test_particles_come_from_their_own_rows_proposals(self, linear_gaussian,
-                                                          monkeypatch):
+    @staticmethod
+    def _record_draws(monkeypatch) -> dict:
+        """Each observation's proposals, by its row, as ``GaussianProposal`` draws them."""
         drawn = {}
         draw = posterior.GaussianProposal.draw
 
@@ -96,6 +97,11 @@ class TestSirSampleBatch:
             return xs
 
         monkeypatch.setattr(posterior.GaussianProposal, "draw", recording_draw)
+        return drawn
+
+    def test_particles_come_from_their_own_rows_proposals(self, linear_gaussian,
+                                                          monkeypatch):
+        drawn = self._record_draws(monkeypatch)
         particles, _, kept = run_sir(linear_gaussian, 6, 5, seed=3)
         for pos, row in enumerate(np.nonzero(kept)[0]):
             proposals = drawn[int(row)]
@@ -103,6 +109,19 @@ class TestSirSampleBatch:
                 assert np.any(np.all(proposals == particle, axis=1))
             others = [drawn[r] for r in drawn if r != row]
             assert not any(np.any(np.all(o == particles[pos][0], axis=1)) for o in others)
+
+    def test_copies_of_a_proposal_fill_adjacent_slots(self, linear_gaussian, monkeypatch):
+        """Resampling picks in proposal order: along an observation's slots the index of
+        the picked proposal never falls, so its copies of one proposal are one run."""
+        drawn = self._record_draws(monkeypatch)
+        particles, _, kept = run_sir(linear_gaussian, 8, 32, seed=5)
+        repeats = 0
+        for pos, row in enumerate(np.nonzero(kept)[0]):
+            index = [int(np.flatnonzero(np.all(drawn[int(row)] == x, axis=1))[0])
+                     for x in particles[pos]]
+            assert index == sorted(index)
+            repeats += len(index) - len(set(index))
+        assert repeats > 0  # 32 slots from 8 proposals repeat
 
     def test_particle_means_match_closed_form_posterior(self, linear_gaussian):
         R = 1000
