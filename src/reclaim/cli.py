@@ -5,8 +5,8 @@ not a JSON object or whose "channel", sweep "base" or "em" is not one, a
 number that is not finite (JSON reads 1e400 as inf), a sweep "out_dir" that
 is not a string, a channel.json that is malformed, names an unknown type,
 lacks a key, has an "A" or "sigma_sq" that is not an array of numbers (a
-ragged one, or one holding true or false, among them), an "A" with no
-columns or a non-finite entry, or a rank-deficient mixing matrix, a
+ragged one, or one holding true or false, among them), an "A" that is not
+a matrix, has no columns, has a non-finite entry or is rank deficient, a
 family.json or regime CSV that does not parse, a regime CSV with a non-
 finite entry or another number of columns than the others, a channel whose p
 is not the data's column count, a regime whose target is not an integer node

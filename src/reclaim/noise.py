@@ -29,10 +29,7 @@ _NULL_RESID_TOL = 1e-10
 EPS_SIG = 0.1
 DELTA_DIVERSITY = 0.05
 MAX_STREAK = 500  # consecutive rejections after which a node is passed over
-# The screened sampler: draws per block, and the slack (per unit of |a_i|, at
-# least 1) by which a screened signal may miss the window and still be tested.
-_SCREEN_BLOCK = 128
-_SCREEN_MARGIN = 1e-9
+_SCREEN_BLOCK = 128  # normals drawn and screened at a time
 
 
 def _covering_regimes(datasets, family, node):
@@ -138,19 +135,11 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
 
     Most draws fail the signal window, so a node whose null space has r > 1
     dimensions draws its normals ``_SCREEN_BLOCK`` at a time and screens the
-    block with one product. The basis B is orthonormal, so t = Bz / |Bz| has
-    signal |a_i' t| = |(B' a_i) . z| / |z|, and the screened signal differs
-    from the per-draw one by rounding only, far below the margin
-    (``_SCREEN_MARGIN`` times max(1, |a_i|)). Only a draw whose screened
-    signal lies within the margin of the window takes the per-draw
-    arithmetic: t = Bz, normalized, then the exact signal and diversity
-    tests. Every accepted row is therefore the one a per-draw loop computes;
-    the other draws only spend budget and lengthen the streak. A node that
-    stops inside a block rewinds the generator to the block's start and
-    redraws just the rows it used, so the next node sees the stream a
-    per-draw loop leaves. A node that accepts nothing replays its draws per
-    draw to find its strongest. The returned set is byte-equal to the
-    per-draw loop's.
+    block's signals with one product. It takes the rows inside the window in
+    order, each through the exact signal test and the diversity test, until
+    its quota is met or its streak ends; the rest of the block is discarded
+    but spends budget. A node that accepts nothing falls back to the row of
+    largest screened signal among those it looked at.
     """
     A = check_mixing(A)
     p, d = A.shape
@@ -203,58 +192,39 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         want = quota[node] if step < d else 1
         basis, col = bases[node], A[:, node]
         r = basis.shape[1]
-        got = streak = 0
+        got = 0
         if r == 1:
-            # p = d: the one admissible direction, already unit norm. A per-draw loop
-            # admits its repeats while they stay diverse; no budget is read at p = d.
+            # p = d: the one admissible direction, already unit norm. Its repeats are
+            # admitted while they stay diverse; no budget is read at p = d.
             best_t = basis[:, 0]
             best_sig = abs(col @ best_t)
             while got < want and EPS_SIG <= best_sig <= cap and admit(best_t, node):
                 got += 1
         else:
+            # B is orthonormal, so t = Bz / |z| has signal |(B' a_i) . z| / |z|: one
+            # product screens a block. The streak would reach MAX_STREAK at draw `stop`.
+            w = basis.T @ col
             best_sig, best_t = 0.0, None
-            w = basis.T @ col  # screened signal of z: |w . z| / |z|
-            margin = _SCREEN_MARGIN * max(1.0, math.sqrt(col @ col))
-            lo, hi = EPS_SIG - margin, cap + margin
-            drawn = []  # the node's draws while it has accepted none, for the fallback
-            while got < want and streak < MAX_STREAK and budget > 0:
-                state = rng.bit_generator.state
+            drawn, stop = 0, MAX_STREAK
+            while got < want and drawn < stop and budget > 0:
                 Z = rng.standard_normal((_SCREEN_BLOCK, r))
                 screened = np.abs(Z @ w)
                 screened /= np.sqrt(np.einsum("ij,ij->i", Z, Z))
-                used = 0
-                for c in [*np.flatnonzero((screened >= lo) & (screened <= hi)).tolist(),
-                          _SCREEN_BLOCK]:
-                    # The draws before candidate c fail the signal test: each
-                    # only spends budget and lengthens the streak.
-                    skip = min(c - used, MAX_STREAK - streak, budget)
-                    used, streak, budget = used + skip, streak + skip, budget - skip
-                    if c == _SCREEN_BLOCK or streak >= MAX_STREAK or budget <= 0:
+                budget -= _SCREEN_BLOCK
+                for c in np.flatnonzero((screened >= EPS_SIG) & (screened <= cap)).tolist():
+                    if drawn + c >= stop:
                         break
-                    used, budget = used + 1, budget - 1
                     t = basis @ Z[c]
-                    # The basis is orthonormal, so the norm is |z| > 0. math.sqrt(v @ v)
-                    # is how np.linalg.norm takes a vector's norm: bit-equal, fewer calls.
                     t /= math.sqrt(t @ t)
                     if EPS_SIG <= abs(col @ t) <= cap and admit(t, node):
-                        got, streak = got + 1, 0
+                        got, stop = got + 1, drawn + c + 1 + MAX_STREAK
                         if got == want:
                             break
-                    else:
-                        streak += 1
                 if not got:
-                    drawn.append(Z[:used])
-                if used < _SCREEN_BLOCK:  # stopped inside the block
-                    rng.bit_generator.state = state
-                    rng.standard_normal((used, r))
-            if not got and node not in sources[:n]:
-                # Replay the node's draws per draw to find its strongest one.
-                for z in itertools.chain.from_iterable(drawn):
-                    t = basis @ z
-                    t /= math.sqrt(t @ t)
-                    sig = abs(col @ t)
-                    if sig > best_sig:
-                        best_sig, best_t = sig, t
+                    c = int(np.argmax(screened[:stop - drawn]))
+                    if screened[c] > best_sig:
+                        best_sig, best_t = screened[c], basis @ Z[c] / math.sqrt(Z[c] @ Z[c])
+                drawn += _SCREEN_BLOCK
         # A node whose admissible directions cannot pass the signal or
         # diversity tests (e.g. a one-dimensional null space whose forced
         # direction has weak signal or resembles another node's) would
@@ -360,11 +330,7 @@ def estimate_channel_noise(datasets, family: InterventionFamily,
     if channel_type == "gan":
         return estimate_gan_variances(datasets, family)
     if channel_type == "linear":
-        if A is None:
-            raise ParameterError("linear channel estimation needs the mixing matrix")
-        A = check_array("linear channel's 'A'", A)
-        if A.ndim != 2:
-            raise ParameterError("linear channel's 'A' must be a matrix")
+        A = check_mixing(check_array("linear channel's 'A'", A))
         p = A.shape[0]
         proj = sample_projection_vectors(
             A, m=PIPELINE_ROWS_PER_MEASUREMENT * p,

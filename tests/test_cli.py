@@ -417,6 +417,26 @@ def test_bad_channel_json_exits_2(tmp_path, capsys, text, message, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("A", [2.0, [], [1.0, 0.5, 0.2], None],
+                         ids=["scalar", "empty", "1-d", "null"])
+def test_a_linear_A_that_is_no_matrix_gives_one_error_from_every_command(tmp_path, capsys, A):
+    data = tmp_path / "data"
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    (data / "channel.json").write_text(json.dumps(
+        {"type": "linear", "A": A, "sigma_sq": [0.1, 0.2, 0.3]}))
+    errors = []
+    for command in ("fit", "fit-true-noise", "estimate-noise"):
+        out = tmp_path / command
+        if command == "estimate-noise":
+            argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+        else:
+            argv = _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors == ["error: mixing matrix must be 2-dimensional\n"] * 3
+
+
 def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
     report, truth = tmp_path / "report.json", tmp_path / "truth_graph.json"
     scores = np.full((3, 3), 0.5)
