@@ -9,18 +9,19 @@ ragged one, or one holding true or false, among them), an "A" that is not
 a matrix, has no columns, has a non-finite entry or is rank deficient, a
 family.json or regime CSV that does not parse, a regime CSV with a non-
 finite entry or another number of columns than the others, a channel whose p
-is not the data's column count, a regime whose target is not an integer node
-index in [0, d) or whose mean or variance is not a finite number, an
-"include_observational" or "use_true_noise" that is not true or false, a
-checkpoint.json to resume from that is malformed, has a round record field
-of the wrong type or a "sigma_z" that is not positive and finite, or is of
-another dimension than the data, a truth graph or report that does not
-parse, and an evaluation against a truth graph with no edges), 3 I/O failure
-(a data directory without family.json among them, which is what a cut
-``simulate`` leaves), 4 unmet interventional-coverage requirement, 5
-numerical failure (too many degenerate observations in an E-step, a fixed-
-point iteration that stalls, a forward map that fails the orientation check,
-or a linear channel whose projection design cannot reach rank p).
+is not the data's column count, a simulated linear "A" that is not p x d, a
+regime whose target is not an integer node index in [0, d) or whose mean or
+variance is not a finite number, an "include_observational" or
+"use_true_noise" that is not true or false, a checkpoint.json to resume from
+that is malformed, has a round record field of the wrong type or a "sigma_z"
+that is not positive and finite, or is of another dimension than the data, a
+truth graph or report that does not parse, and an evaluation against a truth
+graph with no edges), 3 I/O failure (a data directory without family.json
+among them, which is what a cut ``simulate`` leaves), 4 unmet
+interventional-coverage requirement, 5 numerical failure (too many
+degenerate observations in an E-step, a fixed-point iteration that stalls, a
+forward map that fails the orientation check, or a linear channel whose
+projection design cannot reach rank p).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,
@@ -163,10 +164,18 @@ def _atomic_write(path, text):
 
 
 def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.LinearChannel:
-    """The simulated channel: the config's "A" and "sigma_sq", or random draws."""
+    """The simulated channel: the config's "A" and "sigma_sq", or random draws.
+    A given "A" sets p to its row count; a "p" beside it, and d, must agree."""
     spec = {"type": "gan", **channel_cfg}
-    p = _config_number(spec, "p", d, integral=True) if spec["type"] == "linear" else d
-    if spec["type"] == "linear" and "A" not in spec:
+    p = d
+    if spec["type"] == "linear" and "A" in spec:
+        A = spec["A"] = measurement.check_mixing(measurement.spec_field(spec, "A"))
+        p = _config_number(spec, "p", A.shape[0], integral=True)
+        if A.shape != (p, d):
+            raise ConfigError(f"channel 'A' must be {p}x{d} (p={p}, d={d}), "
+                              f"got {A.shape[0]}x{A.shape[1]}")
+    elif spec["type"] == "linear":
+        p = _config_number(spec, "p", d, integral=True)
         mixing_var = _config_number(spec, "mixing_var", 1.5, positive=True)
         spec["A"] = rng.normal(0.0, np.sqrt(mixing_var), size=(p, d))
     if "sigma_sq" not in spec:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import noise
 from .errors import EStepError, ParameterError, check_number
-from .measurement import LinearChannel, channel_from_dict, channel_logpdf
+from .measurement import LinearChannel, channel_from_dict, channel_logpdf, spec_field
 from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
                     params_to_dict, sample_mask, spectral_normalize)
@@ -334,8 +334,9 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     if len(datasets) != len(family):
         raise ParameterError(f"{len(datasets)} datasets for {len(family)} regimes")
     if channel_spec.get("sigma_sq") is None:
-        var = noise.estimate_channel_noise(datasets, family, channel_spec.get("type"),
-                                           channel_spec.get("A"), seed=seed)
+        kind = channel_spec.get("type")
+        A = spec_field(channel_spec, "A") if kind == "linear" else None
+        var = noise.estimate_channel_noise(datasets, family, kind, A, seed=seed)
         channel_spec = {**channel_spec, "sigma_sq": var}
     channel = channel_from_dict(channel_spec)
     family.check_targets(channel.d)

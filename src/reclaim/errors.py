@@ -87,7 +87,7 @@ class RankError(ValueError):
 
 
 class SamplingFailureError(RuntimeError):
-    """Projection-vector sampling exhausted its rejection budget.
+    """Projection-vector sampling ended with a design matrix short of rank p.
 
     Attributes
     ----------

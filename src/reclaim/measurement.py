@@ -145,15 +145,18 @@ def channel_from_dict(spec: dict) -> LinearChannel:
     kind = spec.get("type")
     if kind not in ("gan", "linear"):
         raise ParameterError(f"unknown channel type {kind!r}; expected 'gan' or 'linear'")
-
-    def field(key):
-        if key not in spec:
-            raise ParameterError(f"{kind} channel spec has no {key!r}")
-        return check_array(f"{kind} channel's {key!r}", spec[key])
-
     if kind == "gan":
-        return GaussianAdditiveChannel(field("sigma_sq"))
-    return LinearChannel(field("A"), field("sigma_sq"))
+        return GaussianAdditiveChannel(spec_field(spec, "sigma_sq"))
+    return LinearChannel(spec_field(spec, "A"), spec_field(spec, "sigma_sq"))
+
+
+def spec_field(spec: dict, key: str) -> np.ndarray:
+    """``spec[key]`` of a channel spec as a float array; a missing key, or a
+    value that is not an array of numbers, is a ``ParameterError`` naming it."""
+    kind = spec.get("type")
+    if key not in spec:
+        raise ParameterError(f"{kind} channel spec has no {key!r}")
+    return check_array(f"{kind} channel's {key!r}", spec[key])
 
 
 def channel_from_json(text: str) -> LinearChannel:

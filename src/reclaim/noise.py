@@ -11,7 +11,6 @@ same statistic at A = I and t = e_i is the estimate, with no sampler or solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,36 +109,27 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                               signal_cap: float | None = None) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 
-    Cycles over latent nodes; for node i, draws coefficients against the
-    null-space basis of the other columns, keeps unit-norm vectors with
-    enough signal on column i (|a_i' t| >= EPS_SIG) whose squared vector is
-    sufficiently different (cosine <= 1 - delta) from every accepted row.
-    A node rejected ``MAX_STREAK`` times in a row, or whose one-dimensional
-    null space is already represented, is passed over, so square systems
-    terminate with one row per node. Once every node has had its share of
-    the m rows, nodes are asked round-robin for one row each until the
-    squares reach rank p. Fails once the total draw budget (1e4 * m) is
-    spent without reaching rank p, or at once when p = d, where the first
-    pass has already tried every node's one direction; a mixing matrix that
-    ``measurement.check_mixing`` rejects is rejected before any draw.
+    One pass over the latent nodes: node i draws its share of the m rows
+    against the null-space basis of the other columns, keeping unit-norm
+    vectors with enough signal on column i (|a_i' t| >= EPS_SIG) whose
+    squared vector is sufficiently different (cosine <= 1 - delta) from
+    every accepted row. A node stops at its share, or once it is rejected
+    ``MAX_STREAK`` times in a row; one that accepts nothing keeps its
+    strongest draw. At p = d a node's one direction is its one row, with no
+    window or diversity test: a repeat adds nothing to the design. Fails
+    with ``SamplingFailureError`` when the squares fall short of rank p; a
+    mixing matrix that ``measurement.check_mixing`` rejects is rejected
+    before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
     each equation's right-hand side, so low-signal rows estimate the noise
     variances far more precisely.
 
-    At the pipeline settings (``PIPELINE_DELTA``) the diversity test binds
-    only where a node's null space is one-dimensional (p = d): the fixed
-    direction's second draw repeats the first. Random directions in a wider
-    null space stay below the cosine limit.
-
-    Most draws fail the signal window, so a node whose null space has r > 1
-    dimensions draws its normals ``_SCREEN_BLOCK`` at a time and screens the
-    block's signals with one product. It takes the rows inside the window in
-    order, each through the exact signal test and the diversity test, until
-    its quota is met or its streak ends; the rest of the block is discarded
-    but spends budget. A node that accepts nothing falls back to the row of
-    largest screened signal among those it looked at.
+    Most draws fail the signal window, so a node screens the signals of
+    ``_SCREEN_BLOCK`` draws with one product and takes the rows inside the
+    window in order, each through the exact signal test and the diversity
+    test; the rest of the block is discarded.
     """
     A = check_mixing(A)
     p, d = A.shape
@@ -152,16 +142,15 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
-    quota = [m // d + (i < m % d) for i in range(d)]
     cos_limit = 1.0 - delta
     cap = math.inf if signal_cap is None else signal_cap
 
     # Accepted rows: the vectors, their squares (the design matrix), the
-    # squares' norms and the node each row isolates. The first d steps fill
-    # at most m rows; every later step adds at most one.
+    # squares' norms and the node each row isolates. A node adds at most its
+    # share, which is at least one row since m >= p >= d.
     vecs, sqs = np.empty((m, p)), np.empty((m, p))
     sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
-    n, budget, ranked = 0, 10_000 * m, -1
+    n = 0
 
     def admit(t, node, diverse_only=True):
         """Add row t for node; with ``diverse_only``, only if its squares are diverse enough."""
@@ -177,40 +166,25 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         n += 1
         return True
 
-    for step in itertools.count():
-        if step >= d:  # top up until the design matrix certifies full rank
-            if ranked != n:  # the rank changes only when a row is added
-                achieved, ranked = np.linalg.matrix_rank(sqs[:n]), n
-            # With p = d the first pass has tried each node's one direction: a
-            # top-up cannot raise the rank.
-            if achieved == p or budget <= 0 or p == d:
-                break
-            if n == len(vecs):
-                vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
-                                                for a in (vecs, sqs, sq_norms, sources))
-        node = step % d
-        want = quota[node] if step < d else 1
+    # Each accepted row extends a node's streak by at most MAX_STREAK, so a
+    # call draws at most (m + d) * (MAX_STREAK + _SCREEN_BLOCK) rows of normals.
+    for node in range(d):
+        share = m // d + (node < m % d)
         basis, col = bases[node], A[:, node]
         r = basis.shape[1]
         got = 0
-        if r == 1:
-            # p = d: the one admissible direction, already unit norm. Its repeats are
-            # admitted while they stay diverse; no budget is read at p = d.
-            best_t = basis[:, 0]
-            best_sig = abs(col @ best_t)
-            while got < want and EPS_SIG <= best_sig <= cap and admit(best_t, node):
-                got += 1
+        if r == 1:  # p = d: the one admissible direction, already unit norm
+            best_t, best_sig = basis[:, 0], abs(col @ basis[:, 0])
         else:
             # B is orthonormal, so t = Bz / |z| has signal |(B' a_i) . z| / |z|: one
             # product screens a block. The streak would reach MAX_STREAK at draw `stop`.
             w = basis.T @ col
             best_sig, best_t = 0.0, None
             drawn, stop = 0, MAX_STREAK
-            while got < want and drawn < stop and budget > 0:
+            while got < share and drawn < stop:
                 Z = rng.standard_normal((_SCREEN_BLOCK, r))
                 screened = np.abs(Z @ w)
                 screened /= np.sqrt(np.einsum("ij,ij->i", Z, Z))
-                budget -= _SCREEN_BLOCK
                 for c in np.flatnonzero((screened >= EPS_SIG) & (screened <= cap)).tolist():
                     if drawn + c >= stop:
                         break
@@ -218,22 +192,19 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                     t /= math.sqrt(t @ t)
                     if EPS_SIG <= abs(col @ t) <= cap and admit(t, node):
                         got, stop = got + 1, drawn + c + 1 + MAX_STREAK
-                        if got == want:
+                        if got == share:
                             break
                 if not got:
                     c = int(np.argmax(screened[:stop - drawn]))
                     if screened[c] > best_sig:
                         best_sig, best_t = screened[c], basis @ Z[c] / math.sqrt(Z[c] @ Z[c])
                 drawn += _SCREEN_BLOCK
-        # A node whose admissible directions cannot pass the signal or
-        # diversity tests (e.g. a one-dimensional null space whose forced
-        # direction has weak signal or resembles another node's) would
-        # otherwise never be represented, leaving the design matrix rank
-        # deficient. Fall back to the node's strongest draw as long as it
-        # is genuinely admissible (nonzero signal).
-        if got == 0 and best_sig > 1e-8 and node not in sources[:n]:
+        # A node with no row would leave the design rank deficient: it keeps
+        # its strongest draw, unless that has no signal to speak of.
+        if got == 0 and best_sig > 1e-8:
             admit(best_t, node, diverse_only=False)
 
+    achieved = np.linalg.matrix_rank(sqs[:n])
     if achieved < p:
         raise SamplingFailureError(
             f"projection sampling found no design of full rank: it stopped at "

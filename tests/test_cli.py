@@ -266,10 +266,15 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
     ("simulate", {"channel": {"type": "linear", "p": 4, "mixing_var": -1}},
      "mixing_var must be positive and finite, got -1.0"),
     ("simulate", {"n_per_regime": -1}, "n_per_regime must be >= 0, got -1"),
+    # A given "A" sets p and d, so a "p" or d beside it must agree.
+    ("simulate", {"channel": {"type": "linear", "A": np.eye(4, 3).tolist(), "p": 3}},
+     "channel 'A' must be 3x3 (p=3, d=3), got 4x3"),
+    ("simulate", {"channel": {"type": "linear", "A": [[1, 0], [0, 1], [1, 1]]}},
+     "channel 'A' must be 3x3 (p=3, d=3), got 3x2"),
 ], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "grid-inf", "sigma_min",
         "sigma_max", "weight_range-string", "weight_range-reversed", "weight_range-entry",
         "weight_range-negative", "weight_range-infinite-width",
-        "sigma_z", "mixing_var", "n_per_regime"])
+        "sigma_z", "mixing_var", "n_per_regime", "A-against-p", "A-against-d"])
 def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
                                                                 config, message):
     path, out = tmp_path / "config.json", tmp_path / "out"
@@ -366,6 +371,20 @@ def test_a_projection_design_short_of_rank_p_exits_5_before_any_output(tmp_path,
     assert not out.exists()
 
 
+def test_simulate_takes_p_from_the_rows_of_a_given_A(tmp_path, capsys):
+    # Each node's signal is at most 0.01 |a_i|, below the sampler's window, so
+    # the squared projections stop at rank 2 < p = 3.
+    A = [[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]
+    config, data = tmp_path / "simulate.json", tmp_path / "data"
+    config.write_text(json.dumps({"d": 2, "n_per_regime": 50, "graph_density": 1.0,
+                                  "channel": {"type": "linear", "A": A}}))
+    assert cli.main(["simulate", "--config", str(config), "--out-dir", str(data)]) == cli.EXIT_OK
+    spec = json.loads((data / "channel.json").read_text())
+    assert spec["A"] == A and len(spec["sigma_sq"]) == 3
+    assert cli.main(["estimate-noise", "--data-dir", str(data)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.endswith("rank 2 < 3\n")
+
+
 # Case id -> (channel.json text, the start of the error, the commands that read
 # the bad field). "fit" estimates the noise, as estimate-noise does, and
 # "fit-true-noise" reads "sigma_sq".
@@ -417,13 +436,16 @@ def test_bad_channel_json_exits_2(tmp_path, capsys, text, message, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("A", [2.0, [], [1.0, 0.5, 0.2], None],
-                         ids=["scalar", "empty", "1-d", "null"])
-def test_a_linear_A_that_is_no_matrix_gives_one_error_from_every_command(tmp_path, capsys, A):
+@pytest.mark.parametrize("given, message", [
+    *[({"A": A}, "mixing matrix must be 2-dimensional") for A in (2.0, [], [1.0, 0.5, 0.2], None)],
+    ({}, "linear channel spec has no 'A'"),
+], ids=["scalar", "empty", "1-d", "null", "absent"])
+def test_a_linear_A_that_is_no_matrix_gives_one_error_from_every_command(tmp_path, capsys, given,
+                                                                           message):
     data = tmp_path / "data"
     cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
     (data / "channel.json").write_text(json.dumps(
-        {"type": "linear", "A": A, "sigma_sq": [0.1, 0.2, 0.3]}))
+        {"type": "linear", **given, "sigma_sq": [0.1, 0.2, 0.3]}))
     errors = []
     for command in ("fit", "fit-true-noise", "estimate-noise"):
         out = tmp_path / command
@@ -434,7 +456,7 @@ def test_a_linear_A_that_is_no_matrix_gives_one_error_from_every_command(tmp_pat
         assert cli.main(argv) == cli.EXIT_CONFIG
         errors.append(capsys.readouterr().err)
         assert not out.exists()
-    assert errors == ["error: mixing matrix must be 2-dimensional\n"] * 3
+    assert errors == [f"error: {message}\n"] * 3
 
 
 def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):

@@ -173,8 +173,8 @@ def _normal_mixing(shape, a_seed):
 
 _PIPELINE = (noise.PIPELINE_DELTA, noise.PIPELINE_SIGNAL_CAP)
 # (A, m, delta, signal_cap, sampler seed): default and pipeline settings on tall
-# and square matrices, delta = 0 on square ones (a node's one direction is then
-# admitted more than once), and a narrow signal window.
+# and square matrices, delta = 0 on square ones (each node's one direction is
+# still its one row), and a narrow signal window.
 _SAMPLER_GRID = {
     **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0],
                                        noise.DELTA_DIVERSITY, None, a + 10)
@@ -185,7 +185,7 @@ _SAMPLER_GRID = {
     **{f"square-delta0-{p}x{p}": (_normal_mixing((p, p), 0), 2 * p, 0.0, None, p)
        for p in (6, 3, 10)},
     **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, noise.DELTA_DIVERSITY, 0.12, 0)
-       for a in range(3)},
+       for a in (1, 2)},
 }
 
 
@@ -196,12 +196,14 @@ class TestProjectionSampler:
         assert np.linalg.matrix_rank(ps.squares) == 3
 
     def test_square_case_one_row_per_node(self):
+        # p = d: each node's one direction is its one row, whatever m and delta ask.
         rng = np.random.default_rng(2)
         A = rng.normal(size=(6, 6))
-        ps = noise.sample_projection_vectors(A, seed=1)
-        assert ps.m == 6
-        assert sorted(ps.source_node.tolist()) == list(range(6))
-        assert np.linalg.matrix_rank(ps.squares) == 6
+        for delta in (noise.DELTA_DIVERSITY, noise.PIPELINE_DELTA, 0.0):
+            ps = noise.sample_projection_vectors(A, m=12, delta=delta, seed=1)
+            assert ps.m == 6
+            assert sorted(ps.source_node.tolist()) == list(range(6))
+            assert np.linalg.matrix_rank(ps.squares) == 6
 
     def test_random_tall_matrices_rank_certified(self):
         for s in range(100):
@@ -237,7 +239,7 @@ class TestProjectionSampler:
         rng = np.random.default_rng(0)
         ps = noise.sample_projection_vectors(A, seed=rng)
         # Node 0 fills its quota of 3 from its first block, node 1 draws blocks
-        # until the streak reaches MAX_STREAK, and the rank needs no top-up.
+        # until the streak reaches MAX_STREAK, and the one rank check finds 3.
         blocks = 1 + -(-noise.MAX_STREAK // noise._SCREEN_BLOCK)
         drawn = np.random.default_rng(0)
         drawn.standard_normal((blocks * noise._SCREEN_BLOCK, 2))
@@ -289,8 +291,8 @@ class TestProjectionSampler:
             assert abs(np.linalg.norm(t) - 1.0) < 1e-12
             assert np.max(np.abs(np.delete(A, i, axis=1).T @ t)) <= 1e-8
             # A row is accepted through the exact signal window and the
-            # diversity test against every earlier row, or it is the fallback,
-            # which is always its node's first row.
+            # diversity test against every earlier row, or it is its node's
+            # first row: the fallback, or the one direction at p = d.
             in_window = noise.EPS_SIG <= abs(A[:, i] @ t) <= (np.inf if cap is None else cap)
             diverse = k == 0 or np.max(unit[:k] @ unit[k]) <= 1.0 - delta + 1e-12
             assert (in_window and diverse) or i not in ps.source_node[:k]
@@ -337,17 +339,37 @@ class TestProjectionSampler:
         # EPS_SIG, and too weak for the fallback.
         (np.diag([1.0, 1.0, 1e-9]), 3, 2),
         # Both isolating directions, (1, 1) and (1, -1), have the same
-        # squares: the fallback keeps node 1's, and the top-up, past the m
-        # rows, finds nothing diverse.
+        # squares, and at p = d each node's one direction is its one row.
         (np.array([[1.0, 1.0], [1.0, -1.0]]), 2, 1),
         # p > d: both nodes' squares, (a^2/2, a^2/2, b^2), span the same plane,
-        # so the top-up spends the whole draw budget at rank 2.
+        # so the one pass ends at rank 2.
         (np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), 3, 2),
     ], ids=["weak-signal", "equal-squares", "budget-spent"])
     def test_budget_exhaustion_reports_rank(self, A, m, rank):
         with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}") as err:
             noise.sample_projection_vectors(A, m=m, seed=0)
         assert err.value.achieved_rank == rank
+
+    @pytest.mark.parametrize("A, m, cap, rank, blocks", [
+        # Each node's signal is at most 0.01 |a_i| < EPS_SIG: both nodes reject
+        # a whole streak and fall back, and their squares, (1e-4 c^2, c^2, s^2)
+        # and (0, c^2, s^2), span a plane. A node's streak ends after
+        # ceil(MAX_STREAK / _SCREEN_BLOCK) blocks.
+        (np.array([[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]), 6, None, 2,
+         2 * -(-noise.MAX_STREAK // noise._SCREEN_BLOCK)),
+        # m = p rows in a narrow window: a node's streak ends short of its
+        # share, so the pass ends with 7 rows, one short of p.
+        (_normal_mixing((8, 5), 0), 8, 0.12, 7, None),
+    ], ids=["below-window-3x2", "narrow-window-8x5-0"])
+    def test_one_pass_short_of_rank_p_fails(self, A, m, cap, rank, blocks):
+        rng = np.random.default_rng(0)
+        with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$") as err:
+            noise.sample_projection_vectors(A, m=m, signal_cap=cap, seed=rng)
+        assert err.value.achieved_rank == rank
+        if blocks is not None:  # no node draws past its streak
+            drawn = np.random.default_rng(0)
+            drawn.standard_normal((blocks * noise._SCREEN_BLOCK, 2))
+            assert rng.bit_generator.state == drawn.bit_generator.state
 
     # Recorded sampler output: (A shape, seed of A, sampler seed) -> the source
     # nodes as (node, run length) pairs, the column sums of the vectors and the
