@@ -11,6 +11,7 @@ same statistic at A = I and t = e_i is the estimate, with no sampler or solver.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,17 +110,19 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                               signal_cap: float | None = None) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 
-    One pass over the latent nodes: node i draws its share of the m rows
-    against the null-space basis of the other columns, keeping unit-norm
-    vectors with enough signal on column i (|a_i' t| >= EPS_SIG) whose
-    squared vector is sufficiently different (cosine <= 1 - delta) from
-    every accepted row. A node stops at its share, or once it is rejected
-    ``MAX_STREAK`` times in a row; one that accepts nothing keeps its
-    strongest draw. At p = d a node's one direction is its one row, with no
-    window or diversity test: a repeat adds nothing to the design. Fails
-    with ``SamplingFailureError`` when the squares fall short of rank p; a
-    mixing matrix that ``measurement.check_mixing`` rejects is rejected
-    before any draw.
+    For node i, draws coefficients against the null-space basis of the
+    other columns and keeps unit-norm vectors with enough signal on column i
+    (|a_i' t| >= EPS_SIG) whose squared vector is sufficiently different
+    (cosine <= 1 - delta) from every accepted row. Each node first draws its
+    share of the m rows; a node rejected ``MAX_STREAK`` times in a row is
+    passed over, and one that accepts nothing keeps its strongest draw. At
+    p = d a node's one direction is its one row, with no window or
+    diversity test: a repeat adds nothing to the design. While the squares
+    fall short of rank p, the nodes are then asked in turn for one row
+    more, each with a fresh streak. Fails with ``SamplingFailureError`` once
+    the draw budget (1e4 * m normals) is spent short of rank p, or at once
+    when p = d; a mixing matrix that ``measurement.check_mixing`` rejects is
+    rejected before any draw.
 
     ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
     the pinned-variance term it multiplies dominates the sampling noise of
@@ -129,7 +132,7 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     Most draws fail the signal window, so a node screens the signals of
     ``_SCREEN_BLOCK`` draws with one product and takes the rows inside the
     window in order, each through the exact signal test and the diversity
-    test; the rest of the block is discarded.
+    test; the rest of the block is discarded but spends budget.
     """
     A = check_mixing(A)
     p, d = A.shape
@@ -146,11 +149,11 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     cap = math.inf if signal_cap is None else signal_cap
 
     # Accepted rows: the vectors, their squares (the design matrix), the
-    # squares' norms and the node each row isolates. A node adds at most its
-    # share, which is at least one row since m >= p >= d.
+    # squares' norms and the node each row isolates. The shares fill at most
+    # m rows; every top-up step adds at most one.
     vecs, sqs = np.empty((m, p)), np.empty((m, p))
     sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
-    n = 0
+    n, budget = 0, 10_000 * m
 
     def admit(t, node, diverse_only=True):
         """Add row t for node; with ``diverse_only``, only if its squares are diverse enough."""
@@ -166,13 +169,11 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         n += 1
         return True
 
-    # Each accepted row extends a node's streak by at most MAX_STREAK, so a
-    # call draws at most (m + d) * (MAX_STREAK + _SCREEN_BLOCK) rows of normals.
-    for node in range(d):
-        share = m // d + (node < m % d)
+    def draw(node, want):
+        """Draw up to ``want`` rows for node; return whether any row was added."""
+        nonlocal budget
         basis, col = bases[node], A[:, node]
         r = basis.shape[1]
-        got = 0
         if r == 1:  # p = d: the one admissible direction, already unit norm
             best_t, best_sig = basis[:, 0], abs(col @ basis[:, 0])
         else:
@@ -180,11 +181,12 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
             # product screens a block. The streak would reach MAX_STREAK at draw `stop`.
             w = basis.T @ col
             best_sig, best_t = 0.0, None
-            drawn, stop = 0, MAX_STREAK
-            while got < share and drawn < stop:
+            got, drawn, stop = 0, 0, MAX_STREAK
+            while got < want and drawn < stop and budget > 0:
                 Z = rng.standard_normal((_SCREEN_BLOCK, r))
                 screened = np.abs(Z @ w)
                 screened /= np.sqrt(np.einsum("ij,ij->i", Z, Z))
+                budget -= _SCREEN_BLOCK
                 for c in np.flatnonzero((screened >= EPS_SIG) & (screened <= cap)).tolist():
                     if drawn + c >= stop:
                         break
@@ -192,19 +194,35 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                     t /= math.sqrt(t @ t)
                     if EPS_SIG <= abs(col @ t) <= cap and admit(t, node):
                         got, stop = got + 1, drawn + c + 1 + MAX_STREAK
-                        if got == share:
+                        if got == want:
                             break
                 if not got:
                     c = int(np.argmax(screened[:stop - drawn]))
                     if screened[c] > best_sig:
                         best_sig, best_t = screened[c], basis @ Z[c] / math.sqrt(Z[c] @ Z[c])
                 drawn += _SCREEN_BLOCK
-        # A node with no row would leave the design rank deficient: it keeps
+            if got:
+                return True
+        # A node with no row yet would leave the design rank deficient: it keeps
         # its strongest draw, unless that has no signal to speak of.
-        if got == 0 and best_sig > 1e-8:
-            admit(best_t, node, diverse_only=False)
+        return (best_sig > 1e-8 and node not in sources[:n]
+                and admit(best_t, node, diverse_only=False))
 
+    for node in range(d):
+        draw(node, m // d + (node < m % d))
     achieved = np.linalg.matrix_rank(sqs[:n])
+    # Top up: where few draws fall in the signal window, a node's streak can
+    # end short of the rows rank p needs, and a fresh streak finds more. At
+    # p = d every node's one direction is in already.
+    for node in itertools.cycle(range(d)):
+        if achieved == p or budget <= 0 or p == d:
+            break
+        if n == len(vecs):
+            vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
+                                            for a in (vecs, sqs, sq_norms, sources))
+        if draw(node, 1):
+            achieved = np.linalg.matrix_rank(sqs[:n])
+
     if achieved < p:
         raise SamplingFailureError(
             f"projection sampling found no design of full rank: it stopped at "

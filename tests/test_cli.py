@@ -356,24 +356,25 @@ def test_rank_deficient_mixing_exits_2_before_any_output(tmp_path, capsys, comma
 def test_a_projection_design_short_of_rank_p_exits_5_before_any_output(tmp_path, capsys,
                                                                          command):
     # Both columns' isolating directions, (1, -1) and (1, 1), square to the
-    # same row, so the squared projections have rank 1 < p = 2.
-    data, out = tmp_path / "data", tmp_path / "out"
-    cli.run_simulate({"d": 2, "n_per_regime": 50, "seed": 1, "graph_density": 1.0,
-                      "channel": {"type": "linear", "A": [[1, 1], [1, -1]]}}, data)
-    if command == "estimate-noise":
-        argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
-    else:
-        argv = _fit_argv(tmp_path, data, out)
-    assert cli.main(argv) == cli.EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("error: projection sampling found no design of full rank") \
-        and err.count("\n") == 1
-    assert not out.exists()
+    # same row, so the squared projections have rank 1 < p = 2. In the 3x2 A
+    # each node's signal is at most 0.01 |a_i|, below the sampler's window,
+    # so they stay at rank 2 < p = 3.
+    for A, rank in ([[1, 1], [1, -1]], "1 < 2"), ([[1, 1], [0, 0.01], [0, 0]], "2 < 3"):
+        data, out = tmp_path / f"data-{len(A)}", tmp_path / f"out-{len(A)}"
+        cli.run_simulate({"d": 2, "n_per_regime": 50, "seed": 1, "graph_density": 1.0,
+                          "channel": {"type": "linear", "A": A}}, data)
+        if command == "estimate-noise":
+            argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")]
+        else:
+            argv = _fit_argv(tmp_path, data, out)
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection sampling found no design of full rank") \
+            and err.endswith(f"rank {rank}\n") and err.count("\n") == 1
+        assert not out.exists()
 
 
-def test_simulate_takes_p_from_the_rows_of_a_given_A(tmp_path, capsys):
-    # Each node's signal is at most 0.01 |a_i|, below the sampler's window, so
-    # the squared projections stop at rank 2 < p = 3.
+def test_simulate_takes_p_from_the_rows_of_a_given_A(tmp_path):
     A = [[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]
     config, data = tmp_path / "simulate.json", tmp_path / "data"
     config.write_text(json.dumps({"d": 2, "n_per_regime": 50, "graph_density": 1.0,
@@ -381,8 +382,6 @@ def test_simulate_takes_p_from_the_rows_of_a_given_A(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(config), "--out-dir", str(data)]) == cli.EXIT_OK
     spec = json.loads((data / "channel.json").read_text())
     assert spec["A"] == A and len(spec["sigma_sq"]) == 3
-    assert cli.main(["estimate-noise", "--data-dir", str(data)]) == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.endswith("rank 2 < 3\n")
 
 
 # Case id -> (channel.json text, the start of the error, the commands that read

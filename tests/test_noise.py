@@ -174,7 +174,9 @@ def _normal_mixing(shape, a_seed):
 _PIPELINE = (noise.PIPELINE_DELTA, noise.PIPELINE_SIGNAL_CAP)
 # (A, m, delta, signal_cap, sampler seed): default and pipeline settings on tall
 # and square matrices, delta = 0 on square ones (each node's one direction is
-# still its one row), and a narrow signal window.
+# still its one row), a narrow signal window, and pipeline settings on 200 A,
+# where few draws fall in the window and the top-up finds the rows past the
+# shares that rank p needs.
 _SAMPLER_GRID = {
     **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0],
                                        noise.DELTA_DIVERSITY, None, a + 10)
@@ -185,6 +187,9 @@ _SAMPLER_GRID = {
     **{f"square-delta0-{p}x{p}": (_normal_mixing((p, p), 0), 2 * p, 0.0, None, p)
        for p in (6, 3, 10)},
     **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, noise.DELTA_DIVERSITY, 0.12, 0)
+       for a in range(3)},
+    **{f"pipeline-200A-12x8-{a}": (200 * _normal_mixing((12, 8), a),
+                                   noise.PIPELINE_ROWS_PER_MEASUREMENT * 12, *_PIPELINE, a)
        for a in (1, 2)},
 }
 
@@ -239,7 +244,7 @@ class TestProjectionSampler:
         rng = np.random.default_rng(0)
         ps = noise.sample_projection_vectors(A, seed=rng)
         # Node 0 fills its quota of 3 from its first block, node 1 draws blocks
-        # until the streak reaches MAX_STREAK, and the one rank check finds 3.
+        # until the streak reaches MAX_STREAK, and the rank needs no top-up.
         blocks = 1 + -(-noise.MAX_STREAK // noise._SCREEN_BLOCK)
         drawn = np.random.default_rng(0)
         drawn.standard_normal((blocks * noise._SCREEN_BLOCK, 2))
@@ -342,34 +347,25 @@ class TestProjectionSampler:
         # squares, and at p = d each node's one direction is its one row.
         (np.array([[1.0, 1.0], [1.0, -1.0]]), 2, 1),
         # p > d: both nodes' squares, (a^2/2, a^2/2, b^2), span the same plane,
-        # so the one pass ends at rank 2.
+        # so the top-up spends the whole draw budget at rank 2.
         (np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), 3, 2),
-    ], ids=["weak-signal", "equal-squares", "budget-spent"])
+        # Each node's signal is at most 0.01 |a_i| < EPS_SIG: both nodes fall
+        # back, their squares, (1e-4 c^2, c^2, s^2) and (0, c^2, s^2), span a
+        # plane, and no draw is in the window.
+        (np.array([[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]), 6, 2),
+    ], ids=["weak-signal", "equal-squares", "budget-spent", "below-window-3x2"])
     def test_budget_exhaustion_reports_rank(self, A, m, rank):
-        with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}") as err:
-            noise.sample_projection_vectors(A, m=m, seed=0)
-        assert err.value.achieved_rank == rank
-
-    @pytest.mark.parametrize("A, m, cap, rank, blocks", [
-        # Each node's signal is at most 0.01 |a_i| < EPS_SIG: both nodes reject
-        # a whole streak and fall back, and their squares, (1e-4 c^2, c^2, s^2)
-        # and (0, c^2, s^2), span a plane. A node's streak ends after
-        # ceil(MAX_STREAK / _SCREEN_BLOCK) blocks.
-        (np.array([[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]), 6, None, 2,
-         2 * -(-noise.MAX_STREAK // noise._SCREEN_BLOCK)),
-        # m = p rows in a narrow window: a node's streak ends short of its
-        # share, so the pass ends with 7 rows, one short of p.
-        (_normal_mixing((8, 5), 0), 8, 0.12, 7, None),
-    ], ids=["below-window-3x2", "narrow-window-8x5-0"])
-    def test_one_pass_short_of_rank_p_fails(self, A, m, cap, rank, blocks):
         rng = np.random.default_rng(0)
         with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$") as err:
-            noise.sample_projection_vectors(A, m=m, signal_cap=cap, seed=rng)
+            noise.sample_projection_vectors(A, m=m, seed=rng)
         assert err.value.achieved_rank == rank
-        if blocks is not None:  # no node draws past its streak
-            drawn = np.random.default_rng(0)
-            drawn.standard_normal((blocks * noise._SCREEN_BLOCK, 2))
-            assert rng.bit_generator.state == drawn.bit_generator.state
+        # At p = d nothing is drawn. Otherwise blocks are drawn until the
+        # budget of 1e4 * m normals is spent, and not one more.
+        p, d = A.shape
+        blocks = 0 if p == d else -(-10_000 * m // noise._SCREEN_BLOCK)
+        drawn = np.random.default_rng(0)
+        drawn.standard_normal((blocks * noise._SCREEN_BLOCK, p - d + 1))
+        assert rng.bit_generator.state == drawn.bit_generator.state
 
     # Recorded sampler output: (A shape, seed of A, sampler seed) -> the source
     # nodes as (node, run length) pairs, the column sums of the vectors and the
