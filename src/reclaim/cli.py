@@ -189,6 +189,10 @@ def run_simulate(config: dict, out_dir) -> None:
     seed = _config_number(config, "seed", 0, integral=True)
     d = _config_number(config, "d", integral=True)
     density = _config_number(config, "graph_density", 2.0)
+    if d >= 2 and not 0 < density <= d - 1:
+        given = density if "graph_density" in config else f"the default {density}"
+        raise ConfigError(f"graph_density must lie in (0, d-1] = (0, {d - 1}] at d={d}, "
+                          f"got {given}")
     n = _config_number(config, "n_per_regime", 1000, integral=True)
     if n < 0:
         raise ConfigError(f"n_per_regime must be >= 0, got {n}")

@@ -11,7 +11,6 @@ same statistic at A = I and t = e_i is the estimate, with no sampler or solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +24,13 @@ from .scm import InterventionFamily
 VARIANCE_FLOOR = 1e-6
 _NULL_RESID_TOL = 1e-10
 
-# Defaults for the projection sampler; thresholds act on unit-norm vectors.
-EPS_SIG = 0.1
+# Defaults for the projection sampler. The signal window acts on |a_i' t| for
+# unit t, in units of A's RMS entry ||A||_F / sqrt(p d), so c A accepts the rows
+# A accepts; at the simulator's mixing variance of 1.5 the unit is about
+# sqrt(1.5), and EPS_SIG an absolute signal of about 0.1.
+EPS_SIG = 0.1 / math.sqrt(1.5)
 DELTA_DIVERSITY = 0.05
-MAX_STREAK = 500  # consecutive rejections after which a node is passed over
-_SCREEN_BLOCK = 128  # normals drawn and screened at a time
+MAX_STREAK = 500  # consecutive diversity rejections after which a node is passed over
 
 
 def _covering_regimes(datasets, family, node):
@@ -110,29 +111,28 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
                               signal_cap: float | None = None) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 
-    For node i, draws coefficients against the null-space basis of the
-    other columns and keeps unit-norm vectors with enough signal on column i
-    (|a_i' t| >= EPS_SIG) whose squared vector is sufficiently different
-    (cosine <= 1 - delta) from every accepted row. Each node first draws its
-    share of the m rows; a node rejected ``MAX_STREAK`` times in a row is
-    passed over, and one that accepts nothing keeps its strongest draw. At
-    p = d a node's one direction is its one row, with no window or
-    diversity test: a repeat adds nothing to the design. While the squares
-    fall short of rank p, the nodes are then asked in turn for one row
-    more, each with a fresh streak. Fails with ``SamplingFailureError`` once
-    the draw budget (1e4 * m normals) is spent short of rank p, or at once
-    when p = d; a mixing matrix that ``measurement.check_mixing`` rejects is
-    rejected before any draw.
+    Node i's rows are unit vectors t in the null space of the other columns
+    whose signal |a_i' t| lies in the window [EPS_SIG, signal_cap], in units
+    of A's RMS entry, and whose squared vector is sufficiently different
+    (cosine <= 1 - delta) from every accepted row. With B the null-space
+    basis and w = B' a_i, the largest signal is |w|: a row draws its signal s
+    uniformly in the window below |w| and a uniform unit vector u orthogonal
+    to w, and is t = B(s/|w| w/|w| + sqrt(1 - s^2/|w|^2) u), so only the
+    diversity test can reject it. In one pass each node draws its share of
+    the m rows, and is passed over after ``MAX_STREAK`` rejections in a row.
+    A node whose whole null space is below the window keeps one uniformly
+    random direction of it (the strongest one, B w/|w|, can square to a row
+    that other nodes already span), and one with |w| <= 1e-8 units keeps
+    nothing. At p = d a node's one direction is its one row, with no window
+    or diversity test: a repeat adds nothing to the design. Fails with
+    ``SamplingFailureError`` when the pass ends short of rank p; a mixing
+    matrix that ``measurement.check_mixing`` rejects is rejected before any
+    draw.
 
-    ``signal_cap`` optionally rejects vectors whose signal exceeds the cap:
-    the pinned-variance term it multiplies dominates the sampling noise of
-    each equation's right-hand side, so low-signal rows estimate the noise
-    variances far more precisely.
-
-    Most draws fail the signal window, so a node screens the signals of
-    ``_SCREEN_BLOCK`` draws with one product and takes the rows inside the
-    window in order, each through the exact signal test and the diversity
-    test; the rest of the block is discarded but spends budget.
+    ``signal_cap`` optionally narrows the window from above: the
+    pinned-variance term the signal multiplies dominates the sampling noise
+    of each equation's right-hand side, so low-signal rows estimate the
+    noise variances far more precisely.
     """
     A = check_mixing(A)
     p, d = A.shape
@@ -145,15 +145,16 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
+    unit = np.linalg.norm(A) / math.sqrt(p * d)
+    lo = EPS_SIG * unit
+    hi = math.inf if signal_cap is None else signal_cap * unit
     cos_limit = 1.0 - delta
-    cap = math.inf if signal_cap is None else signal_cap
 
     # Accepted rows: the vectors, their squares (the design matrix), the
-    # squares' norms and the node each row isolates. The shares fill at most
-    # m rows; every top-up step adds at most one.
+    # squares' norms and the node each row isolates.
     vecs, sqs = np.empty((m, p)), np.empty((m, p))
     sq_norms, sources = np.empty(m), np.empty(m, dtype=int)
-    n, budget = 0, 10_000 * m
+    n = 0
 
     def admit(t, node, diverse_only=True):
         """Add row t for node; with ``diverse_only``, only if its squares are diverse enough."""
@@ -169,60 +170,36 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
         n += 1
         return True
 
-    def draw(node, want):
-        """Draw up to ``want`` rows for node; return whether any row was added."""
-        nonlocal budget
-        basis, col = bases[node], A[:, node]
-        r = basis.shape[1]
+    for node, basis in enumerate(bases):
+        w = basis.T @ A[:, node]
+        top, r = math.sqrt(w @ w), basis.shape[1]
+        if top <= 1e-8 * unit:  # no signal to speak of
+            continue
         if r == 1:  # p = d: the one admissible direction, already unit norm
-            best_t, best_sig = basis[:, 0], abs(col @ basis[:, 0])
-        else:
-            # B is orthonormal, so t = Bz / |z| has signal |(B' a_i) . z| / |z|: one
-            # product screens a block. The streak would reach MAX_STREAK at draw `stop`.
-            w = basis.T @ col
-            best_sig, best_t = 0.0, None
-            got, drawn, stop = 0, 0, MAX_STREAK
-            while got < want and drawn < stop and budget > 0:
-                Z = rng.standard_normal((_SCREEN_BLOCK, r))
-                screened = np.abs(Z @ w)
-                screened /= np.sqrt(np.einsum("ij,ij->i", Z, Z))
-                budget -= _SCREEN_BLOCK
-                for c in np.flatnonzero((screened >= EPS_SIG) & (screened <= cap)).tolist():
-                    if drawn + c >= stop:
+            admit(basis[:, 0], node, diverse_only=False)
+            continue
+        if top < lo:  # the whole null space is below the window
+            t = basis @ rng.standard_normal(r)
+            admit(t / math.sqrt(t @ t), node, diverse_only=False)
+            continue
+        w /= top
+        want, got, streak = m // d + (node < m % d), 0, 0
+        while got < want and streak < MAX_STREAK:
+            # Each row's cosine s/|w| to w, and a unit vector orthogonal to w.
+            cos = rng.uniform(lo / top, min(hi, top) / top, want - got)
+            U = rng.standard_normal((want - got, r))
+            U -= np.outer(U @ w, w)
+            U /= np.sqrt(np.einsum("ij,ij->i", U, U))[:, None]
+            rows = (np.outer(cos, w) + np.sqrt(1.0 - cos * cos)[:, None] * U) @ basis.T
+            for t in rows:
+                if admit(t, node):
+                    got, streak = got + 1, 0
+                else:
+                    streak += 1
+                    if streak == MAX_STREAK:
                         break
-                    t = basis @ Z[c]
-                    t /= math.sqrt(t @ t)
-                    if EPS_SIG <= abs(col @ t) <= cap and admit(t, node):
-                        got, stop = got + 1, drawn + c + 1 + MAX_STREAK
-                        if got == want:
-                            break
-                if not got:
-                    c = int(np.argmax(screened[:stop - drawn]))
-                    if screened[c] > best_sig:
-                        best_sig, best_t = screened[c], basis @ Z[c] / math.sqrt(Z[c] @ Z[c])
-                drawn += _SCREEN_BLOCK
-            if got:
-                return True
-        # A node with no row yet would leave the design rank deficient: it keeps
-        # its strongest draw, unless that has no signal to speak of.
-        return (best_sig > 1e-8 and node not in sources[:n]
-                and admit(best_t, node, diverse_only=False))
 
-    for node in range(d):
-        draw(node, m // d + (node < m % d))
     achieved = np.linalg.matrix_rank(sqs[:n])
-    # Top up: where few draws fall in the signal window, a node's streak can
-    # end short of the rows rank p needs, and a fresh streak finds more. At
-    # p = d every node's one direction is in already.
-    for node in itertools.cycle(range(d)):
-        if achieved == p or budget <= 0 or p == d:
-            break
-        if n == len(vecs):
-            vecs, sqs, sq_norms, sources = (np.resize(a, (2 * n, *a.shape[1:]))
-                                            for a in (vecs, sqs, sq_norms, sources))
-        if draw(node, 1):
-            achieved = np.linalg.matrix_rank(sqs[:n])
-
     if achieved < p:
         raise SamplingFailureError(
             f"projection sampling found no design of full rank: it stopped at "
@@ -303,7 +280,7 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
 # Pipeline defaults: many low-signal rows plus weighting give the estimator
 # most of the precision the projected data supports.
 PIPELINE_ROWS_PER_MEASUREMENT = 40
-PIPELINE_SIGNAL_CAP = 0.35
+PIPELINE_SIGNAL_CAP = 0.35 / math.sqrt(1.5)  # in EPS_SIG's units
 PIPELINE_DELTA = 0.001
 
 

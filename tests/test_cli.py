@@ -271,10 +271,16 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
      "channel 'A' must be 3x3 (p=3, d=3), got 4x3"),
     ("simulate", {"channel": {"type": "linear", "A": [[1, 0], [0, 1], [1, 1]]}},
      "channel 'A' must be 3x3 (p=3, d=3), got 3x2"),
+    # At d = 2 a node has one possible child, so the default density of 2.0 cannot be met.
+    ("simulate", {"d": 2}, "graph_density must lie in (0, d-1] = (0, 1] at d=2, "
+                           "got the default 2.0"),
+    ("simulate", {"graph_density": 2.5}, "graph_density must lie in (0, d-1] = (0, 2] at d=3, "
+                                         "got 2.5"),
 ], ids=["grid-string", "grid-non-integer", "grid-not-a-list", "grid-inf", "sigma_min",
         "sigma_max", "weight_range-string", "weight_range-reversed", "weight_range-entry",
         "weight_range-negative", "weight_range-infinite-width",
-        "sigma_z", "mixing_var", "n_per_regime", "A-against-p", "A-against-d"])
+        "sigma_z", "mixing_var", "n_per_regime", "A-against-p", "A-against-d",
+        "graph_density-default-at-d2", "graph_density-above-d-1"])
 def test_bad_simulate_or_sweep_number_exits_2_before_any_output(tmp_path, capsys, command,
                                                                 config, message):
     path, out = tmp_path / "config.json", tmp_path / "out"

@@ -171,12 +171,17 @@ def _normal_mixing(shape, a_seed):
     return np.random.default_rng(a_seed).normal(0, np.sqrt(1.5), size=shape)
 
 
+def _window(A, cap):
+    """The sampler's signal window on |a_i' t|: EPS_SIG and the cap in units of A's RMS entry."""
+    unit = np.linalg.norm(A) / np.sqrt(A.size)
+    return noise.EPS_SIG * unit, (np.inf if cap is None else cap) * unit
+
+
 _PIPELINE = (noise.PIPELINE_DELTA, noise.PIPELINE_SIGNAL_CAP)
 # (A, m, delta, signal_cap, sampler seed): default and pipeline settings on tall
 # and square matrices, delta = 0 on square ones (each node's one direction is
-# still its one row), a narrow signal window, and pipeline settings on 200 A,
-# where few draws fall in the window and the top-up finds the rows past the
-# shares that rank p needs.
+# still its one row), a narrow signal window at m = p, and pipeline settings
+# on 200 A, whose window is 200 times A's.
 _SAMPLER_GRID = {
     **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0],
                                        noise.DELTA_DIVERSITY, None, a + 10)
@@ -192,6 +197,17 @@ _SAMPLER_GRID = {
                                    noise.PIPELINE_ROWS_PER_MEASUREMENT * 12, *_PIPELINE, a)
        for a in (1, 2)},
 }
+
+
+def _outputs_taken(rng, seed, limit):
+    """How many 64-bit outputs ``rng`` has taken since ``np.random.default_rng(seed)``,
+    or None if it is more than ``limit``."""
+    fresh = np.random.default_rng(seed).bit_generator
+    for taken in range(limit + 1):
+        if fresh.state == rng.bit_generator.state:
+            return taken
+        fresh.random_raw()
+    return None
 
 
 class TestProjectionSampler:
@@ -227,46 +243,43 @@ class TestProjectionSampler:
         d = shape[1]
         assert ps.m == m
         assert np.array_equal(np.bincount(ps.source_node, minlength=d), np.full(d, m // d))
+        lo, hi = _window(A, cap)
         for t, i in zip(ps.vectors, ps.source_node):
             assert abs(np.linalg.norm(t) - 1.0) < 1e-12
             assert np.max(np.abs(np.delete(A, i, axis=1).T @ t)) <= 1e-8
-            assert noise.EPS_SIG <= abs(A[:, i] @ t) <= (np.inf if cap is None else cap)
+            assert lo <= abs(A[:, i] @ t) <= hi
         unit = ps.squares / np.linalg.norm(ps.squares, axis=1, keepdims=True)
         cos = (unit @ unit.T)[np.triu_indices(ps.m, k=1)]
         assert np.max(cos) <= 1.0 - delta + 1e-12
 
-    def test_a_node_whose_null_space_is_below_the_window_falls_back_to_its_best_draw(self):
+    def test_a_node_whose_null_space_is_below_the_window_falls_back_to_a_random_direction(self):
         # Node 1's null space is span(e2, e3), where its signal is at most
-        # |a_1| = 0.0707 < EPS_SIG: it rejects every draw until its streak
-        # reaches MAX_STREAK, then keeps its strongest one, whose squares
-        # (0, c^2, s^2) with c != s lift node 0's rank-2 squares to rank 3.
-        A = np.array([[1.0, 0.0], [0.0, 0.05], [0.0, 0.05]])
-        rng = np.random.default_rng(0)
-        ps = noise.sample_projection_vectors(A, seed=rng)
-        # Node 0 fills its quota of 3 from its first block, node 1 draws blocks
-        # until the streak reaches MAX_STREAK, and the rank needs no top-up.
-        blocks = 1 + -(-noise.MAX_STREAK // noise._SCREEN_BLOCK)
-        drawn = np.random.default_rng(0)
-        drawn.standard_normal((blocks * noise._SCREEN_BLOCK, 2))
-        assert rng.bit_generator.state == drawn.bit_generator.state
-        assert np.linalg.matrix_rank(ps.squares) == 3
-        assert ps.source_node.tolist().count(1) == 1
-        sig = abs(ps.vectors[ps.source_node == 1][0] @ A[:, 1])
-        # The best of at least MAX_STREAK draws is near the largest signal.
-        assert 0.07 < sig < noise.EPS_SIG
+        # |a_1| = 0.0283, below the window's 0.0333 (A's RMS entry is 0.408):
+        # it keeps one random direction (0, c, s), whose squares lift node 0's
+        # squares, all in the plane of (1, 0, 0) and (0, 1, 1), to rank 3. Its
+        # strongest direction, (0, 1, 1) / sqrt(2), would leave them at rank 2.
+        A = np.array([[1.0, 0.0], [0.0, 0.02], [0.0, 0.02]])
+        lo, _ = _window(A, None)
+        assert np.linalg.norm(A[:, 1]) < lo
+        for seed in range(5):
+            ps = noise.sample_projection_vectors(A, seed=seed)
+            assert np.linalg.matrix_rank(ps.squares) == 3
+            assert ps.source_node.tolist() == [0, 0, 0, 1]
+            assert abs(ps.vectors[3] @ A[:, 1]) < lo
 
     @pytest.mark.parametrize("A, cap, node", [
-        # p = d: node 2's one direction, e3, has signal 0.05 < EPS_SIG.
-        (np.diag([1.0, 1.0, 0.05]), None, 2),
-        # p = d: each node's one direction has signal 1, above the cap.
+        # p = d: node 2's one direction, e3, has signal 0.02, below the
+        # window's 0.0385 (A's RMS entry is 0.471).
+        (np.diag([1.0, 1.0, 0.02]), None, 2),
+        # p = d: each node's one direction has signal 1, above the cap's 0.069.
         (np.eye(3), 0.12, 0),
     ], ids=["below-eps", "above-cap"])
     def test_the_fallback_keeps_a_row_outside_the_signal_window(self, A, cap, node):
         ps = noise.sample_projection_vectors(A, signal_cap=cap, seed=0)
         assert ps.source_node.tolist() == [0, 1, 2]
         assert np.array_equal(np.abs(ps.vectors), np.eye(3))
-        sig = abs(ps.vectors[node] @ A[:, node])
-        assert not noise.EPS_SIG <= sig <= (np.inf if cap is None else cap)
+        lo, hi = _window(A, cap)
+        assert not lo <= abs(ps.vectors[node] @ A[:, node]) <= hi
 
     @pytest.mark.parametrize("shape, m, delta, cap", [
         ((12, 8), 24, noise.DELTA_DIVERSITY, None),
@@ -292,17 +305,18 @@ class TestProjectionSampler:
         assert ps.m >= p and np.linalg.matrix_rank(ps.squares) == p
         assert set(ps.source_node.tolist()) == set(range(d))
         unit = ps.squares / np.linalg.norm(ps.squares, axis=1, keepdims=True)
+        lo, hi = _window(A, cap)
         for k, (t, i) in enumerate(zip(ps.vectors, ps.source_node)):
             assert abs(np.linalg.norm(t) - 1.0) < 1e-12
             assert np.max(np.abs(np.delete(A, i, axis=1).T @ t)) <= 1e-8
-            # A row is accepted through the exact signal window and the
-            # diversity test against every earlier row, or it is its node's
-            # first row: the fallback, or the one direction at p = d.
-            in_window = noise.EPS_SIG <= abs(A[:, i] @ t) <= (np.inf if cap is None else cap)
+            # A row is inside the signal window and passed the diversity
+            # test against every earlier row, or it is its node's first row:
+            # the fallback, or the one direction at p = d.
+            in_window = lo <= abs(A[:, i] @ t) <= hi
             diverse = k == 0 or np.max(unit[:k] @ unit[k]) <= 1.0 - delta + 1e-12
             assert (in_window and diverse) or i not in ps.source_node[:k]
 
-    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e-3, 1e-6])
     def test_a_large_multiple_of_the_mixing_gives_every_row(self, scale):
         A = _normal_mixing((20, 10), 0)
         ps = noise.sample_projection_vectors(A * scale, seed=1)
@@ -340,18 +354,18 @@ class TestProjectionSampler:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("A, m, rank", [
-        # Node 2's only admissible direction has a signal of 1e-9: below
-        # EPS_SIG, and too weak for the fallback.
+        # Node 2's only admissible direction has a signal of 1e-9: below the
+        # window, and too weak (under 1e-8 units) for the fallback.
         (np.diag([1.0, 1.0, 1e-9]), 3, 2),
         # Both isolating directions, (1, 1) and (1, -1), have the same
         # squares, and at p = d each node's one direction is its one row.
         (np.array([[1.0, 1.0], [1.0, -1.0]]), 2, 1),
-        # p > d: both nodes' squares, (a^2/2, a^2/2, b^2), span the same plane,
-        # so the top-up spends the whole draw budget at rank 2.
+        # p > d: both nodes' squares, (a^2/2, a^2/2, b^2), span the same
+        # plane, so the pass ends at rank 2.
         (np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), 3, 2),
-        # Each node's signal is at most 0.01 |a_i| < EPS_SIG: both nodes fall
-        # back, their squares, (1e-4 c^2, c^2, s^2) and (0, c^2, s^2), span a
-        # plane, and no draw is in the window.
+        # Each node's signal is at most 0.01 |a_i|, below the window: both
+        # nodes fall back, and their squares, (1e-4 c^2, c^2, s^2) and
+        # (0, c^2, s^2), span a plane.
         (np.array([[1.0, 1.0], [0.0, 0.01], [0.0, 0.0]]), 6, 2),
     ], ids=["weak-signal", "equal-squares", "budget-spent", "below-window-3x2"])
     def test_budget_exhaustion_reports_rank(self, A, m, rank):
@@ -359,13 +373,14 @@ class TestProjectionSampler:
         with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$") as err:
             noise.sample_projection_vectors(A, m=m, seed=rng)
         assert err.value.achieved_rank == rank
-        # At p = d nothing is drawn. Otherwise blocks are drawn until the
-        # budget of 1e4 * m normals is spent, and not one more.
+        # The failure ends the one pass, with nothing drawn at p = d. Each
+        # node draws at most its share plus MAX_STREAK rows per row it keeps
+        # and one more streak: rows of r normals and a signal, each of which
+        # takes about one 64-bit output.
         p, d = A.shape
-        blocks = 0 if p == d else -(-10_000 * m // noise._SCREEN_BLOCK)
-        drawn = np.random.default_rng(0)
-        drawn.standard_normal((blocks * noise._SCREEN_BLOCK, p - d + 1))
-        assert rng.bit_generator.state == drawn.bit_generator.state
+        r, rows = p - d + 1, m + (m + d) * noise.MAX_STREAK
+        taken = _outputs_taken(rng, seed=0, limit=0 if p == d else 2 * (r + 1) * rows)
+        assert taken is not None and (taken > 0) == (p > d)
 
     # Recorded sampler output: (A shape, seed of A, sampler seed) -> the source
     # nodes as (node, run length) pairs, the column sums of the vectors and the
@@ -373,23 +388,23 @@ class TestProjectionSampler:
     # so record them again only for a change meant to alter the sets.
     @pytest.mark.parametrize("shape, a_seed, seed, runs, colsum, last", [
         ((20, 10), 17, 3, [(i, 80) for i in range(10)],
-         [0.22603778253541323, -5.686068476797347, -1.2081875486337186, -5.129785891803168,
-          4.365932838013005, 1.717429816455833, 7.127974932403483, 9.504779441037384,
-          -3.0446626878573535, 2.3341922475636845, 16.45698183326888, 10.691730079175947,
-          4.715850389361712, 8.53862375114378, 1.3492777225175567, 1.1231911199067557,
-          9.889049757806339, 20.619392886154998, 5.094153280767007, 0.5209039250262311],
-         [0.14393666024154783, 0.32249740950754646, 0.33877343542770294, -0.06384767813254531,
-          -0.03447516134060641, 0.1504592206900468, 0.07963938705706816, 0.05703243297693306,
-          -0.1272687351911852, 0.38828023621478486, 0.4383057639745111, 0.11489073138611326,
-          -0.22757252750679458, -0.1171044620802247, 0.05481196250908457, 0.07124765767427405,
-          0.3535619479020603, 0.2837771173211996, -0.12040507417580822, -0.23900873783005838]),
+         [-11.491532776914484, -5.50688636816816, -0.7996039513707222, 5.836474972254009,
+          -8.079222591625546, -7.535023012385763, -0.6661389432179105, -1.989812975706677,
+          4.508246786106014, -5.765935257316364, -3.4152647669249516, -2.0904727969596526,
+          -0.9257779391125439, -2.8381470404058198, 5.199914822517051, 12.093679931358533,
+          -2.894762551673604, 1.3590804692006193, -0.16531110397235083, 0.9324904740299661],
+         [0.1898283888296086, 0.06570456772568983, 0.1865940020059499, 0.16798780607792718,
+          -0.06942201132660786, -0.05818720353790966, 0.3237428239248227, 0.08567901645181049,
+          0.2861411247623277, -0.07343821821355029, 0.2143251310008184, 0.17529400805368092,
+          0.5919628267783547, 0.13901604985409569, 0.14598428833413016, 0.14945758927512198,
+          0.10528020720586974, 0.2343463560444454, -0.22469384097101783, -0.2871207636923675]),
         ((12, 6), 29, 5, [(i, 80) for i in range(6)],
-         [-6.440452649830132, 5.587472506442104, -4.553755338071879, 9.640468655739426,
-          -1.9548391213284635, 10.304872200894444, 6.594629994022683, 5.213890677159831,
-          -7.519786065448026, -4.257157315484341, 3.2764820092977267, -10.104457138331737],
-         [0.04992444445041428, -0.6643941801284184, -0.30822397987356104, -0.23391725445765832,
-          0.120110689582508, -0.08419304096964174, -0.22325330549987407, 0.38277311483065785,
-          -0.32395735863442765, -0.09486500387111133, 0.2683810446169428, 0.05020113066126763]),
+         [-9.523113321276954, -6.074301875307507, -7.669148064421606, -7.753821848466021,
+          5.6845523875876935, 1.7382777431199432, 7.251800132810956, 1.4119412749403377,
+          6.266853242595737, 5.470156395067237, 16.16033345688672, 9.372829834652704],
+         [0.14020981899763899, -0.28371744169434504, -0.12553413407533942, -0.5950226051483054,
+          0.1973701328416235, -0.30606940033707963, -0.25519310868271816, 0.08607468459561182,
+          0.4738997985946925, 0.17326759045663143, 0.21336007430684883, 0.15730187841402155]),
         ((6, 6), 31, 7, [(i, 1) for i in range(6)],
          [-1.6340211613432365, 0.37020929471420516, 0.6513745420671591, 0.07994298785978327,
           -1.5239629761975424, 2.440766232133772],
@@ -527,6 +542,16 @@ class TestLinearEstimator:
                 est = noise.estimate_channel_noise(datasets, fam, "linear", A)
                 rel_err[n].append(est / sigma_sq - 1.0)
         assert_root_n_consistent(rel_err)
+
+    @pytest.mark.parametrize("c", [1e-2, 1e3])
+    def test_a_change_of_units_scales_the_estimate_by_its_square(self, c):
+        # y = A x + eps is linear in A: c y = (c A) x + c eps, whose noise
+        # variances are c^2 times those of eps.
+        A, _, fam, datasets = simulate_linear(10, 5, 2000, seed=7)
+        est = noise.estimate_channel_noise(datasets, fam, "linear", A, seed=3)
+        scaled = noise.estimate_channel_noise([c * Y for Y in datasets], fam, "linear", c * A,
+                                              seed=3)
+        np.testing.assert_allclose(scaled, c * c * est, rtol=1e-12, atol=0)
 
     def test_rank_deficient_design_rejected(self):
         fam = scm.single_node_family(2)
