@@ -2,32 +2,47 @@
 
 Exit codes: 0 success, 2 usage/config error (including a config file that is
 not a JSON object or whose "channel", sweep "base" or "em" is not one, a
-number that is not finite (JSON reads 1e400 as inf), a sweep "out_dir" that
-is not a string, a channel.json that is malformed, names an unknown type,
-lacks a key, has an "A" or "sigma_sq" that is not an array of numbers (a
-ragged one, or one holding true or false, among them), an "A" that is not
-a matrix, has no columns, has a non-finite entry or is rank deficient, a
-family.json or regime CSV that does not parse, a regime CSV with a non-
-finite entry or another number of columns than the others, a channel whose p
-is not the data's column count, a simulated linear "A" that is not p x d, a
-regime whose target is not an integer node index in [0, d) or whose mean or
-variance is not a finite number, an "include_observational" or
-"use_true_noise" that is not true or false, a checkpoint.json to resume from
-that is malformed, has a round record field of the wrong type or a "sigma_z"
-that is not positive and finite, or is of another dimension than the data, a
-truth graph or report that does not parse, and an evaluation against a truth
-graph with no edges), 3 I/O failure (a data directory without family.json
-among them, which is what a cut ``simulate`` leaves), 4 unmet
-interventional-coverage requirement, 5 numerical failure (too many
-degenerate observations in an E-step, a fixed-point iteration that stalls, a
-forward map that fails the orientation check, or a linear channel whose
-projection design cannot reach rank p).
+simulate config key, or "channel" key of its type, that simulate does not
+read, a fit config key that is no EmConfig field, a gan channel whose "p" is
+not d, a negative seed from --seed, RECLAIM_SEED or the config, a number
+that is not finite (JSON reads 1e400 as inf), a sweep config in another form
+than the one below (the former "sweep" kind key among them), a grid entry
+that is not a JSON object or sets "seed", a sweep "out_dir" that is not a
+string, a channel.json that is malformed, names an unknown type, lacks a
+key, has an "A" or "sigma_sq" that is not an array of numbers (a ragged one,
+or one holding true or false, among them), an "A" that is not a matrix, has
+no columns, has a non-finite entry or is rank deficient, a family.json or
+regime CSV that does not parse, a family.json with no regimes, a regime CSV
+with a non-finite entry or another number of columns than the others, a
+channel whose p is not the data's column count, a simulated linear "A" that
+is not p x d, a regime whose target is not an integer node index in [0, d)
+or whose mean or variance is not a finite number, an
+"include_observational" or "use_true_noise" that is not true or false, a
+checkpoint.json to resume from that is malformed, has a round record field
+of the wrong type or a "sigma_z" that is not positive and finite, or is of
+another dimension than the data, a truth graph or report that does not
+parse, and an evaluation against a truth graph with no edges), 3 I/O failure
+(a data directory without family.json among them, which is what a cut
+``simulate`` leaves), 4 unmet interventional-coverage requirement, 5
+numerical failure (too many degenerate observations in an E-step, a
+fixed-point iteration that stalls, a forward map that fails the orientation
+check, or a linear channel whose projection design cannot reach rank p).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,
 so it writes the same ``report.json`` and ``trace.csv`` as an uninterrupted
 fit; a fit whose trace has converged or holds ``em_rounds`` rounds runs no
-new round.
+new round. ``report.json`` also records the noise variances the fit used.
+
+A sweep config is ``{"base", "grid", "n_trials", "out_dir"}``. ``base`` is a
+simulate config whose "em" key holds the fit config. Each grid entry is a
+JSON object merged over ``base``, its "channel" and "em" key by key, to give
+one cell; for example ``{"channel": {"sigma_min": 1.0, "sigma_max": 1.0}}``
+or ``{"em": {"use_true_noise": true}}``. Trial t of every cell runs at one
+seed derived from (the base's seed, t), so a cell may not set "seed". Every
+cell is checked before any output exists. ``results.csv`` has a row
+``cell,trial,auprc,shd,seconds`` per cell and trial, ``cell`` being the grid
+index; each cell's JSON file also records its grid entry as "override".
 """
 
 from __future__ import annotations
@@ -140,18 +155,28 @@ def _weight_range(config: dict) -> tuple[float, float]:
     return lo, hi
 
 
-def _resolve_seed(config: dict, flag_seed):
-    """Precedence: RECLAIM_SEED env var, then --seed flag, then config["seed"] (default 0)."""
-    config_seed = _config_number(config, "seed", 0, integral=True)
+def _check_keys(config: dict, known, what: str, form: str = "") -> None:
+    """A ConfigError naming every key of ``config`` not in ``known``, then ``form``."""
+    unknown = sorted(set(config) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}{form}")
+
+
+def _resolve_seed(config: dict, flag_seed) -> int:
+    """Precedence: RECLAIM_SEED env var, then --seed flag, then config["seed"] (default 0).
+    The seed used must be >= 0, as numpy's seeding requires."""
+    source, seed = "seed", _config_number(config, "seed", 0, integral=True)
     env = os.environ.get("RECLAIM_SEED")
     if env is not None:
         try:
-            return int(env)
+            source, seed = "RECLAIM_SEED", int(env)
         except ValueError as exc:
             raise ConfigError(f"RECLAIM_SEED must be an integer, got {env!r}") from exc
-    if flag_seed is not None:
-        return flag_seed
-    return config_seed
+    elif flag_seed is not None:
+        source, seed = "--seed", flag_seed
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _atomic_write(path, text):
@@ -163,21 +188,33 @@ def _atomic_write(path, text):
 # simulate
 
 
+SIMULATE_KEYS = ("seed", "d", "graph_density", "n_per_regime", "beta", "weight_range",
+                 "target_lipschitz", "sigma_z", "sigma_I_sq", "include_observational", "channel")
+# The channel keys simulate reads, by channel type.
+CHANNEL_KEYS = {"gan": ("type", "p", "sigma_sq", "sigma_min", "sigma_max")}
+CHANNEL_KEYS["linear"] = (*CHANNEL_KEYS["gan"], "A", "mixing_var")
+
+
 def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.LinearChannel:
     """The simulated channel: the config's "A" and "sigma_sq", or random draws.
-    A given "A" sets p to its row count; a "p" beside it, and d, must agree."""
+    A given "A" sets p to its row count; a "p" beside it, and d, must agree.
+    A gan channel has p = d."""
     spec = {"type": "gan", **channel_cfg}
-    p = d
-    if spec["type"] == "linear" and "A" in spec:
+    kind = spec["type"]
+    if kind in ("gan", "linear"):  # channel_from_dict names any other type
+        _check_keys(spec, CHANNEL_KEYS[kind], f"{kind} channel")
+    A = None
+    if kind == "linear" and "A" in spec:
         A = spec["A"] = measurement.check_mixing(measurement.spec_field(spec, "A"))
-        p = _config_number(spec, "p", A.shape[0], integral=True)
-        if A.shape != (p, d):
-            raise ConfigError(f"channel 'A' must be {p}x{d} (p={p}, d={d}), "
-                              f"got {A.shape[0]}x{A.shape[1]}")
-    elif spec["type"] == "linear":
-        p = _config_number(spec, "p", d, integral=True)
+    p = _config_number(spec, "p", d if A is None else A.shape[0], integral=True)
+    if A is not None and A.shape != (p, d):
+        raise ConfigError(f"channel 'A' must be {p}x{d} (p={p}, d={d}), "
+                          f"got {A.shape[0]}x{A.shape[1]}")
+    if kind == "linear" and A is None:
         mixing_var = _config_number(spec, "mixing_var", 1.5, positive=True)
         spec["A"] = rng.normal(0.0, np.sqrt(mixing_var), size=(p, d))
+    if kind == "gan" and p != d:
+        raise ConfigError(f"a gan channel has p = d = {d} measurements, got p={p}")
     if "sigma_sq" not in spec:
         spec["sigma_sq"] = rng.uniform(_config_number(spec, "sigma_min", 0.3, positive=True),
                                        _config_number(spec, "sigma_max", 0.6, positive=True),
@@ -185,7 +222,14 @@ def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.LinearCha
     return measurement.channel_from_dict(spec)
 
 
-def run_simulate(config: dict, out_dir) -> None:
+def _read_simulation(config: dict):
+    """Check a simulate config and build what it describes: ``(seed, n_per_regime,
+    graph, truth SCM, family, channel)``.
+
+    It samples no regime and writes nothing, so a sweep runs it on every cell
+    before any output exists.
+    """
+    _check_keys(config, SIMULATE_KEYS, "simulate config")
     seed = _config_number(config, "seed", 0, integral=True)
     d = _config_number(config, "d", integral=True)
     density = _config_number(config, "graph_density", 2.0)
@@ -210,7 +254,11 @@ def run_simulate(config: dict, out_dir) -> None:
         include_observational=_config_flag(config, "include_observational", True))
     channel = _build_true_channel(_config_object(config, "channel", {"type": "gan"}),
                                   d, np.random.default_rng(int(chan_seed)))
+    return seed, n, graph, truth, family, channel
 
+
+def run_simulate(config: dict, out_dir) -> None:
+    seed, n, graph, truth, family, channel = _read_simulation(config)
     datasets = []
     for k, regime in enumerate(family):
         child = np.random.SeedSequence((seed, 2026, k)).generate_state(2)
@@ -258,22 +306,22 @@ def run_estimate_noise(data_dir, out_path=None) -> None:
 
 
 def _em_config_from_dict(cfg_dict: dict) -> em.EmConfig:
-    """EmConfig from a fit config; ``use_true_noise`` is the one key it may add."""
+    """EmConfig from a fit config; ``use_true_noise``, true or false, is the one
+    key it may add."""
+    _config_flag(cfg_dict, "use_true_noise", False)
     kwargs = {k: v for k, v in cfg_dict.items() if k != "use_true_noise"}
-    unknown = sorted(set(kwargs) - set(em.EmConfig.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown EM config keys: {', '.join(unknown)}")
+    _check_keys(kwargs, em.EmConfig.__dataclass_fields__, "EM config")
     return em.EmConfig(**kwargs)
 
 
 def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em.FitReport:
     data_dir = Path(data_dir)
     datasets, family, spec = _read_data_dir(data_dir)
-    if not _config_flag(em_config, "use_true_noise", False):
+    cfg = _em_config_from_dict(em_config)
+    if not em_config.get("use_true_noise", False):
         spec.pop("sigma_sq", None)
     # The output directory is made by the first write, after the channel is built.
     out_dir = Path(out_dir) if out_dir else data_dir
-    cfg = _em_config_from_dict(em_config)
 
     init_theta, trace = None, None
     ckpt_path = out_dir / "checkpoint.json"
@@ -317,42 +365,31 @@ def run_evaluate(report_path, truth_path, out_path=None, threshold: float = 0.8)
 # sweep
 
 
-SWEEP_KINDS = ("sigma_min", "n_nodes", "n_measurements", "beta", "density")
+SWEEP_KEYS = ("base", "grid", "n_trials", "out_dir")
+SWEEP_FORM = ('; a sweep config is {"base", "grid", "n_trials", "out_dir"}, and each '
+              'grid entry a JSON object merged over "base"')
 
 
-def _cell_config(base: dict, kind: str, value) -> dict:
-    cfg = json.loads(json.dumps(base))  # deep copy
-    channel = cfg["channel"] = _config_object(cfg, "channel", {"type": "gan"})
-    if kind not in SWEEP_KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    value = check_number(f"{kind} grid value", value,
-                         int if kind in ("n_nodes", "n_measurements") else float)
-    if kind == "sigma_min":
-        channel["sigma_min"] = value
-        channel["sigma_max"] = value + 0.3
-    elif kind == "n_nodes":
-        cfg["d"] = value
-    elif kind == "n_measurements":
-        if channel.get("type") != "linear":
-            raise ConfigError("n_measurements sweep requires a linear channel")
-        channel["p"] = value
-    elif kind == "beta":
-        cfg["beta"] = value
-    else:
-        cfg["graph_density"] = value
-    return cfg
+def _cell(base: dict, index: int, entry) -> dict:
+    """Grid entry ``index`` merged over ``base``; "channel" and "em" merge key by key."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"grid entry {index} must be a JSON object, got {entry!r}{SWEEP_FORM}")
+    if "seed" in entry or "seed" in _config_object(entry, "em", {}):
+        raise ConfigError(f"grid entry {index} sets 'seed'; the sweep derives each trial's "
+                          f"seed from the base's")
+    cell = {**base, **entry}
+    for key in ("channel", "em"):
+        if key in entry:
+            cell[key] = {**_config_object(base, key, {}), **_config_object(entry, key, {})}
+    return cell
 
 
 def _run_cell(args):
-    base, kind, value, trial, seed, out_dir = args
-    sim_cfg = _cell_config(base, kind, value)
-    sim_cfg["seed"] = seed
-    em_cfg = dict(base.get("em", {}))
-    em_cfg["seed"] = seed
+    index, override, sim_cfg, em_cfg, trial, out_dir = args
     # A cached cell is reused only for the same simulation config, EM config and seed.
     key = hashlib.sha256(json.dumps({"cell": sim_cfg, "em": em_cfg},
                                     sort_keys=True).encode()).hexdigest()[:16]
-    name = f"cell_{kind}_{value}_{trial}_{key}"
+    name = f"cell_{index}_{trial}_{key}"
     cell_dir = Path(out_dir) / name
     cell_file = Path(out_dir) / f"{name}.json"
     if cell_file.exists():
@@ -362,7 +399,7 @@ def _run_cell(args):
     run_fit(cell_dir, em_cfg, cell_dir)
     metrics = run_evaluate(cell_dir / "report.json", cell_dir / "truth_graph.json")
     result = {
-        "sweep_param": kind, "value": value, "trial": trial,
+        "cell": index, "override": override, "trial": trial,
         "auprc": metrics["auprc"], "shd": metrics["shd"],
         "seconds": round(time.time() - t0, 3),
     }
@@ -371,32 +408,37 @@ def _run_cell(args):
 
 
 def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
-    """Run every (grid value, trial) cell, in at most ``jobs`` worker processes."""
+    """Run every (grid entry, trial) cell, in at most ``jobs`` worker processes.
+
+    Every cell's simulate and fit configs are checked before any output exists.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    kind = config.get("sweep")
-    grid = config.get("grid", [])
+    _check_keys(config, SWEEP_KEYS, "sweep config", SWEEP_FORM)
+    grid = config.get("grid")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("sweep grid must be a non-empty list")
     n_trials = _config_number(config, "n_trials", 1, integral=True, positive=True)
     out_dir = config.get("out_dir", "sweep_out")
     if not isinstance(out_dir, (str, os.PathLike)):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
     out_dir = Path(out_dir)
     base = _config_object(config, "base", {})
-    _config_object(base, "em", {})  # each cell's fit reads it after its output exists
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("sweep grid must be a non-empty list")
-    for value in grid:
-        _cell_config(base, kind, value)  # a bad kind or grid value fails before any output
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = _config_number(base, "seed", 0, integral=True)
 
     tasks = []
-    for value in grid:
+    for index, entry in enumerate(grid):
+        cell = _cell(base, index, entry)
         for trial in range(n_trials):
-            # One seed per trial (not per grid value): grid points within a
-            # trial share the graph/SCM instance, pairing the comparison.
-            cell_seed = int(np.random.SeedSequence((base_seed, trial)).generate_state(1)[0])
-            tasks.append((base, kind, value, trial, cell_seed, str(out_dir)))
+            # One seed per trial (not per grid entry): cells within a trial
+            # share the graph/SCM instance, pairing the comparison.
+            seed = int(np.random.SeedSequence((base_seed, trial)).generate_state(1)[0])
+            sim_cfg = {k: v for k, v in cell.items() if k != "em"} | {"seed": seed}
+            em_cfg = _config_object(cell, "em", {}) | {"seed": seed}
+            _read_simulation(sim_cfg)
+            _em_config_from_dict(em_cfg)
+            tasks.append((index, entry, sim_cfg, em_cfg, trial, str(out_dir)))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # A pool starts all its workers at the first submit, so it gets no more than there are cells.
     workers = min(jobs, len(tasks))
@@ -406,10 +448,9 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     else:
         results = [_run_cell(t) for t in tasks]
 
-    lines = ["sweep_param,value,trial,auprc,shd,seconds"]
+    lines = ["cell,trial,auprc,shd,seconds"]
     for r in results:
-        lines.append(f"{r['sweep_param']},{r['value']},{r['trial']},"
-                     f"{r['auprc']!r},{r['shd']},{r['seconds']!r}")
+        lines.append(f"{r['cell']},{r['trial']},{r['auprc']!r},{r['shd']},{r['seconds']!r}")
     _atomic_write(out_dir / "results.csv", "\n".join(lines) + "\n")
     return results
 

@@ -58,7 +58,8 @@ class EmConfig:
     def __post_init__(self):
         for name, hint in get_type_hints(EmConfig).items():
             check_number(name, getattr(self, name), hint)
-        for name in ("sparsity_lambda", "em_rounds", "elbo_every", "init_weight_scale"):
+        for name in ("sparsity_lambda", "em_rounds", "seed", "elbo_every",
+                     "init_weight_scale"):
             if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be >= 0")
         for name in ("learning_rate", "m_steps_per_round", "batch_size",
@@ -326,11 +327,13 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     "linear", "A": [[...]], "sigma_sq": [...]}. A given "sigma_sq" pins the
     noise variances; a missing or null one is estimated from the regime
     data, with ``seed`` driving the linear channel's projection sampling.
-    A ``ParameterError`` meets a dataset count other than the regime count, a
-    regime target outside [0, d) of the channel's d latent nodes (which the
+    A ``ParameterError`` meets a family of no regimes, a dataset count other
+    than the regime count, a regime target outside [0, d) of the channel's d latent nodes (which the
     estimators check before they read the data) and a p other than the
     data's column count.
     """
+    if not len(family):
+        raise ParameterError("the intervention family (family.json) has no regimes")
     if len(datasets) != len(family):
         raise ParameterError(f"{len(datasets)} datasets for {len(family)} regimes")
     if channel_spec.get("sigma_sq") is None:
@@ -440,10 +443,12 @@ def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
 
 
 def report_to_json(report: FitReport) -> str:
+    """The edge scores, the diagnostics and the noise variances the fit used."""
     payload = {
         "d": int(report.edge_scores.shape[0]),
         "edge_scores": report.edge_scores.tolist(),
         "diagnostics": report.diagnostics,
+        "sigma_sq": report.phi_hat.noise_var.tolist(),
     }
     return json.dumps(payload, sort_keys=True)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reclaim import cli, em, graphs, measurement, model, noise, scm
-from reclaim.errors import ConvergenceError, EStepError, RankError
+from reclaim.errors import ConvergenceError, EStepError, ParameterError, RankError
 
 TINY_EM = {"em_rounds": 1, "m_steps_per_round": 2, "batch_size": 16,
            "n_proposals": 8, "n_resample": 2}
@@ -53,7 +53,7 @@ def test_sweep_cache_is_recomputed_when_the_seed_changes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_fit", counting_fit)
     monkeypatch.delenv("RECLAIM_SEED", raising=False)
-    config = {"sweep": "beta", "grid": [1.0], "n_trials": 1, "out_dir": str(tmp_path),
+    config = {"grid": [{"beta": 1.0}], "n_trials": 1, "out_dir": str(tmp_path),
               "base": {"d": 3, "n_per_regime": 20, "seed": 1, "em": TINY_EM}}
 
     first = cli.run_sweep(config)
@@ -62,7 +62,7 @@ def test_sweep_cache_is_recomputed_when_the_seed_changes(tmp_path, monkeypatch):
     config["base"]["seed"] = 2
     cli.run_sweep(config)
     assert len(fits) == 2 and fits[1] != fits[0]  # new seed: recomputed
-    assert len(list(tmp_path.glob("cell_beta_1.0_0_*.json"))) == 2
+    assert len(list(tmp_path.glob("cell_0_0_*.json"))) == 2
 
     config["base"]["em"] = {**TINY_EM, "m_steps_per_round": 3}
     cli.run_sweep(config)
@@ -80,14 +80,15 @@ def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monk
     def stub_fit(datasets, family, spec, cfg, **kwargs):
         fit_seeds.append(cfg.seed)
         theta = model.init_params(datasets[0].shape[1])
-        return em.FitReport(edge_scores=model.edge_scores(theta), theta=theta, phi_hat=None,
+        phi_hat = measurement.GaussianAdditiveChannel(np.ones(theta.d))
+        return em.FitReport(edge_scores=model.edge_scores(theta), theta=theta, phi_hat=phi_hat,
                             diagnostics={"rounds_completed": 0, "trace": []})
 
     monkeypatch.setattr(cli, "run_simulate", recording_simulate)
     monkeypatch.setattr(em, "fit", stub_fit)
     monkeypatch.setenv("RECLAIM_SEED", "5")
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"sweep": "beta", "grid": [1.0], "n_trials": 2,
+    config.write_text(json.dumps({"grid": [{"beta": 1.0}], "n_trials": 2,
                                   "out_dir": str(tmp_path / "out"),
                                   "base": {"d": 3, "n_per_regime": 5, "em": TINY_EM}}))
 
@@ -121,11 +122,10 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, 
     monkeypatch.setattr(_SerialPool, "max_workers", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli, "_run_cell", lambda task: {
-        "sweep_param": task[1], "value": task[2], "trial": task[3], "auprc": 0.5, "shd": 1,
-        "seconds": 0.0})
+        "cell": task[0], "trial": task[4], "auprc": 0.5, "shd": 1, "seconds": 0.0})
     config = tmp_path / "sweep.json"
-    grid = [0.5 * (k + 1) for k in range(n_cells)]
-    config.write_text(json.dumps({"sweep": "beta", "grid": grid, "out_dir": str(tmp_path / "out"),
+    grid = [{"beta": 0.25 * (k + 1)} for k in range(n_cells)]
+    config.write_text(json.dumps({"grid": grid, "out_dir": str(tmp_path / "out"),
                                   "base": {"d": 3}}))
     assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == cli.EXIT_OK
     assert _SerialPool.max_workers == workers
@@ -135,10 +135,171 @@ def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_sweep_with_fewer_than_one_job_exits_2_before_any_output(tmp_path, capsys, jobs):
     config, out = tmp_path / "sweep.json", tmp_path / "out"
-    config.write_text(json.dumps({"sweep": "beta", "grid": [0.5], "out_dir": str(out),
+    config.write_text(json.dumps({"grid": [{"beta": 0.5}], "out_dir": str(out),
                                   "base": {"d": 3, "n_per_regime": 5}}))
     assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
+    assert not out.exists()
+
+
+_SWEEP_BASE = {"d": 4, "n_per_regime": 5, "seed": 1, "em": TINY_EM,
+               "channel": {"type": "linear", "p": 6, "mixing_var": 2.0}}
+
+
+def _sweep_tasks(tmp_path, monkeypatch, grid, n_trials=1):
+    """The tasks ``run_sweep`` hands its cells, which record nothing here."""
+    tasks = []
+    monkeypatch.setattr(cli, "_run_cell", lambda task: tasks.append(task) or {
+        "cell": task[0], "trial": task[4], "auprc": 0.5, "shd": 1, "seconds": 0.0})
+    cli.run_sweep({"base": _SWEEP_BASE, "grid": grid, "n_trials": n_trials,
+                   "out_dir": str(tmp_path / "out")})
+    return tasks
+
+
+@pytest.mark.parametrize("entry, merged", [
+    ({"d": 5}, {"d": 5}),
+    ({"beta": 0.5}, {"beta": 0.5}),
+    ({"graph_density": 1.5}, {"graph_density": 1.5}),
+    ({"channel": {"p": 8}}, {"channel": {**_SWEEP_BASE["channel"], "p": 8}}),
+    ({"channel": {"sigma_min": 0.5, "sigma_max": 0.8}},
+     {"channel": {**_SWEEP_BASE["channel"], "sigma_min": 0.5, "sigma_max": 0.8}}),
+], ids=["n_nodes", "beta", "density", "n_measurements", "sigma_min"])
+def test_each_former_sweep_kind_is_a_cell_merged_over_the_base(tmp_path, monkeypatch, entry,
+                                                                merged):
+    [(index, override, sim_cfg, em_cfg, trial, _)] = _sweep_tasks(tmp_path, monkeypatch, [entry])
+    seed = int(np.random.SeedSequence((1, 0)).generate_state(1)[0])
+    base = {k: v for k, v in _SWEEP_BASE.items() if k != "em"}
+    assert (index, override, trial) == (0, entry, 0)
+    assert sim_cfg == {**base, **merged, "seed": seed}
+    assert em_cfg == {**TINY_EM, "seed": seed}
+
+
+def test_a_nested_override_keeps_the_bases_other_channel_and_em_keys(tmp_path, monkeypatch):
+    entry = {"channel": {"p": 8}, "em": {"n_resample": 4, "use_true_noise": True}}
+    tasks = _sweep_tasks(tmp_path, monkeypatch, [{}, entry], n_trials=2)
+    assert [(t[0], t[4]) for t in tasks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # Trial t runs every cell at one seed, so the cells' comparison is paired.
+    assert tasks[0][2]["seed"] == tasks[2][2]["seed"] != tasks[1][2]["seed"]
+    sim_cfg, em_cfg = tasks[2][2], tasks[2][3]
+    assert sim_cfg["channel"] == {"type": "linear", "p": 8, "mixing_var": 2.0}
+    assert em_cfg == {**TINY_EM, "n_resample": 4, "use_true_noise": True,
+                      "seed": sim_cfg["seed"]}
+    assert tasks[0][2]["channel"] == _SWEEP_BASE["channel"]
+
+
+def test_sweep_writes_a_row_per_cell_and_trial_and_each_cells_override(tmp_path, monkeypatch):
+    monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    out = tmp_path / "out"
+    grid = [{}, {"em": {"use_true_noise": True}}]
+    results = cli.run_sweep({"base": {"d": 3, "n_per_regime": 20, "em": TINY_EM},
+                             "grid": grid, "n_trials": 2, "out_dir": str(out)})
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == "cell,trial,auprc,shd,seconds"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"], ["0", "1"],
+                                                           ["1", "0"], ["1", "1"]]
+    for r in results:
+        [cell_file] = out.glob(f"cell_{r['cell']}_{r['trial']}_*.json")
+        assert json.loads(cell_file.read_text())["override"] == grid[r["cell"]]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sweep": "beta", "grid": [0.5]}, "unknown sweep config keys: sweep" + cli.SWEEP_FORM),
+    ({"grid": [{"beta": 0.5}, 0.5]},
+     "grid entry 1 must be a JSON object, got 0.5" + cli.SWEEP_FORM),
+    ({"grid": [{"seed": 3}]},
+     "grid entry 0 sets 'seed'; the sweep derives each trial's seed from the base's"),
+    ({"grid": [{"em": {"seed": 3}}]},
+     "grid entry 0 sets 'seed'; the sweep derives each trial's seed from the base's"),
+    ({"grid": [{"beta": 0.5}, {"bta": 0.5}]}, "unknown simulate config keys: bta"),
+    ({"grid": [{"channel": {"sigma_mn": 0.5}}]}, "unknown gan channel keys: sigma_mn"),
+    ({"grid": [{"channel": {"p": 7}}]}, "a gan channel has p = d = 3 measurements, got p=7"),
+    ({"grid": [{"em": {"em_round": 2}}]}, "unknown EM config keys: em_round"),
+    ({"grid": [{"em": {"use_true_noise": "yes"}}]}, "use_true_noise must be true or false, "
+                                                    "got 'yes'"),
+    ({"grid": [{"em": {"n_resample": 0}}]}, "n_resample must be positive"),
+], ids=["former-kind-form", "entry-not-an-object", "cell-seed", "cell-em-seed",
+        "misspelled-key", "misspelled-channel-key", "gan-p", "misspelled-em-key",
+        "use_true_noise-string", "em-value"])
+def test_a_bad_sweep_cell_exits_2_before_any_output(tmp_path, capsys, config, message):
+    path, out = tmp_path / "sweep.json", tmp_path / "out"
+    path.write_text(json.dumps({"base": {"d": 3, "n_per_regime": 5}, "out_dir": str(out),
+                                **config}))
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "sweep"])
+def test_a_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys, command,
+                                                   source):
+    """numpy's seeding takes no negative seed, from any of the three sources."""
+    monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    path, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
+    seed = {"flag": -3, "config": -2, "env": -1}[source]
+    config = {"simulate": {"d": 3, "n_per_regime": 5}, "fit": dict(TINY_EM),
+              "sweep": {"base": {"d": 3, "n_per_regime": 5}, "grid": [{}],
+                        "out_dir": str(out)}}[command]
+    argv = {"simulate": ["simulate", "--out-dir", str(out)],
+            "fit": ["fit", "--data-dir", str(data), "--out-dir", str(out)],
+            "sweep": ["sweep"]}[command]
+    if command == "fit":
+        cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    elif source == "env":
+        monkeypatch.setenv("RECLAIM_SEED", str(seed))
+    else:
+        (config["base"] if command == "sweep" else config)["seed"] = seed
+    path.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    name = {"flag": "--seed", "config": "seed", "env": "RECLAIM_SEED"}[source]
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got {seed}\n"
+    assert not out.exists()
+
+
+def test_em_config_refuses_a_negative_seed():
+    with pytest.raises(ParameterError, match="^seed must be >= 0$"):
+        em.EmConfig(seed=-1)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"d": 3, "n_per_regim": 5, "channel": {"type": "gan", "p": 7, "sigma_mn": 0.9}},
+     "unknown simulate config keys: n_per_regim"),
+    ({"d": 3, "n_per_regime": 5, "channel": {"type": "gan", "p": 7, "sigma_mn": 0.9}},
+     "unknown gan channel keys: sigma_mn"),
+    ({"d": 3, "n_per_regime": 5, "channel": {"type": "gan", "p": 7}},
+     "a gan channel has p = d = 3 measurements, got p=7"),
+    ({"d": 3, "n_per_regime": 5, "channel": {"type": "gan", "A": [[1, 0], [0, 1]]}},
+     "unknown gan channel keys: A"),
+    ({"d": 3, "n_per_regime": 5, "channel": {"type": "linear", "p": 4, "mixng_var": 2}},
+     "unknown linear channel keys: mixng_var"),
+    ({"d": 3, "n_per_regime": 5, "em": {}, "sigma": 1.0}, "unknown simulate config keys: em, sigma"),
+], ids=["top-level", "channel", "gan-p", "gan-A", "linear-channel", "two-keys"])
+def test_simulate_refuses_a_key_it_does_not_read(tmp_path, capsys, config, message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(path), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_takes_a_gan_p_equal_to_d(tmp_path):
+    cli.run_simulate({"d": 3, "n_per_regime": 5, "channel": {"type": "gan", "p": 3}}, tmp_path)
+    assert len(json.loads((tmp_path / "channel.json").read_text())["sigma_sq"]) == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-true-noise", "estimate-noise"])
+def test_a_family_json_with_no_regimes_exits_2(tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    cli.run_simulate({"d": 3, "n_per_regime": 5}, data)
+    (data / "family.json").write_text('{"regimes": []}')
+    argv = ["estimate-noise", "--data-dir", str(data), "--out", str(out / "phi_hat.json")] \
+        if command == "estimate-noise" else \
+        _fit_argv(tmp_path, data, out, use_true_noise=command == "fit-true-noise")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: the intervention family (family.json) has no regimes\n"
     assert not out.exists()
 
 
@@ -191,6 +352,9 @@ def test_fit_uses_channel_json_noise_only_under_use_true_noise(tmp_path, use_tru
     cli.run_estimate_noise(data)
     want = "channel.json" if use_true_noise else "phi_hat.json"
     assert measurement.channel_to_json(report.phi_hat) == (data / want).read_text()
+    # report.json records the variances the fit used.
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["sigma_sq"] == \
+        json.loads((data / want).read_text())["sigma_sq"]
 
 
 def test_em_config_names_every_unknown_key():
@@ -227,7 +391,7 @@ def test_em_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, key, value,
     ("simulate", {"d": 3, "n_per_regime": 5, "seed": "one"}, "seed must be an integer, got 'one'"),
     ("simulate", {"n_per_regime": 5}, "config has no 'd'"),
     ("fit", {**TINY_EM, "seed": "one"}, "seed must be an integer, got 'one'"),
-    ("sweep", {"sweep": "beta", "grid": [0.5], "base": {"d": 3, "seed": 2.5}},
+    ("sweep", {"grid": [{"beta": 0.5}], "base": {"d": 3, "seed": 2.5}},
      "seed must be an integer, got 2.5"),
 ], ids=["simulate-seed", "simulate-no-d", "fit-seed", "sweep-seed"])
 def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, command,
@@ -245,12 +409,11 @@ def test_config_without_d_or_with_a_non_integer_seed_exits_2(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command, config, message", [
-    ("sweep", {"sweep": "beta", "grid": ["a"]}, "beta grid value must be a real number, got 'a'"),
-    ("sweep", {"sweep": "n_nodes", "grid": [3, 2.5]},
-     "n_nodes grid value must be an integer, got 2.5"),
-    ("sweep", {"sweep": "beta", "grid": 0.5}, "sweep grid must be a non-empty list"),
-    ("sweep", {"sweep": "beta", "grid": [float("inf")]},
-     "beta grid value must be a finite real number, got inf"),
+    # Each former sweep kind's bad grid value, as a cell; the last cell's fails first.
+    ("sweep", {"grid": [{"beta": "a"}]}, "beta must be a real number, got 'a'"),
+    ("sweep", {"grid": [{"d": 3}, {"d": 2.5}]}, "d must be an integer, got 2.5"),
+    ("sweep", {"grid": {"beta": 0.5}}, "sweep grid must be a non-empty list"),
+    ("sweep", {"grid": [{"beta": float("inf")}]}, "beta must be a finite real number, got inf"),
     ("simulate", {"channel": {"type": "gan", "sigma_min": "x"}},
      "sigma_min must be a real number, got 'x'"),
     ("simulate", {"channel": {"type": "gan", "sigma_max": 0}},
@@ -662,7 +825,7 @@ def test_a_config_part_that_is_not_an_object_exits_2_before_any_output(tmp_path,
                                                                        message):
     path, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
     if isinstance(config, dict) and command == "sweep":
-        config = {"sweep": "beta", "grid": [0.5], **config}
+        config = {"grid": [{"beta": 0.5}], **config}
         if config["out_dir"] == "{out}":
             config["out_dir"] = str(out)
     path.write_text(json.dumps(config))
