@@ -40,11 +40,13 @@ class EmConfig:
     em_rounds: int = 200
     m_steps_per_round: int = 50
     batch_size: int = 256
-    # The Gaussian proposal keeps about 0.9 of its draws effective on a trained
-    # theta (ESS ~ 0.9 S), so S = n_resample proposals already give ~n_resample
-    # effective draws to resample from.
+    # The M-step reads only m_steps_per_round * batch_size slots a round
+    # (12,800 at these defaults), but surrogate_q scores every distinct cached
+    # row, so q's cost grows with n_resample and the gradient's information
+    # does not. At 4 slots per observation a workload of a few thousand
+    # observations still caches more slots than the M-step reads.
     n_proposals: int = 16
-    n_resample: int = 16
+    n_resample: int = 4
     temperature: float = 1.0
     seed: int = 0
     convergence_tol: float = 1e-4

@@ -401,6 +401,35 @@ def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resamp
     assert abs(em.channel_term(cache, channel) - channel_slots) <= 1e-12 * abs(channel_slots)
 
 
+def test_fewer_resampled_slots_do_not_bias_what_the_cache_scores(tmp_path):
+    """At one E-step seed, 4 and 16 slots per observation come from the same proposals
+    and weights; only the resampling uniforms differ. Multinomial resampling is
+    unbiased, so over E-step seeds the paired differences of q and of the channel
+    term average to 0. The default budget keeps at most 4 rows per observation."""
+    cli.run_simulate({"d": 4, "n_per_regime": 60, "seed": 5}, tmp_path)
+    datasets, family = scm.read_dataset(tmp_path)
+    channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
+    theta = model.init_params(4, seed=1, weight_scale=0.5)
+    diffs = []
+    for seed in range(20):
+        caches = [em.e_step(theta, channel, datasets, family, em.EmConfig(n_resample=r),
+                            seed=seed) for r in (4, 16)]
+        assert np.array_equal(caches[0].ess, caches[1].ess)  # the same weights
+        assert np.array_equal(caches[0].y, caches[1].y)
+        q4, q16 = (em.surrogate_q(theta, c) for c in caches)
+        c4, c16 = (em.channel_term(c, channel) for c in caches)
+        diffs.append((q4 - q16, c4 - c16))
+    diffs = np.array(diffs)
+    assert np.all(diffs != 0)  # the uniforms did differ
+    se = diffs.std(axis=0, ddof=1) / np.sqrt(len(diffs))
+    assert np.all(np.abs(diffs.mean(axis=0)) <= 3 * se)
+
+    cache = em.e_step(theta, channel, datasets, family, em.EmConfig())
+    n_kept = len(cache.y)
+    assert n_kept == 300 and cache.n_particles == 4 * n_kept
+    assert len(cache.particles) <= 4 * n_kept
+
+
 class TestMStepRecovery:
     """m_step under a latent_logpdf_grads that returns NaN on chosen steps."""
 
