@@ -19,8 +19,9 @@ is not p x d, a regime whose target is not an integer node index in [0, d)
 or whose mean or variance is not a finite number, an
 "include_observational" or "use_true_noise" that is not true or false, a
 checkpoint.json to resume from that is malformed, has a round record field
-of the wrong type or a "sigma_z" that is not positive and finite, or is of
-another dimension than the data, a truth graph or report that does not
+of the wrong type or a "sigma_z" that is not positive and finite, is of
+another dimension than the data, or has another hidden width or
+"lipschitz_target" than the fit config, a truth graph or report that does not
 parse, and an evaluation against a truth graph with no edges), 3 I/O failure
 (a data directory without family.json among them, which is what a cut
 ``simulate`` leaves), 4 unmet interventional-coverage requirement, 5
@@ -33,6 +34,8 @@ after every round. ``fit --resume`` continues from that checkpoint's trace,
 so it writes the same ``report.json`` and ``trace.csv`` as an uninterrupted
 fit; a fit whose trace has converged or holds ``em_rounds`` rounds runs no
 new round. ``report.json`` also records the noise variances the fit used.
+``estimate-noise`` writes the variances that a fit would use at the seed it
+resolves with no config "seed" and no --seed: RECLAIM_SEED if set, else 0.
 
 A sweep config is ``{"base", "grid", "n_trials", "out_dir"}``. ``base`` is a
 simulate config whose "em" key holds the fit config. Each grid entry is a
@@ -293,10 +296,12 @@ def _read_data_dir(data_dir: Path):
     return datasets, family, _json_object(data_dir / "channel.json")
 
 
-def run_estimate_noise(data_dir, out_path=None) -> None:
+def run_estimate_noise(data_dir, out_path=None, seed: int = 0) -> None:
+    """Write the noise variances a fit at run seed ``seed`` would estimate."""
     data_dir = Path(data_dir)
     datasets, family, spec = _read_data_dir(data_dir)
-    estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family, seed=0)
+    estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family,
+                                 seed=em.init_seed(seed))
     out_path = Path(out_path) if out_path else data_dir / "phi_hat.json"
     _atomic_write(out_path, measurement.channel_to_json(estimated))
 
@@ -502,7 +507,8 @@ def main(argv=None) -> int:
             config["seed"] = _resolve_seed(config, args.seed)
             run_simulate(config, args.out_dir)
         elif args.command == "estimate-noise":
-            run_estimate_noise(args.data_dir, args.out)
+            # The seed a fit with no "seed" key or --seed resolves: RECLAIM_SEED, else 0.
+            run_estimate_noise(args.data_dir, args.out, seed=_resolve_seed({}, None))
         elif args.command == "fit":
             config = _load_config(args.config)
             config["seed"] = _resolve_seed(config, args.seed)

@@ -135,6 +135,12 @@ def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
 
+def init_seed(seed: int) -> int:
+    """The seed a fit at run seed ``seed`` estimates the noise and draws its initial
+    parameters with, ahead of round 0's; ``estimate-noise`` estimates with it too."""
+    return int(_round_seeds(seed, 0, 1)[0])
+
+
 def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: InterventionFamily,
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
@@ -370,21 +376,27 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
     ``len(trace)``, and no round runs once the trace holds ``cfg.em_rounds``
     records or has ``converged``. Round seeds derive from (cfg.seed, round),
     so resuming from a checkpoint's parameters and trace reproduces the
-    uninterrupted run. ``round_callback(r, theta, trace)`` runs after each
-    round.
+    uninterrupted run. ``init_theta`` must have the data's d, the config's
+    hidden width (d when ``cfg.hidden`` is None) and its ``lipschitz_target``,
+    or a ``ParameterError`` names both values. ``round_callback(r, theta,
+    trace)`` runs after each round.
     """
-    init_seed = int(np.random.SeedSequence((cfg.seed, 0)).generate_state(1)[0])
-    phi_hat = build_channel(channel_spec, datasets, family, seed=init_seed)
+    seed = init_seed(cfg.seed)
+    phi_hat = build_channel(channel_spec, datasets, family, seed=seed)
     d = phi_hat.d
 
     theta = init_theta
     if theta is None:
         theta = init_params(d, hidden=cfg.hidden,
                             lipschitz_target=cfg.lipschitz_target,
-                            seed=init_seed, weight_scale=cfg.init_weight_scale)
+                            seed=seed, weight_scale=cfg.init_weight_scale)
     elif theta.d != d:
         raise ParameterError(f"initial parameters are for d={theta.d} nodes, "
                              f"the data has d={d}")
+    for name, have, want in [("hidden width", theta.hidden, cfg.hidden or d),
+                             ("lipschitz_target", theta.lipschitz_target, cfg.lipschitz_target)]:
+        if have != want:
+            raise ParameterError(f"initial parameters have {name} {have}, the config {want}")
     trace = [] if trace is None else list(trace)
 
     while len(trace) < cfg.em_rounds and not converged(trace, cfg.convergence_tol):
@@ -418,6 +430,12 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
                      diagnostics=diagnostics)
 
 
+# Observations x proposals that elbo_estimate draws and scores at once. A
+# regime's draws at S = 512 would hold n * S * d floats: about 20 MB for 500
+# observations at d = 10, and more with every observation.
+CHUNK_ROWS = 65536
+
+
 def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
                   family: InterventionFamily, cfg: EmConfig, seed=None):
     """Self-normalized importance estimate of sum_k sum_l log p(y | theta, phi).
@@ -427,13 +445,16 @@ def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
     error, from var(w) / (S mean(w)^2) = (S / ESS - 1) / (S - 1) (Kong 1992).
     """
     S = cfg.elbo_proposals
+    step = max(1, CHUNK_ROWS // S)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     mask = expected_mask(theta.edge_logits)
     total = 0.0
     var_total = 0.0
     for Y, regime in zip(datasets, family.regimes):
-        for _, _, lw in weighted_draws(Y, theta, mask, phi_hat, regime, regime.variance, S,
-                                       rng):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        for start in range(0, Y.shape[0], step):
+            _, lw = weighted_draws(Y[start:start + step], theta, mask, phi_hat, regime,
+                                   regime.variance, S, rng)
             log_mean, norm_w = weight_summary(lw)
             total += float(np.sum(log_mean))
             var_total += float(np.sum((S * np.sum(norm_w ** 2, axis=1) - 1.0) / (S - 1)))

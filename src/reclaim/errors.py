@@ -61,17 +61,7 @@ def check_positive(name: str, value, shape=()) -> np.ndarray:
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance.
-
-    Attributes
-    ----------
-    residual : float
-        Final residual (infinity norm) when iteration stopped.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative solver failed to reach its tolerance."""
 
 
 class UndefinedMetricError(ValueError):
@@ -87,17 +77,7 @@ class RankError(ValueError):
 
 
 class SamplingFailureError(RuntimeError):
-    """Projection-vector sampling ended with a design matrix short of rank p.
-
-    Attributes
-    ----------
-    achieved_rank : int
-        Rank of the row matrix collected before giving up.
-    """
-
-    def __init__(self, message, achieved_rank=0):
-        super().__init__(message)
-        self.achieved_rank = achieved_rank
+    """Projection-vector sampling ended with a design matrix short of rank p."""
 
 
 class EStepError(RuntimeError):

@@ -307,8 +307,8 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
 
 # Entries per (rows, d, h) temporary in one block of latent_logpdf_batch. On a
 # 2-core x86 host with single-threaded OpenBLAS, blocks of this size score a
-# row 15% (d = 10) to 34% (d = 15) faster than one pass over the E-step's
-# 65536-row chunk, whose temporaries fall out of cache.
+# row 15% (d = 10) to 34% (d = 15) faster than one pass over 65536 rows,
+# whose temporaries fall out of cache.
 _BLOCK_FLOATS = 1 << 16
 
 

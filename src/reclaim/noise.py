@@ -203,9 +203,7 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     if achieved < p:
         raise SamplingFailureError(
             f"projection sampling found no design of full rank: it stopped at "
-            f"rank {achieved} < {p}",
-            achieved_rank=achieved,
-        )
+            f"rank {achieved} < {p}")
     return ProjectionSet(vectors=vecs[:n], source_node=sources[:n])
 
 

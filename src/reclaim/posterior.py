@@ -11,9 +11,9 @@ since q(x | y) = prior(x) p(y | x) / Z(y) exactly: the channel and proposal
 terms cancel, leaving the learned latent density, the d-wide stand-in prior
 and the evidence Z(y) of the stand-in, one number per observation (the
 locally optimal proposal weight of Doucet, Godsill & Andrieu 2000; Owen 2013,
-ch. 9). ``weighted_draws`` is the one draw-and-weight loop, and SIR and the
-ELBO read one summary of its weights, ``weight_summary``: the E-step resamples
-from the normalized weights, the ELBO sums the log mean weights.
+ch. 9). ``weighted_draws`` draws and weights a regime's proposals, and SIR and
+the ELBO read one summary of its weights, ``weight_summary``: the E-step
+resamples from the normalized weights, the ELBO sums the log mean weights.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ import numpy as np
 from .measurement import LinearChannel, channel_logpdf, diag_gauss_logpdf, stacked_matmul
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
-
-# Proposal draws (observations x proposals) scored per latent_logpdf_batch call.
-CHUNK_ROWS = 65536
 
 
 def weight_summary(log_w: np.ndarray):
@@ -78,10 +75,10 @@ class GaussianProposal:
         """log N(x; m, diag(v)) of each d-vector of xs, over any leading axes."""
         return diag_gauss_logpdf(xs - self.prior_mean, self.prior_var)
 
-    def draw(self, rng, rows, n_samples: int) -> np.ndarray:
-        """(len(rows), n_samples, d) draws for the observations ``rows``."""
-        eps = rng.standard_normal((len(rows), n_samples, self.d))
-        return self.mean[rows][:, None, :] + stacked_matmul(eps, self.chol.T)
+    def draw(self, rng, n_samples: int) -> np.ndarray:
+        """(n, n_samples, d) draws, row i for observation i."""
+        eps = rng.standard_normal((len(self.mean), n_samples, self.d))
+        return self.mean[:, None, :] + stacked_matmul(eps, self.chol.T)
 
 
 def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: LinearChannel,
@@ -89,22 +86,20 @@ def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: LinearChan
                    n_proposals: int, rng):
     """Proposal draws for a regime's observations with their log importance weights.
 
-    Builds one ``GaussianProposal`` and yields ``(rows, xs, log_w)`` per chunk
-    of about ``CHUNK_ROWS`` draws: the chunk's row indices into ``Y``, its
-    (len(rows), n_proposals, d) draws, and log p(x) + log p(y | x) - log q(x | y),
-    computed as log p(x) - log prior(x) + log Z(y).
+    Returns ``(xs, log_w)``: the (n, n_proposals, d) draws of one
+    ``GaussianProposal``, row i for observation i of ``Y``, and
+    log p(x) + log p(y | x) - log q(x | y), computed as
+    log p(x) - log prior(x) + log Z(y), all scored in one ``latent_logpdf_batch``
+    call.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     proposal = GaussianProposal(channel, Y, regime, params.sigma_z)
-    step = max(1, CHUNK_ROWS // n_proposals)
-    for start in range(0, Y.shape[0], step):
-        rows = np.arange(start, min(start + step, Y.shape[0]))
-        xs = proposal.draw(rng, rows, n_proposals)
-        log_w = latent_logpdf_batch(params, mask, regime, intervention_var,
-                                    xs.reshape(-1, params.d)).reshape(rows.size, n_proposals)
-        log_w -= proposal.log_prior(xs)
-        log_w += proposal.log_z[rows, None]
-        yield rows, xs, log_w
+    xs = proposal.draw(rng, n_proposals)
+    log_w = latent_logpdf_batch(params, mask, regime, intervention_var,
+                                xs.reshape(-1, params.d)).reshape(Y.shape[0], n_proposals)
+    log_w -= proposal.log_prior(xs)
+    log_w += proposal.log_z[:, None]
+    return xs, log_w
 
 
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearChannel,
@@ -119,21 +114,13 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     when none of its weights is finite or, with more than one proposal,
     when its effective sample size is below 2.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n, S = Y.shape[0], n_proposals
     rng = np.random.default_rng(seed)
-    log_w = np.empty((n, S))
-    xs_all = np.empty((n, S, params.d))
-    for rows, xs, lw in weighted_draws(Y, params, mask, channel, regime, intervention_var,
-                                       S, rng):
-        log_w[rows] = lw
-        xs_all[rows] = xs
-        del rows, xs, lw  # held through resampling, it raised linear-d10-p20 peak RSS ~5 MB
-
+    xs, log_w = weighted_draws(Y, params, mask, channel, regime, intervention_var,
+                               n_proposals, rng)
     kept = np.isfinite(log_w).any(axis=1)
     _, norm_w = weight_summary(log_w[kept])
     ess = 1.0 / np.sum(norm_w ** 2, axis=1)
-    if S > 1:
+    if n_proposals > 1:
         enough = ess >= 2.0
         kept[kept] = enough
         norm_w, ess = norm_w[enough], ess[enough]
@@ -147,4 +134,4 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     u = rng.random((keep_idx.size, n_resample))
     u.sort(axis=1)
     pick = np.sum(u[:, :, None] > cdf[:, None, :], axis=2)
-    return xs_all[keep_idx[:, None], pick], ess, kept
+    return xs[keep_idx[:, None], pick], ess, kept

@@ -182,10 +182,8 @@ def solve_fixed_point(scm: GroundTruthScm, Z: np.ndarray,
             break
     residual = np.max(np.abs(X - (free * (mechanism(scm, X) + Z) + C)))
     if residual > tol:
-        raise ConvergenceError(
-            f"fixed-point iteration stalled at residual {residual:.3e} after {max_iter} iterations",
-            residual=residual,
-        )
+        raise ConvergenceError(f"fixed-point iteration stalled at residual {residual:.3e} "
+                               f"after {max_iter} iterations")
     return X
 
 

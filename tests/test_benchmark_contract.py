@@ -104,8 +104,8 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert metrics["posterior.ess_frac"][0] >= 0.85
     assert metrics["posterior.retried_obs"][0] == 0
     n_rounds = len(out["ends"])
-    # Only the M-step draws masks. Each regime's proposal rows fit one chunk, so a
-    # round scores each regime in one E-step call and one surrogate call.
+    # Only the M-step draws masks. A round scores each regime's proposals in one
+    # E-step call and its particles in one surrogate call.
     assert metrics["model.sample_mask.calls"][0] == s.cfg.m_steps_per_round
     assert metrics["model.latent_logpdf_batch.calls"][0] == 2 * len(s.family.regimes)
     grad_calls = [span for span in tracer.spans if span[1] == "model.latent_logpdf_grads"]

@@ -726,6 +726,26 @@ def test_a_pinned_channel_of_another_width_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("env_seed", [None, "5"], ids=["default", "reclaim-seed"])
+def test_estimate_noise_writes_the_noise_a_fit_at_the_same_seed_uses(tmp_path, monkeypatch,
+                                                                      env_seed):
+    """On linear d = 4, p = 7 data the estimate depends on the projection seed;
+    ``estimate-noise`` and a fit with no seed of its own resolve the same one."""
+    if env_seed is None:
+        monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RECLAIM_SEED", env_seed)
+    data = tmp_path / "data"
+    cli.run_simulate({"d": 4, "n_per_regime": 300, "seed": 3,
+                      "channel": {"type": "linear", "p": 7}}, data)
+    assert cli.main(["estimate-noise", "--data-dir", str(data)]) == cli.EXIT_OK
+    assert cli.main(_fit_argv(tmp_path, data, tmp_path / "fit")) == cli.EXIT_OK
+    sigma_sq = json.loads((data / "phi_hat.json").read_text())["sigma_sq"]
+    assert sigma_sq == json.loads((tmp_path / "fit" / "report.json").read_text())["sigma_sq"]
+    cli.run_estimate_noise(data, tmp_path / "other.json", seed=1)
+    assert json.loads((tmp_path / "other.json").read_text())["sigma_sq"] != sigma_sq
+
+
 @pytest.fixture(scope="module")
 def binding_linear_data(tmp_path_factory):
     """A low-noise, small-p linear data set whose noise system has binding constraints."""
@@ -985,4 +1005,22 @@ def test_resume_from_a_checkpoint_of_another_dimension_exits_2(tmp_path, monkeyp
     assert cli.main([*argv, "--resume"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == \
         "error: initial parameters are for d=3 nodes, the data has d=4\n"
+    assert (tmp_path / "out" / "checkpoint.json").read_bytes() == checkpoint
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("hidden", 2, "initial parameters have hidden width 3, the config 2"),
+    ("lipschitz_target", 0.5, "initial parameters have lipschitz_target 0.9, the config 0.5"),
+])
+def test_resume_from_a_checkpoint_of_another_model_exits_2(tmp_path, monkeypatch, capsys,
+                                                           key, value, message):
+    """A checkpoint fitted at the default hidden width, d = 3, and Lipschitz target 0.9,
+    resumed under a config that sets another."""
+    fit = _resumable_fit(tmp_path, monkeypatch)
+    fit("out", 1)
+    checkpoint = (tmp_path / "out" / "checkpoint.json").read_bytes()
+    argv = _fit_argv(tmp_path, tmp_path / "data", tmp_path / "out", em_rounds=2,
+                     **{key: value})
+    assert cli.main([*argv, "--resume"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert (tmp_path / "out" / "checkpoint.json").read_bytes() == checkpoint

@@ -522,3 +522,45 @@ def test_elbo_matches_closed_form_marginal_likelihood(linear):
     # for the additive channel.
     assert 0.0 < se < 0.2
     assert abs(estimate - exact) <= 4.0 * se
+
+
+def test_elbo_in_several_chunks_per_regime_equals_the_one_chunk_value(data, straight,
+                                                                        monkeypatch):
+    """``elbo_estimate`` draws blocks of ``CHUNK_ROWS // S`` observations. Blocks of 3
+    of a regime's 20 draw the same stream as one block of 20, so the total and its
+    standard error agree to rounding."""
+    datasets, family = data
+    channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
+    cfg = em.EmConfig(seed=5, elbo_proposals=64)
+    whole = em.elbo_estimate(straight.theta, channel, datasets, family, cfg)
+    blocks, draw = [], em.weighted_draws
+
+    def recorded(Y, *args):
+        blocks.append(len(Y))
+        return draw(Y, *args)
+
+    monkeypatch.setattr(em, "weighted_draws", recorded)
+    monkeypatch.setattr(em, "CHUNK_ROWS", 3 * cfg.elbo_proposals)
+    chunked = em.elbo_estimate(straight.theta, channel, datasets, family, cfg)
+    assert blocks == [3, 3, 3, 3, 3, 3, 2] * len(family.regimes)
+    assert np.allclose(chunked, whole, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hidden", 2, "initial parameters have hidden width 4, the config 2"),
+    ("lipschitz_target", 0.5, "initial parameters have lipschitz_target 0.9, the config 0.5"),
+])
+def test_fit_refuses_initial_parameters_that_contradict_the_config(data, straight, field,
+                                                                   value, message):
+    """``straight`` ran at the default hidden width, d = 4, and Lipschitz target 0.9."""
+    datasets, family = data
+    trace = straight.diagnostics["trace"]
+    cfg = em.EmConfig(em_rounds=5, **TINY)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        em.fit(datasets, family, {"type": "gan"}, dataclasses.replace(cfg, **{field: value}),
+               init_theta=straight.theta, trace=trace)
+    # A hidden width of d, given, is the default's: a fit with no round left accepts it.
+    done = em.fit(datasets, family, {"type": "gan"},
+                  dataclasses.replace(cfg, em_rounds=len(trace), hidden=4),
+                  init_theta=straight.theta, trace=trace)
+    assert done.theta is straight.theta

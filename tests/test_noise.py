@@ -370,9 +370,8 @@ class TestProjectionSampler:
     ], ids=["weak-signal", "equal-squares", "budget-spent", "below-window-3x2"])
     def test_budget_exhaustion_reports_rank(self, A, m, rank):
         rng = np.random.default_rng(0)
-        with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$") as err:
+        with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$"):
             noise.sample_projection_vectors(A, m=m, seed=rng)
-        assert err.value.achieved_rank == rank
         # The failure ends the one pass, with nothing drawn at p = d. Each
         # node draws at most its share plus MAX_STREAK rows per row it keeps
         # and one more streak: rows of r normals and a signal, each of which

@@ -86,14 +86,14 @@ class TestSirSampleBatch:
 
     @staticmethod
     def _record_draws(monkeypatch) -> dict:
-        """Each observation's proposals, by its row, as ``GaussianProposal`` draws them."""
+        """Each observation's proposals, by its row, as ``GaussianProposal`` draws them:
+        row i of a draw is observation i."""
         drawn = {}
         draw = posterior.GaussianProposal.draw
 
-        def recording_draw(self, rng, rows, n_samples):
-            xs = draw(self, rng, rows, n_samples)
-            for row, row_xs in zip(rows, xs):
-                drawn[int(row)] = row_xs
+        def recording_draw(self, rng, n_samples):
+            xs = draw(self, rng, n_samples)
+            drawn.update(enumerate(xs))
             return xs
 
         monkeypatch.setattr(posterior.GaussianProposal, "draw", recording_draw)
@@ -167,15 +167,32 @@ def test_log_weights_are_latent_plus_channel_minus_the_proposal_density(linear):
     cov = np.linalg.inv(A_Dinv @ A + np.diag(1.0 / prior_var))
     Y = rng.normal(size=(4, channel.p))
 
-    chunks = list(posterior.weighted_draws(Y, params, mask, channel, regime,
-                                           regime.variance, 6, np.random.default_rng(2)))
-    assert len(chunks) == 1
-    rows, xs, log_w = chunks[0]
-    assert np.array_equal(rows, np.arange(4))
+    xs, log_w = posterior.weighted_draws(Y, params, mask, channel, regime,
+                                         regime.variance, 6, np.random.default_rng(2))
     assert xs.shape == (4, 6, 3) and log_w.shape == (4, 6)
-    for r in rows:
+    for r in range(4):
         mean = cov @ (A_Dinv @ Y[r] + prior_mean / prior_var)
         direct = (latent_logpdf_batch(params, mask, regime, regime.variance, xs[r])
                   + channel_logpdf(channel, Y[r], xs[r])
                   - multivariate_normal(mean, cov).logpdf(xs[r]))
         assert np.allclose(log_w[r], direct, rtol=1e-10, atol=0.0)
+
+
+def test_a_regime_of_80000_draws_is_scored_in_one_call(monkeypatch):
+    """5,000 observations at S = 16: one ``latent_logpdf_batch`` call scores every
+    draw; that call splits its rows into cache-sized blocks itself."""
+    calls = []
+    score = posterior.latent_logpdf_batch
+
+    def counting_score(params, mask, regime, intervention_var, X):
+        calls.append(len(X))
+        return score(params, mask, regime, intervention_var, X)
+
+    monkeypatch.setattr(posterior, "latent_logpdf_batch", counting_score)
+    params = init_params(3, seed=1)
+    channel = GaussianAdditiveChannel(np.array([0.3, 0.5, 0.4]))
+    Y = np.random.default_rng(4).normal(size=(5000, 3))
+    particles, ess, kept = posterior.sir_sample_batch(
+        Y, params, full_mask(3), channel, InterventionRegime(), 1.0, 16, 4, seed=0)
+    assert calls == [80000]
+    assert particles.shape == (kept.sum(), 4, 3) and ess.shape == (kept.sum(),)
