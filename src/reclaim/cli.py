@@ -18,6 +18,7 @@ channel whose p is not the data's column count, a simulated linear "A" that
 is not p x d, a regime whose target is not an integer node index in [0, d)
 or whose mean or variance is not a finite number, an
 "include_observational" or "use_true_noise" that is not true or false, a
+"use_true_noise" fit whose channel.json has no "sigma_sq" or a null one, a
 checkpoint.json to resume from that is malformed, has a round record field
 of the wrong type or a "sigma_z" that is not positive and finite, is of
 another dimension than the data, or has another hidden width or
@@ -34,8 +35,8 @@ after every round. ``fit --resume`` continues from that checkpoint's trace,
 so it writes the same ``report.json`` and ``trace.csv`` as an uninterrupted
 fit; a fit whose trace has converged or holds ``em_rounds`` rounds runs no
 new round. ``report.json`` also records the noise variances the fit used.
-``estimate-noise`` writes the variances that a fit would use at the seed it
-resolves with no config "seed" and no --seed: RECLAIM_SEED if set, else 0.
+``estimate-noise`` writes the variances that every fit of the same data
+estimates: the estimate reads the data alone, not the run seed.
 
 A sweep config is ``{"base", "grid", "n_trials", "out_dir"}``. ``base`` is a
 simulate config whose "em" key holds the fit config. Each grid entry is a
@@ -74,37 +75,33 @@ EXIT_IDENTIFIABILITY = 4
 EXIT_NUMERICAL = 5
 
 
-class ConfigError(Exception):
-    pass
-
-
 @contextlib.contextmanager
 def _parsing(what: str):
     """Turn the ValueError, KeyError or TypeError of content that does not
-    parse into a ConfigError naming ``what``; an OSError passes through."""
+    parse into a ParameterError naming ``what``; an OSError passes through."""
     try:
         yield
     except KeyError as exc:
-        raise ConfigError(f"malformed {what}: no key {exc}") from exc
+        raise ParameterError(f"malformed {what}: no key {exc}") from exc
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"malformed {what}: {exc}") from exc
+        raise ParameterError(f"malformed {what}: {exc}") from exc
 
 
 def _json_object(path: Path) -> dict:
-    """The JSON object in the file ``path``; any other content is a ConfigError,
+    """The JSON object in the file ``path``; any other content is a ParameterError,
     and a missing file an OSError."""
     with _parsing(f"JSON in {path}"):
         obj = json.loads(path.read_text())
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+        raise ParameterError(f"{path} must hold a JSON object")
     return obj
 
 
 def _load_config(path) -> dict:
-    """The JSON object in the config file ``path``; a missing file is a ConfigError."""
+    """The JSON object in the config file ``path``; a missing file is a ParameterError."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ParameterError(f"config file not found: {path}")
     return _json_object(path)
 
 
@@ -112,13 +109,13 @@ def _config_number(config: dict, key: str, default=None, integral: bool = False,
                    positive: bool = False):
     """The number ``config[key]``, or ``default`` when the key is absent.
 
-    A key without a default is required. A missing required key is a
-    ConfigError; a value that is not an integer (``integral``) or a real
-    number, or a ``positive`` one not above 0, is a ParameterError.
+    A key without a default is required. A missing required key, a value
+    that is not an integer (``integral``) or a real number, and a
+    ``positive`` one not above 0 are each a ParameterError.
     """
     if key not in config:
         if default is None:
-            raise ConfigError(f"config has no {key!r}")
+            raise ParameterError(f"config has no {key!r}")
         return default
     value = check_number(key, config[key], int if integral else float)
     if positive:
@@ -128,19 +125,19 @@ def _config_number(config: dict, key: str, default=None, integral: bool = False,
 
 def _config_object(config: dict, key: str, default: dict) -> dict:
     """The JSON object ``config[key]``, or ``default`` when the key is absent;
-    any other value is a ConfigError."""
+    any other value is a ParameterError."""
     value = config.get(key, default)
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        raise ParameterError(f"{key} must be a JSON object, got {value!r}")
     return value
 
 
 def _config_flag(config: dict, key: str, default: bool) -> bool:
     """The JSON boolean ``config[key]``, or ``default`` when the key is absent;
-    any other value, such as the string "false", is a ConfigError."""
+    any other value, such as the string "false", is a ParameterError."""
     value = config.get(key, default)
     if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+        raise ParameterError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -149,20 +146,20 @@ def _weight_range(config: dict) -> tuple[float, float]:
     so the width hi - lo that the weights are drawn over is finite."""
     value = config.get("weight_range", [0.2, 0.9])
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"weight_range must be two numbers [lo, hi], got {value!r}")
+        raise ParameterError(f"weight_range must be two numbers [lo, hi], got {value!r}")
     lo, hi = (check_number("weight_range", v) for v in value)
     if not lo >= 0:
-        raise ConfigError(f"weight_range must have lo >= 0, got {value!r}")
+        raise ParameterError(f"weight_range must have lo >= 0, got {value!r}")
     if not lo <= hi:
-        raise ConfigError(f"weight_range must have lo <= hi, got {value!r}")
+        raise ParameterError(f"weight_range must have lo <= hi, got {value!r}")
     return lo, hi
 
 
 def _check_keys(config: dict, known, what: str, form: str = "") -> None:
-    """A ConfigError naming every key of ``config`` not in ``known``, then ``form``."""
+    """A ParameterError naming every key of ``config`` not in ``known``, then ``form``."""
     unknown = sorted(set(config) - set(known))
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}{form}")
+        raise ParameterError(f"unknown {what} keys: {', '.join(unknown)}{form}")
 
 
 def _resolve_seed(config: dict, flag_seed) -> int:
@@ -174,11 +171,11 @@ def _resolve_seed(config: dict, flag_seed) -> int:
         try:
             source, seed = "RECLAIM_SEED", int(env)
         except ValueError as exc:
-            raise ConfigError(f"RECLAIM_SEED must be an integer, got {env!r}") from exc
+            raise ParameterError(f"RECLAIM_SEED must be an integer, got {env!r}") from exc
     elif flag_seed is not None:
         source, seed = "--seed", flag_seed
     if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}")
+        raise ParameterError(f"{source} must be >= 0, got {seed}")
     return seed
 
 
@@ -211,13 +208,13 @@ def _build_true_channel(channel_cfg: dict, d: int, rng) -> measurement.LinearCha
         A = spec["A"] = measurement.check_mixing(measurement.spec_field(spec, "A"))
     p = _config_number(spec, "p", d if A is None else A.shape[0], integral=True)
     if A is not None and A.shape != (p, d):
-        raise ConfigError(f"channel 'A' must be {p}x{d} (p={p}, d={d}), "
-                          f"got {A.shape[0]}x{A.shape[1]}")
+        raise ParameterError(f"channel 'A' must be {p}x{d} (p={p}, d={d}), "
+                             f"got {A.shape[0]}x{A.shape[1]}")
     if kind == "linear" and A is None:
         mixing_var = _config_number(spec, "mixing_var", 1.5, positive=True)
         spec["A"] = rng.normal(0.0, np.sqrt(mixing_var), size=(p, d))
     if kind == "gan" and p != d:
-        raise ConfigError(f"a gan channel has p = d = {d} measurements, got p={p}")
+        raise ParameterError(f"a gan channel has p = d = {d} measurements, got p={p}")
     if "sigma_sq" not in spec:
         spec["sigma_sq"] = rng.uniform(_config_number(spec, "sigma_min", 0.3, positive=True),
                                        _config_number(spec, "sigma_max", 0.6, positive=True),
@@ -238,11 +235,11 @@ def _read_simulation(config: dict):
     density = _config_number(config, "graph_density", 2.0)
     if d >= 2 and not 0 < density <= d - 1:
         given = density if "graph_density" in config else f"the default {density}"
-        raise ConfigError(f"graph_density must lie in (0, d-1] = (0, {d - 1}] at d={d}, "
-                          f"got {given}")
+        raise ParameterError(f"graph_density must lie in (0, d-1] = (0, {d - 1}] at d={d}, "
+                             f"got {given}")
     n = _config_number(config, "n_per_regime", 1000, integral=True)
     if n < 0:
-        raise ConfigError(f"n_per_regime must be >= 0, got {n}")
+        raise ParameterError(f"n_per_regime must be >= 0, got {n}")
     root = np.random.SeedSequence((seed, 2026))
     graph_seed, scm_seed, chan_seed, *_ = root.generate_state(4)
 
@@ -296,12 +293,11 @@ def _read_data_dir(data_dir: Path):
     return datasets, family, _json_object(data_dir / "channel.json")
 
 
-def run_estimate_noise(data_dir, out_path=None, seed: int = 0) -> None:
-    """Write the noise variances a fit at run seed ``seed`` would estimate."""
+def run_estimate_noise(data_dir, out_path=None) -> None:
+    """Write the noise variances every fit of the data estimates."""
     data_dir = Path(data_dir)
     datasets, family, spec = _read_data_dir(data_dir)
-    estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family,
-                                 seed=em.init_seed(seed))
+    estimated = em.build_channel({**spec, "sigma_sq": None}, datasets, family)
     out_path = Path(out_path) if out_path else data_dir / "phi_hat.json"
     _atomic_write(out_path, measurement.channel_to_json(estimated))
 
@@ -325,6 +321,9 @@ def run_fit(data_dir, em_config: dict, out_dir=None, resume: bool = False) -> em
     cfg = _em_config_from_dict(em_config)
     if not em_config.get("use_true_noise", False):
         spec.pop("sigma_sq", None)
+    elif spec.get("sigma_sq") is None:  # build_channel would estimate it
+        raise ParameterError(f"use_true_noise needs the channel's 'sigma_sq', and "
+                             f"{data_dir / 'channel.json'} has none")
     # The output directory is made by the first write, after the channel is built.
     out_dir = Path(out_dir) if out_dir else data_dir
 
@@ -355,7 +354,7 @@ def run_evaluate(report_path, truth_path, out_path=None, threshold: float = 0.8)
     with _parsing(f"truth graph {truth_path}"):
         truth = graphs.graph_from_json(Path(truth_path).read_text())
     if scores.shape != (truth.d, truth.d):
-        raise ConfigError(
+        raise ParameterError(
             f"score matrix {scores.shape} does not match truth graph d={truth.d}")
     metrics = {
         "auprc": graphs.auprc(scores, truth),
@@ -378,10 +377,10 @@ SWEEP_FORM = ('; a sweep config is {"base", "grid", "n_trials", "out_dir"}, and 
 def _cell(base: dict, index: int, entry) -> dict:
     """Grid entry ``index`` merged over ``base``; "channel" and "em" merge key by key."""
     if not isinstance(entry, dict):
-        raise ConfigError(f"grid entry {index} must be a JSON object, got {entry!r}{SWEEP_FORM}")
+        raise ParameterError(f"grid entry {index} must be a JSON object, got {entry!r}{SWEEP_FORM}")
     if "seed" in entry or "seed" in _config_object(entry, "em", {}):
-        raise ConfigError(f"grid entry {index} sets 'seed'; the sweep derives each trial's "
-                          f"seed from the base's")
+        raise ParameterError(f"grid entry {index} sets 'seed'; the sweep derives each trial's "
+                             f"seed from the base's")
     cell = {**base, **entry}
     for key in ("channel", "em"):
         if key in entry:
@@ -418,15 +417,15 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     Every cell's simulate and fit configs are checked before any output exists.
     """
     if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     _check_keys(config, SWEEP_KEYS, "sweep config", SWEEP_FORM)
     grid = config.get("grid")
     if not isinstance(grid, list) or not grid:
-        raise ConfigError("sweep grid must be a non-empty list")
+        raise ParameterError("sweep grid must be a non-empty list")
     n_trials = _config_number(config, "n_trials", 1, integral=True, positive=True)
     out_dir = config.get("out_dir", "sweep_out")
     if not isinstance(out_dir, (str, os.PathLike)):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+        raise ParameterError(f"out_dir must be a string, got {out_dir!r}")
     out_dir = Path(out_dir)
     base = _config_object(config, "base", {})
     base_seed = _config_number(base, "seed", 0, integral=True)
@@ -507,8 +506,7 @@ def main(argv=None) -> int:
             config["seed"] = _resolve_seed(config, args.seed)
             run_simulate(config, args.out_dir)
         elif args.command == "estimate-noise":
-            # The seed a fit with no "seed" key or --seed resolves: RECLAIM_SEED, else 0.
-            run_estimate_noise(args.data_dir, args.out, seed=_resolve_seed({}, None))
+            run_estimate_noise(args.data_dir, args.out)
         elif args.command == "fit":
             config = _load_config(args.config)
             config["seed"] = _resolve_seed(config, args.seed)
@@ -521,7 +519,7 @@ def main(argv=None) -> int:
             base = config["base"] = _config_object(config, "base", {})
             base["seed"] = _resolve_seed(base, args.seed)
             run_sweep(config, jobs=args.jobs)
-    except (ConfigError, ParameterError, RankError, UndefinedMetricError) as exc:
+    except (ParameterError, RankError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IdentifiabilityError as exc:

@@ -135,12 +135,6 @@ def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
 
-def init_seed(seed: int) -> int:
-    """The seed a fit at run seed ``seed`` estimates the noise and draws its initial
-    parameters with, ahead of round 0's; ``estimate-noise`` estimates with it too."""
-    return int(_round_seeds(seed, 0, 1)[0])
-
-
 def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: InterventionFamily,
            cfg: EmConfig, seed=None) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
@@ -327,14 +321,13 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     return current
 
 
-def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
-                  seed) -> LinearChannel:
+def build_channel(channel_spec: dict, datasets, family: InterventionFamily) -> LinearChannel:
     """The measurement channel a ``channel.json`` object describes.
 
     ``channel_spec`` is {"type": "gan", "sigma_sq": [...]} or {"type":
     "linear", "A": [[...]], "sigma_sq": [...]}. A given "sigma_sq" pins the
     noise variances; a missing or null one is estimated from the regime
-    data, with ``seed`` driving the linear channel's projection sampling.
+    data alone, so every fit of the same data estimates the same variances.
     A ``ParameterError`` meets a family of no regimes, a dataset count other
     than the regime count, a regime target outside [0, d) of the channel's d latent nodes (which the
     estimators check before they read the data) and a p other than the
@@ -347,7 +340,7 @@ def build_channel(channel_spec: dict, datasets, family: InterventionFamily,
     if channel_spec.get("sigma_sq") is None:
         kind = channel_spec.get("type")
         A = spec_field(channel_spec, "A") if kind == "linear" else None
-        var = noise.estimate_channel_noise(datasets, family, kind, A, seed=seed)
+        var = noise.estimate_channel_noise(datasets, family, kind, A)
         channel_spec = {**channel_spec, "sigma_sq": var}
     channel = channel_from_dict(channel_spec)
     family.check_targets(channel.d)
@@ -371,25 +364,26 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
 
     ``channel_spec`` is a ``channel.json`` object whose "sigma_sq" may be
     missing or null, in which case ``build_channel`` estimates it from the
-    data. ``trace`` is the list of ``RoundRecord``s of the rounds already
-    run, and the fit's only state besides ``init_theta``: the next round is
-    ``len(trace)``, and no round runs once the trace holds ``cfg.em_rounds``
-    records or has ``converged``. Round seeds derive from (cfg.seed, round),
-    so resuming from a checkpoint's parameters and trace reproduces the
-    uninterrupted run. ``init_theta`` must have the data's d, the config's
-    hidden width (d when ``cfg.hidden`` is None) and its ``lipschitz_target``,
-    or a ``ParameterError`` names both values. ``round_callback(r, theta,
-    trace)`` runs after each round.
+    data alone. ``trace`` is the list of ``RoundRecord``s of the rounds
+    already run, and the fit's only state besides ``init_theta``: the next
+    round is ``len(trace)``, and no round runs once the trace holds
+    ``cfg.em_rounds`` records or has ``converged``. The initial parameters'
+    seed and the round seeds derive from (cfg.seed, round), so resuming from
+    a checkpoint's parameters and trace reproduces the uninterrupted run.
+    ``init_theta`` must have the data's d, the config's hidden width (d when
+    ``cfg.hidden`` is None) and its ``lipschitz_target``, or a
+    ``ParameterError`` names both values. ``round_callback(r, theta, trace)``
+    runs after each round.
     """
-    seed = init_seed(cfg.seed)
-    phi_hat = build_channel(channel_spec, datasets, family, seed=seed)
+    phi_hat = build_channel(channel_spec, datasets, family)
     d = phi_hat.d
 
     theta = init_theta
     if theta is None:
         theta = init_params(d, hidden=cfg.hidden,
                             lipschitz_target=cfg.lipschitz_target,
-                            seed=seed, weight_scale=cfg.init_weight_scale)
+                            seed=int(_round_seeds(cfg.seed, 0, 1)[0]),
+                            weight_scale=cfg.init_weight_scale)
     elif theta.d != d:
         raise ParameterError(f"initial parameters are for d={theta.d} nodes, "
                              f"the data has d={d}")

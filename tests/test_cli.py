@@ -358,7 +358,7 @@ def test_fit_uses_channel_json_noise_only_under_use_true_noise(tmp_path, use_tru
 
 
 def test_em_config_names_every_unknown_key():
-    with pytest.raises(cli.ConfigError, match=r"^unknown EM config keys: em_round, logdet$"):
+    with pytest.raises(ParameterError, match=r"^unknown EM config keys: em_round, logdet$"):
         cli._em_config_from_dict({"logdet": {"n_probes": 2}, "em_round": 3, "seed": 1})
 
 
@@ -584,6 +584,19 @@ _BAD_CHANNEL_JSON = {
     "bool-in-sigma_sq": ('{"type": "gan", "sigma_sq": [true, 0.5, 0.3]}',
                          "error: gan channel's 'sigma_sq' must be an array of numbers: true and",
                          ("fit-true-noise",)),
+    # A true-noise fit estimates no variances in place of missing ones.
+    "gan-no-sigma_sq": ('{"type": "gan"}', "error: use_true_noise needs the channel's 'sigma_sq'",
+                        ("fit-true-noise",)),
+    "gan-null-sigma_sq": ('{"type": "gan", "sigma_sq": null}',
+                          "error: use_true_noise needs the channel's 'sigma_sq'",
+                          ("fit-true-noise",)),
+    "linear-no-sigma_sq": ('{"type": "linear", "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+                           "error: use_true_noise needs the channel's 'sigma_sq'",
+                           ("fit-true-noise",)),
+    "linear-null-sigma_sq": ('{"type": "linear", "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+                             '"sigma_sq": null}',
+                             "error: use_true_noise needs the channel's 'sigma_sq'",
+                             ("fit-true-noise",)),
 }
 
 
@@ -726,11 +739,13 @@ def test_a_pinned_channel_of_another_width_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("env_seed", [None, "5"], ids=["default", "reclaim-seed"])
-def test_estimate_noise_writes_the_noise_a_fit_at_the_same_seed_uses(tmp_path, monkeypatch,
-                                                                      env_seed):
-    """On linear d = 4, p = 7 data the estimate depends on the projection seed;
-    ``estimate-noise`` and a fit with no seed of its own resolve the same one."""
+@pytest.mark.parametrize("flag_seed, env_seed", [("0", None), ("1", None), (None, "5")],
+                         ids=["default", "seed-1", "reclaim-seed"])
+def test_estimate_noise_writes_the_noise_a_fit_at_any_seed_uses(tmp_path, monkeypatch,
+                                                                 flag_seed, env_seed):
+    """On linear d = 4, p = 7 data the estimate samples projection rows, at one
+    seed of its own: a fit at --seed 0, the default, at --seed 1 or under
+    RECLAIM_SEED estimates the variances ``estimate-noise`` writes."""
     if env_seed is None:
         monkeypatch.delenv("RECLAIM_SEED", raising=False)
     else:
@@ -739,11 +754,12 @@ def test_estimate_noise_writes_the_noise_a_fit_at_the_same_seed_uses(tmp_path, m
     cli.run_simulate({"d": 4, "n_per_regime": 300, "seed": 3,
                       "channel": {"type": "linear", "p": 7}}, data)
     assert cli.main(["estimate-noise", "--data-dir", str(data)]) == cli.EXIT_OK
-    assert cli.main(_fit_argv(tmp_path, data, tmp_path / "fit")) == cli.EXIT_OK
+    argv = _fit_argv(tmp_path, data, tmp_path / "fit")
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert cli.main(argv) == cli.EXIT_OK
     sigma_sq = json.loads((data / "phi_hat.json").read_text())["sigma_sq"]
     assert sigma_sq == json.loads((tmp_path / "fit" / "report.json").read_text())["sigma_sq"]
-    cli.run_estimate_noise(data, tmp_path / "other.json", seed=1)
-    assert json.loads((tmp_path / "other.json").read_text())["sigma_sq"] != sigma_sq
 
 
 @pytest.fixture(scope="module")

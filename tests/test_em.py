@@ -171,7 +171,7 @@ def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     proposal that ignores the latent prior lost 55 of 620 observations here."""
     cli.run_simulate({"d": 30, "n_per_regime": 20, "seed": 1}, tmp_path)
     datasets, family = scm.read_dataset(tmp_path)
-    channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
+    channel = em.build_channel({"type": "gan"}, datasets, family)
     cache = em.e_step(model.init_params(30), channel, datasets, family, em.EmConfig())
     assert cache.n_skipped == 0 and cache.y.shape == (620, 30)
 
@@ -184,7 +184,7 @@ def test_a_dataset_count_other_than_the_regime_count_is_refused(data, extra, spe
     datasets = list(datasets) + [datasets[0]] if extra > 0 else datasets[:-1]
     with pytest.raises(ParameterError, match=rf"^{len(family) + extra} datasets for "
                                              rf"{len(family)} regimes"):
-        em.build_channel(spec, datasets, family, seed=0)
+        em.build_channel(spec, datasets, family)
 
 
 def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
@@ -408,7 +408,7 @@ def test_fewer_resampled_slots_do_not_bias_what_the_cache_scores(tmp_path):
     term average to 0. The default budget keeps at most 4 rows per observation."""
     cli.run_simulate({"d": 4, "n_per_regime": 60, "seed": 5}, tmp_path)
     datasets, family = scm.read_dataset(tmp_path)
-    channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
+    channel = em.build_channel({"type": "gan"}, datasets, family)
     theta = model.init_params(4, seed=1, weight_scale=0.5)
     diffs = []
     for seed in range(20):
@@ -530,7 +530,7 @@ def test_elbo_in_several_chunks_per_regime_equals_the_one_chunk_value(data, stra
     of a regime's 20 draw the same stream as one block of 20, so the total and its
     standard error agree to rounding."""
     datasets, family = data
-    channel = em.build_channel({"type": "gan"}, datasets, family, seed=0)
+    channel = em.build_channel({"type": "gan"}, datasets, family)
     cfg = em.EmConfig(seed=5, elbo_proposals=64)
     whole = em.elbo_estimate(straight.theta, channel, datasets, family, cfg)
     blocks, draw = [], em.weighted_draws
