@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -390,8 +391,11 @@ def _cell(base: dict, index: int, entry) -> dict:
 
 def _run_cell(args):
     index, override, sim_cfg, em_cfg, trial, out_dir = args
-    # A cached cell is reused only for the same simulation config, EM config and seed.
-    key = hashlib.sha256(json.dumps({"cell": sim_cfg, "em": em_cfg},
+    # A cached cell is reused only for the same simulation config, seed and EM config,
+    # the EM config resolved with its defaults: a changed default changes the key.
+    resolved = dataclasses.asdict(_em_config_from_dict(em_cfg)) | {
+        "use_true_noise": em_cfg.get("use_true_noise", False)}
+    key = hashlib.sha256(json.dumps({"cell": sim_cfg, "em": resolved},
                                     sort_keys=True).encode()).hexdigest()[:16]
     name = f"cell_{index}_{trial}_{key}"
     cell_dir = Path(out_dir) / name

@@ -45,7 +45,11 @@ class EmConfig:
     # row, so q's cost grows with n_resample and the gradient's information
     # does not. At 4 slots per observation a workload of a few thousand
     # observations still caches more slots than the M-step reads.
-    n_proposals: int = 16
+    # The E-step's cost is N * n_proposals latent rows. The proposal is close
+    # to the posterior: at default noise the ESS stays near 0.84 * n_proposals,
+    # so 8 proposals still give the n_resample = 4 slots about 7 effective
+    # draws to pick from.
+    n_proposals: int = 8
     n_resample: int = 4
     temperature: float = 1.0
     seed: int = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -67,6 +68,35 @@ def test_sweep_cache_is_recomputed_when_the_seed_changes(tmp_path, monkeypatch):
     config["base"]["em"] = {**TINY_EM, "m_steps_per_round": 3}
     cli.run_sweep(config)
     assert len(fits) == 3  # new EM config: recomputed
+
+
+def test_sweep_cache_is_recomputed_when_an_em_default_changes(tmp_path, monkeypatch):
+    """The cell config as written sets no n_proposals; once the default changes,
+    a rerun into the same out_dir fits again rather than read the old cell."""
+    proposals = []
+    run_fit = cli.run_fit
+
+    def recording_fit(data_dir, em_config, *args, **kwargs):
+        proposals.append(cli._em_config_from_dict(em_config).n_proposals)
+        return run_fit(data_dir, em_config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_fit", recording_fit)
+    em_cfg = {k: v for k, v in TINY_EM.items() if k != "n_proposals"}
+    config = {"grid": [{"em": {}}], "n_trials": 1, "out_dir": str(tmp_path),
+              "base": {"d": 3, "n_per_regime": 20, "seed": 1, "em": em_cfg}}
+    default = em.EmConfig().n_proposals
+    cli.run_sweep(config)
+    assert proposals == [default]
+
+    @dataclasses.dataclass
+    class MoreProposals(em.EmConfig):
+        n_proposals: int = 2 * default
+
+    monkeypatch.setattr(em, "EmConfig", MoreProposals)
+    second = cli.run_sweep(config)
+    assert proposals == [default, 2 * default]  # refitted at the new default
+    assert len(list(tmp_path.glob("cell_0_0_*.json"))) == 2
+    assert cli.run_sweep(config) == second and len(proposals) == 2  # same default: cached
 
 
 def test_sweep_trials_fit_with_their_own_seeds_under_reclaim_seed(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from reclaim import posterior
+from reclaim import em, posterior
 from reclaim.measurement import GaussianAdditiveChannel, LinearChannel, channel_logpdf
 from reclaim.model import ModelParams, expected_mask, init_params, latent_logpdf_batch
 from reclaim.scm import InterventionRegime
@@ -17,11 +17,17 @@ def full_mask(d):
 
 @pytest.fixture
 def linear_gaussian():
-    """Identity-activation model x = W'x + z with an additive channel y = x + eps.
+    return _linear_gaussian(10)
+
+
+def _linear_gaussian(n):
+    """Identity-activation model x = W'x + z with an additive channel y = x + eps,
+    and n observations.
 
     The latent prior is N(0, S) with S = B^-1 diag(sigma_z^2) B^-T, B = I - W',
     so the posterior of x given y is Gaussian with mean S (S + N)^-1 y and
-    covariance S - S (S + N)^-1 S, N = diag(noise_var).
+    covariance S - S (S + N)^-1 S, N = diag(noise_var). The proposal's stand-in
+    prior is N(0, diag(sigma_z^2)), not S, so the importance weights are not flat.
     """
     d = 3
     rng = np.random.default_rng(7)
@@ -36,7 +42,7 @@ def linear_gaussian():
     B_inv = np.linalg.inv(np.eye(d) - W.T)
     prior_cov = B_inv @ np.diag(sigma_z ** 2) @ B_inv.T
     gain = prior_cov @ np.linalg.inv(prior_cov + np.diag(channel.noise_var))
-    X = rng.multivariate_normal(np.zeros(d), prior_cov, size=10)
+    X = rng.multivariate_normal(np.zeros(d), prior_cov, size=n)
     Y = X + rng.normal(size=X.shape) * np.sqrt(channel.noise_var)
     return {"params": params, "channel": channel, "Y": Y,
             "post_mean": Y @ gain.T, "post_cov": prior_cov - gain @ prior_cov}
@@ -138,6 +144,22 @@ class TestSirSampleBatch:
         # resample q * p, about half as wide here (variance ratio 0.44-0.55).
         spread = particles.var(axis=1, ddof=1) / np.diag(linear_gaussian["post_cov"])
         assert np.all(np.abs(spread - 1.0) <= 0.25)
+
+    def test_the_default_budget_samples_the_closed_form_posterior(self):
+        """At EmConfig()'s n_proposals and n_resample, the particles of 4,000
+        observations, as z-scores against the exact posterior, have mean 0 and
+        variance 1. Over seeds 0-39 the mean read +0.002 (sd 0.004) and the variance
+        0.995 (sd 0.007), with a median ESS of 0.90 S. Weights without the
+        -log prior(x) correction resample q * p: variance 0.896 (sd 0.007)."""
+        cfg = em.EmConfig()
+        case = _linear_gaussian(4000)
+        particles, ess, kept = run_sir(case, cfg.n_proposals, cfg.n_resample)
+        assert kept.mean() >= 0.99
+        assert np.median(ess) < 0.95 * cfg.n_proposals  # the weights are not flat
+        z = ((particles - case["post_mean"][kept][:, None, :])
+             / np.sqrt(np.diag(case["post_cov"])))
+        assert abs(z.mean()) <= 0.03
+        assert abs(z.var() - 1.0) <= 0.04
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["additive", "linear"])
