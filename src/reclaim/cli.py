@@ -45,16 +45,21 @@ one cell; for example ``{"channel": {"sigma_min": 1.0, "sigma_max": 1.0}}``
 or ``{"em": {"use_true_noise": true}}``. Trial t of every cell runs at one
 seed derived from (the base's seed, t), so a cell may not set "seed". Every
 cell is checked before any output exists. ``results.csv`` has a row
-``cell,trial,auprc,shd,seconds`` per cell and trial, ``cell`` being the grid
-index; each cell's JSON file also records its grid entry as "override".
+``cell,trial,auprc,shd,seconds,exit,error`` per cell and trial, ``cell`` being
+the grid index; each cell's JSON file also records its grid entry as
+"override". A cell that fails with exit 2, 4 or 5 is a row with that code and
+its message and no metrics, and is not cached; the other cells still run, and
+the sweep exits with the first failed row's code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -74,6 +79,16 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_IDENTIFIABILITY = 4
 EXIT_NUMERICAL = 5
+
+# The exit code of each error type a command may raise.
+_EXIT_CODES = (((ParameterError, RankError, UndefinedMetricError), EXIT_CONFIG),
+               ((IdentifiabilityError,), EXIT_IDENTIFIABILITY),
+               ((EStepError, ConvergenceError, SamplingFailureError), EXIT_NUMERICAL))
+_ERRORS = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 @contextlib.contextmanager
@@ -403,14 +418,16 @@ def _run_cell(args):
     if cell_file.exists():
         return json.loads(cell_file.read_text())
     t0 = time.time()
-    run_simulate(sim_cfg, cell_dir)
-    run_fit(cell_dir, em_cfg, cell_dir)
-    metrics = run_evaluate(cell_dir / "report.json", cell_dir / "truth_graph.json")
-    result = {
-        "cell": index, "override": override, "trial": trial,
-        "auprc": metrics["auprc"], "shd": metrics["shd"],
-        "seconds": round(time.time() - t0, 3),
-    }
+    result = {"cell": index, "override": override, "trial": trial}
+    try:
+        run_simulate(sim_cfg, cell_dir)
+        run_fit(cell_dir, em_cfg, cell_dir)
+        metrics = run_evaluate(cell_dir / "report.json", cell_dir / "truth_graph.json")
+    except _ERRORS as exc:  # a row, not a cache entry: a rerun tries the cell again
+        return result | {"auprc": None, "shd": None, "seconds": round(time.time() - t0, 3),
+                         "exit": _exit_code(exc), "error": str(exc)}
+    result |= {"auprc": metrics["auprc"], "shd": metrics["shd"],
+               "seconds": round(time.time() - t0, 3)}
     _atomic_write(cell_file, json.dumps(result, sort_keys=True))
     return result
 
@@ -419,6 +436,7 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     """Run every (grid entry, trial) cell, in at most ``jobs`` worker processes.
 
     Every cell's simulate and fit configs are checked before any output exists.
+    A cell that fails is a row with its "exit" code and "error" message.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -456,10 +474,13 @@ def run_sweep(config: dict, jobs: int = 1) -> list[dict]:
     else:
         results = [_run_cell(t) for t in tasks]
 
-    lines = ["cell,trial,auprc,shd,seconds"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["cell", "trial", "auprc", "shd", "seconds", "exit", "error"])
     for r in results:
-        lines.append(f"{r['cell']},{r['trial']},{r['auprc']!r},{r['shd']},{r['seconds']!r}")
-    _atomic_write(out_dir / "results.csv", "\n".join(lines) + "\n")
+        writer.writerow([r["cell"], r["trial"], r["auprc"], r["shd"], r["seconds"],
+                         r.get("exit", EXIT_OK), r.get("error")])
+    _atomic_write(out_dir / "results.csv", text.getvalue())
     return results
 
 
@@ -522,16 +543,14 @@ def main(argv=None) -> int:
             config = _load_config(args.config)
             base = config["base"] = _config_object(config, "base", {})
             base["seed"] = _resolve_seed(base, args.seed)
-            run_sweep(config, jobs=args.jobs)
-    except (ParameterError, RankError, UndefinedMetricError) as exc:
+            failed = [r for r in run_sweep(config, jobs=args.jobs) if r.get("exit")]
+            for r in failed:
+                print(f"error: cell {r['cell']} trial {r['trial']}: {r['error']}", file=sys.stderr)
+            if failed:
+                return failed[0]["exit"]
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IdentifiabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTIFIABILITY
-    except (EStepError, ConvergenceError, SamplingFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _exit_code(exc)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

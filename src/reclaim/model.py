@@ -6,7 +6,7 @@ mask column support is exactly the candidate parent set of node i. Keeping
 both layers inside a spectral-norm budget is meant to make the map
 contractive, which gives each noise draw a unique equilibrium. The density
 of that equilibrium needs log|det(I - J)| of the forward map's Jacobian J,
-taken exactly with ``slogdet`` of the free block B_FF below.
+taken exactly from the pivots of an elimination of the free block B_FF below.
 
 Index conventions used throughout:
     s: batch sample, j: input coordinate, i: output coordinate, h: hidden unit
@@ -19,7 +19,8 @@ free. For n rows, d coordinates and h hidden units:
               W[j, a*h + k] = M[j, F[a]] * w_in[j, k] and the last row of W
               holds b_in; only the outputs of F are formed;
     Jacobian  core = ((tanh' * w_out[:, F].T).reshape(n*|F|, h) @ w_in[F].T)
-              .reshape(n, |F|, |F|) and B_FF = I - core * M[F, F].T;
+              .reshape(n, |F|, |F|) and B_FF = I - core * M[F, F].T, batch-last;
+    log-det   an unpivoted elimination in place: LU, or Gauss-Jordan for B^-1 too;
     gradients over all d outputs, since the rows of one M-step minibatch come
               from mixed regimes: B = I - diag(free) (core * M.T) with each
               row's 0/1 ``free`` vector, dK = d value / d core as an
@@ -223,7 +224,7 @@ class _Kernel:
     rides in the input GEMM; w_out[:, F] and its (a, h)-ordered flattening;
     w_in[F].T; and -M[F, F].T flattened. Each call writes its block into buffers
     of ``rows`` rows, so the arrays it returns are views that the next call
-    overwrites.
+    overwrites, and that ``_logdet`` may overwrite in place.
     """
 
     def __init__(self, params: ModelParams, M: np.ndarray, idx, rows: int):
@@ -246,7 +247,7 @@ class _Kernel:
         self.neg_mask = -M_idx[idx].T.ravel()
         self.dw = np.empty((rows, k * h))
         self.core = np.empty((rows * k, k))
-        self.B = np.empty((rows, k * k))
+        self.B = np.empty(k * k * rows)
 
     def forward(self, X: np.ndarray):
         """(outputs (n, |F|), hidden units (n, |F|, h)) of the rows of X."""
@@ -266,19 +267,20 @@ class _Kernel:
         ``out`` (n, |F|) and ``hid`` (n, |F|, h) are the outputs and hidden units
         of F; ``core[s, a, b]`` (n, |F|, |F|) is sum_h tanh'[s, a, h] w_out[h, F[a]]
         w_in[F[b], h], the Jacobian entry dF_{F[a]}/dx_{F[b]} before masking; and
-        ``B = I - J_FF`` with J_FF = core * M[F, F].T. The broadcast products run on
-        flat (n, .) views, whose inner loops are |F|*h and |F|*|F| long instead of
-        h and |F|.
+        ``B[a, b, s]`` (|F|, |F|, n), batch-last for ``_logdet``, is row s's
+        I - J_FF with J_FF = core * M[F, F].T. The broadcast products run on flat
+        views, whose inner loops are |F|*h and n long instead of h and |F|.
         """
         out, hid = self.forward(X)
         n, f, h = hid.shape
         dw = _act_deriv(self.params, self.hid[:n], out=self.dw[:n])
         dw *= self.w_out_flat
         core = np.matmul(dw.reshape(n * f, h), self.w_in_t, out=self.core[:n * f])
-        B = np.multiply(core.reshape(n, f * f), self.neg_mask, out=self.B[:n])
+        B = self.B[:f * f * n].reshape(f * f, n)
+        np.multiply(core.reshape(n, f * f).T, self.neg_mask[:, None], out=B)
         # The mask diagonal is zero, so J_FF has a zero diagonal and B a unit one.
-        B[:, ::f + 1] = 1.0
-        return out, hid, core.reshape(n, f, f), B.reshape(n, f, f)
+        B[::f + 1] = 1.0
+        return out, hid, core.reshape(n, f, f), B.reshape(f, f, n)
 
 
 def _act_deriv(params: ModelParams, hid: np.ndarray, out=None) -> np.ndarray:
@@ -312,11 +314,50 @@ def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray
 _BLOCK_FLOATS = 1 << 16
 
 
-def _logdet(B: np.ndarray) -> np.ndarray:
-    """log det of each (|F|, |F|) block of the stack B; a non-positive one fails."""
-    sign, logdet = np.linalg.slogdet(B)
-    if np.any(sign <= 0):
-        raise ConvergenceError("forward-map Jacobian is not orientation preserving")
+# Smallest pivot the unpivoted elimination accepts. A block B = I - J with
+# ||J||_2 < 1 has every pivot at least 1 - ||J||_2 (a pivot is a Schur complement,
+# and x'Bx >= (1 - ||J||_2)|x|^2), and 60-round fits of both benchmark workloads
+# stayed above 0.84. Above 1e-2 a multiplier a_ik / p_k is at most 100 |a_ik|, so
+# rounding stays near LAPACK's; a row below, a zero or negative pivot among them,
+# is rescored by the pivoted ``slogdet`` and ``inv``.
+_PIVOT_FLOOR = 1e-2
+
+
+def _logdet(A: np.ndarray, rebuild, invert: bool = False) -> np.ndarray:
+    """log det of each block B_s = A[:, :, s] of the batch-last stack A (d, d, n).
+
+    One unpivoted elimination of all n blocks in place, so each op's inner loop
+    is n long: LU, which spends A, or when ``invert`` Gauss-Jordan, which leaves
+    B_s^-1 in A[:, :, s]. A row whose smallest pivot is below ``_PIVOT_FLOOR`` or
+    NaN is rescored from its blocks ``rebuild(rows)`` (m, d, d) by ``slogdet``
+    (and ``inv``); a non-positive determinant there fails.
+    """
+    d, _, n = A.shape
+    logdet, low = np.zeros(n), np.full(n, np.inf)
+    with np.errstate(all="ignore"):  # a row with a small or zero pivot is rescored below
+        for k in range(d):
+            p = A[k, k].copy()
+            np.minimum(low, p, out=low)
+            logdet += np.log(p)
+            if invert:
+                col = A[:, k].copy()
+                col[k] = 0.0
+                A[:, k], A[k, k] = 0.0, 1.0  # column k becomes e_k, then row k is scaled
+                A[k] /= p
+                A -= col[:, None] * A[k]
+            else:
+                A[k, k + 1:] /= p
+                # Row by row: a trailing-block temporary raised peak memory 0.3 MB.
+                for i in range(k + 1, d):
+                    A[i, k + 1:] -= A[i, k] * A[k, k + 1:]
+    bad = np.flatnonzero(~(low >= _PIVOT_FLOOR))
+    if bad.size:
+        B = rebuild(bad)
+        sign, logdet[bad] = np.linalg.slogdet(B)
+        if np.any(sign <= 0):
+            raise ConvergenceError("forward-map Jacobian is not orientation preserving")
+        if invert:
+            A[:, :, bad] = np.linalg.inv(B).transpose(1, 2, 0)
     return logdet
 
 
@@ -338,11 +379,12 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
     var = params.sigma_z[free_idx] ** 2
     # The clamped coordinates' term (constant in theta); per block, noise and log-det.
     ll = diag_gauss_logpdf(X[:, list(regime.targets)] - regime.mean, intervention_var)
+    eye, neg_mask = np.eye(len(free_idx)), kernel.neg_mask.reshape(kernel.k, kernel.k)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        out, _, _, B = kernel.jacobian(X[rows])
+        out, _, core, B = kernel.jacobian(X[rows])
         ll[rows] += diag_gauss_logpdf(X[rows, free_idx] - out, var)
-        ll[rows] += _logdet(B)
+        ll[rows] += _logdet(B, lambda bad: eye + core[bad] * neg_mask)
     return ll
 
 
@@ -411,19 +453,22 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
 
     h = params.hidden
     out, hid, core, B = _Kernel(params, M, slice(None), n).jacobian(X)
-    B *= free[:, :, None]
-    B.reshape(n, d * d)[:, ::d + 1] = 1.0
+    B *= free.T[:, None, :]
+    B.reshape(d * d, n)[::d + 1] = 1.0
     Z = X - out
     var = params.sigma_z ** 2
 
-    # value: clamp term (constant in theta) + free-noise term + log-det term
+    # value: clamp term (constant in theta) + free-noise term + log-det term,
+    # whose Gauss-Jordan pass leaves B^-1 in B
     ll = _masked_gauss_logpdf(X - clamp_mean[:, None], clamp_var[:, None], 1.0 - free)
     ll += _masked_gauss_logpdf(Z, var, free)
-    ll += _logdet(B)
+    ll += _logdet(B, lambda bad: np.eye(d) - free[bad, :, None] * core[bad] * M.T, invert=True)
     value = float(weights @ ll)
 
-    # dD = d value / d J, zero on the clamped rows; z-term pull-back into the outputs
-    dD = np.transpose(np.linalg.inv(B), (0, 2, 1)) * (-weights[:, None] * free)[:, :, None]
+    # dD = d value / d J = -B^-T, B^-T being the view B.transpose(2, 1, 0), zero on
+    # the clamped rows and written C-ordered; z-term pull-back into the outputs
+    dD = np.multiply(B.transpose(2, 1, 0), (-weights[:, None] * free)[:, :, None],
+                     out=np.empty((n, d, d)))
     dF = weights[:, None] * free * Z / var
 
     # log-det pull-back through J = mask.T * core; dK = d value / d core. A

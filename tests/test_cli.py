@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -224,12 +225,52 @@ def test_sweep_writes_a_row_per_cell_and_trial_and_each_cells_override(tmp_path,
     results = cli.run_sweep({"base": {"d": 3, "n_per_regime": 20, "em": TINY_EM},
                              "grid": grid, "n_trials": 2, "out_dir": str(out)})
     lines = (out / "results.csv").read_text().splitlines()
-    assert lines[0] == "cell,trial,auprc,shd,seconds"
+    assert lines[0] == "cell,trial,auprc,shd,seconds,exit,error"
     assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"], ["0", "1"],
                                                            ["1", "0"], ["1", "1"]]
     for r in results:
         [cell_file] = out.glob(f"cell_{r['cell']}_{r['trial']}_*.json")
         assert json.loads(cell_file.read_text())["override"] == grid[r["cell"]]
+
+
+def test_a_failing_sweep_cell_is_a_row_and_the_sweep_exits_with_its_code(tmp_path, monkeypatch,
+                                                                          capsys):
+    monkeypatch.delenv("RECLAIM_SEED", raising=False)
+    fits = []
+    run_fit = cli.run_fit
+
+    def fit(data_dir, em_config, *args, **kwargs):
+        fits.append(em_config["n_proposals"])
+        if em_config["n_proposals"] == 2:
+            raise EStepError("12/40 observations degenerate (> 5%)")
+        return run_fit(data_dir, em_config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_fit", fit)
+    config, out = tmp_path / "sweep.json", tmp_path / "out"
+    config.write_text(json.dumps({"grid": [{}, {"em": {"n_proposals": 2}}, {"beta": 0.5}],
+                                  "n_trials": 2, "out_dir": str(out),
+                                  "base": {"d": 3, "n_per_regime": 20, "em": TINY_EM}}))
+    argv = ["sweep", "--config", str(config)]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    message = "12/40 observations degenerate (> 5%)"
+    assert capsys.readouterr().err == (f"error: cell 1 trial 0: {message}\n"
+                                       f"error: cell 1 trial 1: {message}\n")
+    # Every cell and trial has a row, the cells after the failed one among them.
+    with open(out / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["cell"], r["trial"], r["exit"]) for r in rows] == [
+        ("0", "0", "0"), ("0", "1", "0"), ("1", "0", "5"), ("1", "1", "5"),
+        ("2", "0", "0"), ("2", "1", "0")]
+    for r in rows:
+        failed = r["cell"] == "1"
+        assert (r["auprc"] == r["shd"] == "") is failed
+        assert r["error"] == (message if failed else "")
+        if not failed:
+            assert 0.0 <= float(r["auprc"]) <= 1.0
+    # The failed cells are not cached, so a rerun fits them alone again.
+    fits.clear()
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert fits == [2, 2]
 
 
 @pytest.mark.parametrize("config, message", [

@@ -256,6 +256,70 @@ class TestLogDetExact:
             model.latent_logpdf_grads(p, full_mask(2), InterventionRegime(), 1.0, x)
 
 
+def _unit_diagonal_stack(rng, n, d, scale=0.5):
+    """n random blocks B = I - J, J with a zero diagonal and entries of sd scale/sqrt(d)."""
+    J = rng.normal(0.0, scale / np.sqrt(max(d, 1)), size=(n, d, d))
+    J[:, np.arange(d), np.arange(d)] = 0.0
+    return np.eye(d) - J
+
+
+class TestEliminationKernel:
+    """``model._logdet`` on batch-last stacks against ``np.linalg``, with rows that
+    the unpivoted elimination must hand back to LAPACK."""
+
+    @staticmethod
+    def _run(B, invert):
+        A = np.ascontiguousarray(B.transpose(1, 2, 0))
+        rescored = []
+        logdet = model._logdet(A, lambda rows: rescored.append(rows) or B[rows], invert=invert)
+        return logdet, A.transpose(2, 0, 1), rescored
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["lu", "gauss-jordan"])
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 10])
+    def test_matches_linalg_and_rescores_exactly_the_rows_below_the_floor(self, d, invert):
+        rng = np.random.default_rng(60 + d)
+        B = _unit_diagonal_stack(rng, 40, d)
+        low = []
+        if d >= 2:
+            # Second pivot 1 - 2 * 0.4975 = 0.005, under the floor; det B = 0.005 > 0.
+            B[3] = np.eye(d)
+            B[3, 0, 1], B[3, 1, 0] = 2.0, 0.4975
+            low.append(3)
+        if d >= 3:
+            # An exact zero second pivot (1 - 2 * 0.5) in a block of determinant 1.
+            B[17] = np.eye(d)
+            B[17, :3, :3] = [[1.0, 2.0, 0.0], [0.5, 1.0, 1.0], [0.0, -1.0, 1.0]]
+            low.append(17)
+        logdet, inverse, rescored = self._run(B, invert)
+        sign, want = np.linalg.slogdet(B)
+        assert np.all(sign == 1)
+        assert np.max(np.abs(logdet - want), initial=0.0) <= 1e-12
+        assert [list(rows) for rows in rescored] == ([low] if low else [])
+        if invert:
+            ref = np.linalg.inv(B)
+            assert np.max(np.abs(inverse - ref), initial=0.0) <= 1e-12 * max(np.max(np.abs(ref),
+                                                                                  initial=0.0), 1.0)
+
+    def test_rows_above_the_floor_are_not_rescored(self):
+        # ||J||_2 < 1 bounds every pivot below by 1 - ||J||_2 = 0.05 > the floor.
+        B = _unit_diagonal_stack(np.random.default_rng(70), 200, 10)
+        J = np.eye(10) - B
+        B = np.eye(10) - 0.95 * J / np.linalg.norm(J, 2, axis=(1, 2))[:, None, None]
+        for invert in (False, True):
+            logdet, _, rescored = self._run(B, invert)
+            assert rescored == []
+            assert np.max(np.abs(logdet - np.linalg.slogdet(B)[1])) <= 1e-12
+
+    @pytest.mark.parametrize("invert", [False, True], ids=["lu", "gauss-jordan"])
+    @pytest.mark.parametrize("block", [[[1.0, 1.5], [1.5, 1.0]], [[1.0, 2.0], [0.5, 1.0]]],
+                             ids=["negative", "singular"])
+    def test_a_non_positive_determinant_raises(self, block, invert):
+        B = _unit_diagonal_stack(np.random.default_rng(71), 5, 2)
+        B[2] = block
+        with pytest.raises(ConvergenceError):
+            self._run(B, invert)
+
+
 class TestLatentLogpdf:
     def test_zero_network_observational_standard_normal(self):
         p = model.init_params(3, seed=21)
@@ -507,6 +571,24 @@ class TestKernelsMatchReference:
         ours = model.latent_logpdf_batch(p, mask, regime, regime.variance, X)
         oracle = [linear_latent_logpdf_oracle(weights, p.sigma_z, regime, x) for x in X]
         _assert_rel_close(ours, oracle)
+
+
+@pytest.mark.parametrize("hidden", [10, 2])
+@pytest.mark.parametrize("targets", [(), (4,)], ids=["obs", "int"])
+def test_latent_logpdf_batch_scores_rows_as_one_at_a_time_across_a_short_last_block(hidden,
+                                                                                   targets):
+    # The block buffers are reused, and the last block of 7 rows is a short prefix of them.
+    d = 10
+    rng = np.random.default_rng(80 + hidden)
+    p = model.init_params(d, hidden=hidden, seed=81, weight_scale=0.8)
+    p = dataclasses.replace(p, b_in=rng.normal(size=hidden), edge_logits=rng.normal(size=(d, d)))
+    mask = model.sample_mask(p.edge_logits, seed=82)
+    regime = InterventionRegime(targets, 1.3, mean=0.2)
+    step = model._BLOCK_FLOATS // (d * max(d, hidden))
+    X = rng.normal(size=(2 * step + 7, d))
+    whole = model.latent_logpdf_batch(p, mask, regime, 1.3, X)
+    one_by_one = [model.latent_logpdf_batch(p, mask, regime, 1.3, x[None])[0] for x in X]
+    _assert_rel_close(whole, one_by_one)
 
 
 class TestCheckpointIO:
