@@ -21,9 +21,9 @@ from .noise import (ProjectionSet, estimate_channel_noise,
                     estimate_gan_variances, estimate_linear_variances,
                     nnls_projected_gradient, null_space_basis,
                     sample_projection_vectors)
-from .model import (MaskSample, ModelParams, RegimeRows, edge_scores, init_params,
-                    jacobian, latent_logpdf_batch, latent_logpdf_grads,
-                    sample_mask, spectral_normalize)
+from .model import (MaskSample, ModelParams, edge_scores, init_params, jacobian,
+                    latent_logpdf_batch, latent_logpdf_grads, sample_mask,
+                    spectral_normalize)
 from .posterior import sir_sample_batch
 from .em import (EmConfig, FitReport, build_channel, e_step, elbo_estimate,
                  fit, m_step, surrogate_q)

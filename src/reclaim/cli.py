@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage/config error (including a config file that is
 not a JSON object or whose "channel", sweep "base" or "em" is not one, a
 simulate config key, or "channel" key of its type, that simulate does not
-read, a fit config key that is no EmConfig field, a gan channel whose "p" is
+read, a fit config key that is no EmConfig field, an "n_proposals" of 2
+(which keep an observation only at equal weights), a gan channel whose "p" is
 not d, a negative seed from --seed, RECLAIM_SEED or the config, a number
 that is not finite (JSON reads 1e400 as inf), a sweep config in another form
 than the one below (the former "sweep" kind key among them), a grid entry

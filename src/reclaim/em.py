@@ -19,10 +19,10 @@ import numpy as np
 from . import noise
 from .errors import EStepError, ParameterError, check_number
 from .measurement import LinearChannel, channel_from_dict, channel_logpdf, spec_field
-from .model import (ModelParams, RegimeRows, edge_scores, expected_mask, init_params,
+from .model import (ModelParams, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
                     params_to_dict, sample_mask, spectral_normalize)
-from .posterior import sir_sample_batch, weight_summary, weighted_draws
+from .posterior import MIN_ESS, sir_sample_batch, weight_summary, weighted_draws
 from .scm import InterventionFamily, InterventionRegime, atomic_open
 
 logger = logging.getLogger(__name__)
@@ -73,6 +73,9 @@ class EmConfig:
                      "convergence_tol"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
+        if 1 < self.n_proposals <= MIN_ESS:  # SIR would keep only equal-weight observations
+            raise ParameterError(f"n_proposals must be 1 or above {MIN_ESS}, since SIR "
+                                 f"keeps an observation at ESS >= {MIN_ESS}")
         if not 0 <= self.skip_tolerance < 1:
             raise ParameterError("skip_tolerance must lie in [0, 1)")
         if self.elbo_proposals < 2:  # the ELBO's standard error needs two draws
@@ -96,8 +99,8 @@ class ParticleCache:
     counts the observations not kept.
 
     A sum over the ``n_particles`` slots is the count-weighted sum over the
-    rows, which is how ``surrogate_q`` and ``channel_term`` score the cache;
-    the M-step draws slots uniformly.
+    rows, which is how ``_slot_mean`` scores the cache for ``surrogate_q`` and
+    ``channel_term``; the M-step draws slots uniformly.
     """
 
     regimes: tuple[InterventionRegime, ...]
@@ -150,9 +153,7 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     mask = expected_mask(theta.edge_logits)
-    ys = [np.atleast_2d(np.asarray(datasets[k], dtype=float))
-          for k in range(len(family.regimes))]
-    n_obs = sum(Y.shape[0] for Y in ys)
+    n_obs = sum(len(np.atleast_2d(Y)) for _, Y in zip(family.regimes, datasets))
     r = cfg.n_resample
     # Each regime's draws are copied into buffers sized for every slot as they
     # come, so no second copy of them all is ever held.
@@ -163,7 +164,8 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     obs = np.empty(len(particles), dtype=np.min_scalar_type(n_obs))
     regime_index = np.empty(len(particles), dtype=np.min_scalar_type(len(family.regimes)))
     n_kept = n_rows = 0
-    for k, (regime, Y) in enumerate(zip(family.regimes, ys)):
+    for k, (regime, Y) in enumerate(zip(family.regimes, datasets)):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         drawn, drawn_ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
             cfg.n_proposals, r, seed=rng.integers(2 ** 63))
@@ -197,16 +199,21 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
                          obs[:n_rows], regime_index[:n_rows], ess[:n_kept], n_skipped)
 
 
-def _regime_rows(cache: ParticleCache):
-    """Per regime, ``(regime, rows)``: the slice of ``cache``'s rows in that regime.
+def _slot_mean(cache: ParticleCache, score) -> float:
+    """Mean of ``score(regime, rows)`` over ``cache``'s ``n_particles`` slots.
 
-    Callers score each regime's rows in a call of its own. A pass over the whole
-    cache at once holds the temporaries of every row together: made so, the
-    channel term raised ``gan-d10``'s peak RSS by 16 % (118 to 137 MB).
+    ``rows`` is the slice of the cache's rows in ``regime``, each weighted by its
+    ``counts``. One call per regime: a pass over the whole cache holds every row's
+    temporaries together, which raised ``gan-d10``'s peak RSS by 16 % (118 to 137 MB).
     """
+    if cache.n_particles == 0:
+        return 0.0
     bounds = np.searchsorted(cache.regime_index, np.arange(len(cache.regimes) + 1))
+    total = 0.0
     for regime, start, stop in zip(cache.regimes, bounds[:-1], bounds[1:]):
-        yield regime, slice(start, stop)
+        rows = slice(start, stop)
+        total += float(score(regime, rows) @ cache.counts[rows])
+    return total / cache.n_particles
 
 
 def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
@@ -215,34 +222,21 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
     Like the E-step's weights and the ELBO, q scores theta at
     ``expected_mask(edge_logits)``, so it draws no mask and is a fixed function
     of (theta, cache); only the M-step's edge-logit gradient needs relaxed
-    masks. Each regime's particles are scored once, in one
-    ``latent_logpdf_batch`` call, and weighted by their counts, which gives
-    the mean over all ``n_particles`` slots. The measurement term is omitted
-    (it does not depend on the latent parameters).
+    masks. The measurement term is omitted (it does not depend on the latent
+    parameters). A ``_slot_mean``: one ``latent_logpdf_batch`` call per regime.
     """
-    if cache.n_particles == 0:
-        return 0.0
     mask = expected_mask(theta.edge_logits)
-    total = 0.0
-    for regime, rows in _regime_rows(cache):
-        ll = latent_logpdf_batch(theta, mask, regime, regime.variance, cache.particles[rows])
-        total += float(ll @ cache.counts[rows])
-    return total / cache.n_particles
+    return _slot_mean(cache, lambda regime, rows: latent_logpdf_batch(
+        theta, mask, regime, regime.variance, cache.particles[rows]))
 
 
 def channel_term(cache: ParticleCache, phi_hat: LinearChannel) -> float:
     """Mean channel log-density over cached particles (constant in theta).
 
-    Like ``surrogate_q``, it scores each regime's particles once, in one
-    ``channel_logpdf`` call, weighted by their counts.
+    A ``_slot_mean``: one ``channel_logpdf`` call per regime.
     """
-    if cache.n_particles == 0:
-        return 0.0
-    total = 0.0
-    for _, rows in _regime_rows(cache):
-        total += float(channel_logpdf(phi_hat, cache.y[cache.obs[rows]], cache.particles[rows])
-                       @ cache.counts[rows])
-    return total / cache.n_particles
+    return _slot_mean(cache, lambda _, rows: channel_logpdf(
+        phi_hat, cache.y[cache.obs[rows]], cache.particles[rows]))
 
 
 def sparsity_penalty(theta: ModelParams, lam: float):
@@ -291,6 +285,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     n_total = slots.size
     if n_total == 0:
         return theta
+    variances = [r.variance for r in cache.regimes]
     adam = _Adam(cfg.learning_rate)
     current = theta
     last_finite = theta
@@ -300,9 +295,8 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         mask = sample_mask(current.edge_logits, cfg.temperature,
                            seed=rng.integers(2 ** 63))
         # One call scores rows of mixed regimes, each at its own regime's free coordinates.
-        value, grads = latent_logpdf_grads(
-            current, mask, RegimeRows(cache.regimes, cache.regime_index[rows]),
-            [r.variance for r in cache.regimes], cache.particles[rows])
+        value, grads = latent_logpdf_grads(current, mask, cache.regimes, variances,
+                                           cache.particles[rows], cache.regime_index[rows])
         pen_value, pen_grad = sparsity_penalty(current, cfg.sparsity_lambda)
         objective = value - pen_value
         grads["edge_logits"] = grads["edge_logits"] - pen_grad

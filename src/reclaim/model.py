@@ -34,13 +34,14 @@ row of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
 I - J = [[B_FF, -J_FC], [0, I]] is block upper-triangular, so
 det(I - J) = det(B_FF). ``latent_logpdf_batch`` scores one regime's rows
 and forms the free outputs and the F x F block only. ``latent_logpdf_grads``
-scores rows of several regimes in one pass: it forms the full B with unit
-rows at each row's clamped coordinates, whose determinant is det(B_FF) row
-by row. The inverse of B has the same unit rows, so dD = d log det B / d J
-= -B^-T is zero on the free-from-clamped entries (free row, clamped column)
-with no special case. Its clamped rows are not zero, and are multiplied by
-``free``. A row then gives zero gradient to the w_out and b_out columns and
-the mask columns of the coordinates it clamps.
+scores rows of several regimes, a tuple of regimes and each row's index into
+it, in one pass: it forms the full B with unit rows at each row's clamped
+coordinates, whose determinant is det(B_FF) row by row. The inverse of B has
+the same unit rows, so dD = d log det B / d J = -B^-T is zero on the
+free-from-clamped entries (free row, clamped column) with no special case.
+Its clamped rows are not zero, and are multiplied by ``free``. A row then
+gives zero gradient to the w_out and b_out columns and the mask columns of
+the coordinates it clamps.
 """
 
 from __future__ import annotations
@@ -392,31 +393,14 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
 # analytic gradients
 
 
-@dataclass(frozen=True)
-class RegimeRows:
-    """The regimes of a batch whose rows come from several regimes.
-
-    Row s of the batch belongs to ``regimes[index[s]]``; ``index`` may be any
-    integer array, such as the small one a particle cache keeps per row.
-    """
-
-    regimes: tuple[InterventionRegime, ...]
-    index: np.ndarray
-
-
-def _row_regimes(regime, intervention_var, n: int, d: int):
-    """Per-row (free (n, d) 0/1 floats, clamp mean (n,), clamp variance (n,)).
-
-    One ``InterventionRegime`` is every row's; for ``RegimeRows``,
-    ``intervention_var`` is one variance or one per regime.
-    """
-    if isinstance(regime, InterventionRegime):
-        regimes, index = (regime,), np.zeros(n, dtype=np.intp)
-    else:
-        regimes, index = regime.regimes, regime.index
-    free = np.array([r.free_mask(d) for r in regimes], dtype=float)
-    mean = np.array([r.mean for r in regimes], dtype=float)
-    var = np.broadcast_to(np.asarray(intervention_var, dtype=float), (len(regimes),))
+def _row_regimes(regime, intervention_var, index, n: int, d: int):
+    """Per-row (free (n, d) 0/1 floats, clamp mean (n,), clamp variance (n,)) of
+    ``latent_logpdf_grads``'s ``regime``, ``intervention_var`` and ``index``."""
+    if index is None:
+        regime, index = (regime,), np.zeros(n, dtype=np.intp)
+    free = np.array([r.free_mask(d) for r in regime], dtype=float)
+    mean = np.array([r.mean for r in regime], dtype=float)
+    var = np.broadcast_to(np.asarray(intervention_var, dtype=float), (len(regime),))
     return free[index], mean[index], var[index]
 
 
@@ -425,8 +409,8 @@ def _masked_gauss_logpdf(resid: np.ndarray, var, on: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(on * (np.log(2.0 * np.pi * var) + resid * resid / var), axis=-1)
 
 
-def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | RegimeRows,
-                        intervention_var, X: np.ndarray):
+def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
+                        X: np.ndarray, index: np.ndarray | None = None):
     """Mean latent log-density over the rows of X and its parameter gradients.
 
     Returns ``(value, grads)`` where value = mean_s logpdf(x_s) and grads
@@ -434,22 +418,24 @@ def latent_logpdf_grads(params: ModelParams, mask, regime: InterventionRegime | 
     when ``mask`` is a MaskSample, ``edge_logits`` chained through the
     relaxed Bernoulli entries.
 
-    ``regime`` is one ``InterventionRegime`` for every row, or ``RegimeRows``
-    for rows of several regimes, with ``intervention_var`` one clamp
-    variance or one per regime. Either way the rows are scored in one pass
-    over all d outputs: a per-row 0/1 vector ``free`` zeroes the clamped rows
-    of J, so B = I - diag(free) (core * M.T) has unit rows at the clamped
-    coordinates and det B = det B_FF row by row. Its inverse then has the
-    same unit rows, so the free-from-clamped entries of dD = -B^-T are zero
-    with no special case; the clamped rows of dD are not, and are multiplied
-    by ``free``. The noise term sums over the free coordinates and the clamp
-    term over the clamped ones, at each row's regime mean and variance.
+    ``regime`` is one ``InterventionRegime`` for every row or, for rows of
+    several regimes, a tuple of them with row s in ``regime[index[s]]`` (any
+    integer ``index``, such as a particle cache's per-row one), and
+    ``intervention_var`` one clamp variance or one per regime. Either way the
+    rows are scored in one pass over all d outputs: a per-row 0/1 vector
+    ``free`` zeroes the clamped rows of J, so B = I - diag(free) (core * M.T)
+    has unit rows at the clamped coordinates and det B = det B_FF row by row.
+    Its inverse then has the same unit rows, so the free-from-clamped entries
+    of dD = -B^-T are zero with no special case; the clamped rows of dD are
+    not, and are multiplied by ``free``. The noise term sums over the free
+    coordinates and the clamp term over the clamped ones, at each row's regime
+    mean and variance.
     """
     M = _mask_values(mask)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     weights = np.full(n, 1.0 / n)
-    free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, n, d)
+    free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, index, n, d)
 
     h = params.hidden
     out, hid, core, B = _Kernel(params, M, slice(None), n).jacobian(X)

@@ -24,6 +24,10 @@ from .measurement import LinearChannel, channel_logpdf, diag_gauss_logpdf, stack
 from .model import ModelParams, latent_logpdf_batch
 from .scm import InterventionRegime
 
+# SIR keeps an observation whose effective sample size is at least this, or at
+# least n_proposals when fewer are drawn: below it, its slots would copy one draw.
+MIN_ESS = 2
+
 
 def weight_summary(log_w: np.ndarray):
     """Per row of log importance weights, ``(log mean weight, normalized weights)``.
@@ -111,8 +115,8 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     (n_kept, n_resample, d), each observation's in proposal order so that its
     copies of one proposal are adjacent, per-kept-observation effective sample
     sizes, and the boolean keep mask over input rows. An observation is dropped
-    when none of its weights is finite or, with more than one proposal,
-    when its effective sample size is below 2.
+    when none of its weights is finite or its effective sample size is below
+    ``min(MIN_ESS, n_proposals)``; one proposal of finite weight has ESS 1.
     """
     rng = np.random.default_rng(seed)
     xs, log_w = weighted_draws(Y, params, mask, channel, regime, intervention_var,
@@ -120,10 +124,9 @@ def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearCh
     kept = np.isfinite(log_w).any(axis=1)
     _, norm_w = weight_summary(log_w[kept])
     ess = 1.0 / np.sum(norm_w ** 2, axis=1)
-    if n_proposals > 1:
-        enough = ess >= 2.0
-        kept[kept] = enough
-        norm_w, ess = norm_w[enough], ess[enough]
+    enough = ess >= min(MIN_ESS, n_proposals)
+    kept[kept] = enough
+    norm_w, ess = norm_w[enough], ess[enough]
     keep_idx = np.nonzero(kept)[0]
 
     # Vectorized multinomial resampling: each uniform picks the first cdf entry above it.

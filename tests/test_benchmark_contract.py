@@ -61,10 +61,15 @@ def test_set_up_and_a_one_round_fit_cycle(harness, tmp_path, monkeypatch, worklo
     assert np.array_equal(out["report"].phi_hat.noise_var, s.spec["sigma_sq"])
     assert 0.0 <= out["evaluation"]["auprc"] <= 1.0
     cycles = [{"graph": 0, **out}]
+    # The density and gradient checks call the kernels in the benchmark's positional form.
+    rng = np.random.default_rng((1, 7))
+    linear = checks._linear_gaussian_params(MODULES, s.channel.d, rng)
     for ok, detail in (noise_check,
                        checks._rounds_completed(cycles, s.cfg.em_rounds),
                        checks._edge_scores_valid(cycles),
-                       checks._bit_identical(MODULES, [[s]], cycles)):
+                       checks._bit_identical(MODULES, [[s]], cycles),
+                       checks._density_closed_form(MODULES, s, *linear, rng),
+                       checks._grads_finite_diff(MODULES, s, cycles[0], rng)):
         assert ok, detail
 
 
@@ -127,7 +132,7 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert rows_under("em.surrogate_q", "model.latent_logpdf_batch") == distinct
     assert rows_under("em.channel_term", "measurement.channel_logpdf") == distinct
     assert distinct < n_particles * n_rounds
-    # One call per regime, not one over the whole cache: see em._regime_rows.
+    # One call per regime, not one over the whole cache: see em._slot_mean.
     assert len(under("em.surrogate_q", "model.latent_logpdf_batch")) == \
         len(s.family.regimes) * n_rounds
     assert len(under("em.channel_term", "measurement.channel_logpdf")) == \

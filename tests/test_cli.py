@@ -241,13 +241,13 @@ def test_a_failing_sweep_cell_is_a_row_and_the_sweep_exits_with_its_code(tmp_pat
 
     def fit(data_dir, em_config, *args, **kwargs):
         fits.append(em_config["n_proposals"])
-        if em_config["n_proposals"] == 2:
+        if em_config["n_proposals"] == 3:
             raise EStepError("12/40 observations degenerate (> 5%)")
         return run_fit(data_dir, em_config, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_fit", fit)
     config, out = tmp_path / "sweep.json", tmp_path / "out"
-    config.write_text(json.dumps({"grid": [{}, {"em": {"n_proposals": 2}}, {"beta": 0.5}],
+    config.write_text(json.dumps({"grid": [{}, {"em": {"n_proposals": 3}}, {"beta": 0.5}],
                                   "n_trials": 2, "out_dir": str(out),
                                   "base": {"d": 3, "n_per_regime": 20, "em": TINY_EM}}))
     argv = ["sweep", "--config", str(config)]
@@ -270,7 +270,7 @@ def test_a_failing_sweep_cell_is_a_row_and_the_sweep_exits_with_its_code(tmp_pat
     # The failed cells are not cached, so a rerun fits them alone again.
     fits.clear()
     assert cli.main(argv) == cli.EXIT_NUMERICAL
-    assert fits == [2, 2]
+    assert fits == [3, 3]
 
 
 @pytest.mark.parametrize("config, message", [
@@ -450,6 +450,8 @@ def _fit_argv(tmp_path, data, out, **config):
     ("skip_tolerance", 1.0, "skip_tolerance must lie in [0, 1)"),
     ("elbo_every", -1, "elbo_every must be >= 0"),
     ("hidden", 0, "hidden must be >= 1"),
+    ("n_proposals", 2, "n_proposals must be 1 or above 2, since SIR keeps an observation "
+                       "at ESS >= 2"),
 ])
 def test_em_config_field_of_the_wrong_type_exits_2(tmp_path, capsys, key, value, message):
     cli.run_simulate({"d": 3, "n_per_regime": 5}, tmp_path / "data")

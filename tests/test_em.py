@@ -112,6 +112,14 @@ def test_every_float_field_of_em_config_refuses_a_value_that_is_not_finite(value
             em.EmConfig(**{name: value})
 
 
+def test_em_config_refuses_two_proposals_which_keep_only_equal_weights():
+    """SIR keeps an observation at ESS >= min(2, n_proposals): one proposal always
+    reaches it, three or more can, two only with exactly equal weights."""
+    with pytest.raises(ParameterError, match=r"^n_proposals must be 1 or above 2, "):
+        em.EmConfig(n_proposals=2)
+    assert [em.EmConfig(n_proposals=n).n_proposals for n in (1, 3)] == [1, 3]
+
+
 @pytest.mark.parametrize("dropped_per_regime,raises", [(1, False), (2, True)])
 def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, caplog,
                                                    dropped_per_regime, raises):
@@ -287,9 +295,9 @@ def mixed_cache():
 
 def _minibatch_grads(theta, cache, rows, mask):
     """m_step's call: the cache rows ``rows`` of mixed regimes scored in one call."""
-    return model.latent_logpdf_grads(theta, mask,
-                                     model.RegimeRows(cache.regimes, cache.regime_index[rows]),
-                                     [r.variance for r in cache.regimes], cache.particles[rows])
+    return model.latent_logpdf_grads(theta, mask, cache.regimes,
+                                     [r.variance for r in cache.regimes], cache.particles[rows],
+                                     cache.regime_index[rows])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "identity"])

@@ -320,6 +320,79 @@ class TestEliminationKernel:
             self._run(B, invert)
 
 
+class TestSmallPivotFallback:
+    """Both public kernels on a map whose free block has a pivot below the floor.
+
+    With W[0, 1] = W[1, 0] = a, a^2 = 0.995, an observational row's second pivot
+    is 1 - a^2 = 0.005 and its determinant 0.005 + 0.06 a > 0; the map is left
+    unnormalized. A row that clamps node 0 has unit pivots and is not rescored.
+    """
+
+    A = np.sqrt(0.995)
+    REGIMES = (InterventionRegime(), InterventionRegime((0,), 0.7, mean=0.3))
+    INDEX = np.array([0, 1, 1, 0, 1, 0, 0])
+
+    @classmethod
+    def params(cls):
+        W = np.array([[0.0, cls.A, 0.0], [cls.A, 0.0, -0.2], [0.3, 0.0, 0.0]])
+        return W, linear_map_params(W, sigma_z=np.array([1.0, 0.8, 1.3]))
+
+    @staticmethod
+    def _record_rescored(monkeypatch) -> list:
+        rescored, logdet = [], model._logdet
+
+        def recording(A, rebuild, invert=False):
+            return logdet(A, lambda rows: rescored.append(list(rows)) or rebuild(rows), invert)
+
+        monkeypatch.setattr(model, "_logdet", recording)
+        return rescored
+
+    def test_batch_density_matches_the_closed_form(self, monkeypatch):
+        W, p = self.params()
+        X = np.random.default_rng(80).normal(size=(5, 3))
+        rescored = self._record_rescored(monkeypatch)
+        for regime in self.REGIMES:
+            got = model.latent_logpdf_batch(p, full_mask(3), regime, regime.variance, X)
+            want = [linear_latent_logpdf_oracle(W, p.sigma_z, regime, x) for x in X]
+            assert np.max(np.abs(got - want)) <= 1e-9
+        assert rescored == [list(range(5))]  # the observational rows only
+
+    def test_mixed_regime_gradients_match_central_differences(self, monkeypatch):
+        _, p = self.params()
+        M = full_mask(3)
+        X = np.random.default_rng(81).normal(size=(len(self.INDEX), 3))
+        variances = [r.variance for r in self.REGIMES]
+
+        def value(params, mask=M):
+            return model.latent_logpdf_grads(params, mask, self.REGIMES, variances, X,
+                                             self.INDEX)[0]
+
+        rescored = self._record_rescored(monkeypatch)
+        _, grads = model.latent_logpdf_grads(p, M, self.REGIMES, variances, X, self.INDEX)
+        assert rescored == [list(np.flatnonzero(self.INDEX == 0))]
+        numeric = {name: central_diff(lambda a: value(dataclasses.replace(p, **{name: a})),
+                                      getattr(p, name))
+                   for name in ("w_in", "b_in", "w_out", "b_out")}
+        # The mask diagonal must stay zero, so its entries are left out.
+        off = ~np.eye(3, dtype=bool)
+        numeric["mask"] = central_diff(lambda m: value(p, m), M, off)
+        grads["mask"][~off] = 0.0
+        for name, num in numeric.items():
+            assert np.max(np.abs(grads[name] - num)) <= 1e-6 * np.max(np.abs(num))
+
+
+def central_diff(f, arr, where=None, eps=1e-6):
+    """Central differences of the scalar f at each entry of arr where ``where``
+    holds (everywhere by default), zero elsewhere."""
+    out = np.zeros_like(arr)
+    for idx in zip(*np.nonzero(np.ones(arr.shape, bool) if where is None else where)):
+        up, down = arr.copy(), arr.copy()
+        up[idx] += eps
+        down[idx] -= eps
+        out[idx] = (f(up) - f(down)) / (2 * eps)
+    return out
+
+
 class TestLatentLogpdf:
     def test_zero_network_observational_standard_normal(self):
         p = model.init_params(3, seed=21)
@@ -355,20 +428,6 @@ class TestLatentLogpdf:
 
 
 class TestGradients:
-    def _numeric_grad(self, p, name, value_fn, eps=1e-6):
-        arr = getattr(p, name)
-        out = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = arr.copy()
-            plus[idx] += eps
-            minus = arr.copy()
-            minus[idx] -= eps
-            out[idx] = (value_fn(dataclasses.replace(p, **{name: plus}))
-                        - value_fn(dataclasses.replace(p, **{name: minus}))) / (2 * eps)
-        return out
-
     @pytest.mark.parametrize("d,hidden,activation,targets", [
         pytest.param(3, 3, "tanh", (2,), id="exact"),
         *[pytest.param(d, h, act, targets,
@@ -392,7 +451,8 @@ class TestGradients:
 
         _, grads = model.latent_logpdf_grads(p, ms, regime, 1.0, X)
         for name in ("w_in", "b_in", "w_out", "b_out"):
-            num = self._numeric_grad(p, name, value)
+            num = central_diff(lambda a: value(dataclasses.replace(p, **{name: a})),
+                               getattr(p, name))
             scale = max(np.max(np.abs(num)), 1e-8)
             assert np.max(np.abs(num - grads[name])) / scale < 1e-4
 

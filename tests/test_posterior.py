@@ -90,6 +90,23 @@ class TestSirSampleBatch:
         assert np.all(ess >= 1.0) and np.all(ess <= S * (1 + 1e-12))
         assert ess.min() < S  # the weights are not all equal
 
+    def test_one_proposal_keeps_every_observation_of_finite_weight(self, linear_gaussian,
+                                                                  monkeypatch):
+        """At S = 1 each kept observation has ESS 1, which meets min(MIN_ESS, S), and
+        its slots all copy its one draw; only a non-finite weight drops it."""
+        weighted_draws = posterior.weighted_draws
+
+        def one_non_finite(*args, **kwargs):
+            xs, log_w = weighted_draws(*args, **kwargs)
+            log_w[4] = -np.inf
+            return xs, log_w
+
+        monkeypatch.setattr(posterior, "weighted_draws", one_non_finite)
+        particles, ess, kept = run_sir(linear_gaussian, 1, 3)
+        assert list(np.flatnonzero(~kept)) == [4]
+        assert np.array_equal(ess, np.ones(9))
+        assert particles.shape == (9, 3, 3) and np.all(particles == particles[:, :1])
+
     @staticmethod
     def _record_draws(monkeypatch) -> dict:
         """Each observation's proposals, by its row, as ``GaussianProposal`` draws them:
