@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TypedDict, get_type_hints
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import noise
 from .errors import EStepError, ParameterError, check_number
 from .measurement import LinearChannel, channel_from_dict, channel_logpdf, spec_field
-from .model import (ModelParams, edge_scores, expected_mask, init_params,
+from .model import (ModelParams, RegimeArrays, edge_scores, expected_mask, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, params_from_dict,
                     params_to_dict, sample_mask, spectral_normalize)
 from .posterior import MIN_ESS, sir_sample_batch, weight_summary, weighted_draws
@@ -285,7 +285,9 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
     n_total = slots.size
     if n_total == 0:
         return theta
-    variances = [r.variance for r in cache.regimes]
+    # Built once for every step: the regimes as arrays, and their clamp variances.
+    regimes = RegimeArrays.of(cache.regimes, theta.d)
+    variances = np.array([r.variance for r in cache.regimes])
     adam = _Adam(cfg.learning_rate)
     current = theta
     last_finite = theta
@@ -295,7 +297,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         mask = sample_mask(current.edge_logits, cfg.temperature,
                            seed=rng.integers(2 ** 63))
         # One call scores rows of mixed regimes, each at its own regime's free coordinates.
-        value, grads = latent_logpdf_grads(current, mask, cache.regimes, variances,
+        value, grads = latent_logpdf_grads(current, mask, regimes, variances,
                                            cache.particles[rows], cache.regime_index[rows])
         pen_value, pen_grad = sparsity_penalty(current, cfg.sparsity_lambda)
         objective = value - pen_value
@@ -315,7 +317,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         last_finite = current
         values = {name: getattr(current, name) for name in grads}
         updated = adam.step(values, grads)
-        current = spectral_normalize(replace(current, **updated))
+        current = spectral_normalize(current, **updated)
     return current
 
 

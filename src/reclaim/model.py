@@ -24,10 +24,12 @@ free. For n rows, d coordinates and h hidden units:
     gradients over all d outputs, since the rows of one M-step minibatch come
               from mixed regimes: B = I - diag(free) (core * M.T) with each
               row's 0/1 ``free`` vector, dK = d value / d core as an
-              (n*d, d) matrix, and the two products G = dK @ w_in (n*d, h)
-              and P = (X.T @ dpre.reshape(n, d*h)).reshape(d, d, h) give
-              dw_in, dw_out, the mask gradient and the tanh term by broadcast
-              sums with the weights and the mask.
+              (n*d, d) matrix, G = dK @ w_in (n*d, h), and E = tanh' * w_out.T,
+              which the Jacobian leaves in the kernel's ``dw`` buffer:
+              dw_in = dK.T @ E, and for tanh, with H = hid * G and Q = dF - H,
+              dw_out = sum_s (G + hid * Q) and dpre = E * (Q - H); then
+              P = (X.T @ dpre.reshape(n, d*h)).reshape(d, d, h) gives the rest
+              of dw_in and the mask gradient by broadcast sums.
 
 Why F suffices: a clamped coordinate's output does not depend on x, so its
 row of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
@@ -142,17 +144,18 @@ def init_params(d: int, hidden: int | None = None, lipschitz_target: float = 0.9
 # spectral normalization
 
 
-def spectral_normalize(params: ModelParams) -> ModelParams:
-    """Scale each layer into the per-layer budget sqrt(lipschitz_target).
+def spectral_normalize(params: ModelParams, **changes) -> ModelParams:
+    """``params`` with the fields in ``changes`` replaced, each layer scaled into
+    the per-layer budget sqrt(lipschitz_target), in one ``replace``.
 
     Uses the exact spectral norm of each layer; a layer already inside the
     budget is left untouched, so the product of the two layer norms stays at
     most the overall Lipschitz target.
     """
-    bound = np.sqrt(params.lipschitz_target)
-    return replace(params,
-                   w_in=rescale_to_contractive(params.w_in, bound),
-                   w_out=rescale_to_contractive(params.w_out, bound))
+    bound = np.sqrt(changes.get("lipschitz_target", params.lipschitz_target))
+    for name in ("w_in", "w_out"):
+        changes[name] = rescale_to_contractive(changes.get(name, getattr(params, name)), bound)
+    return replace(params, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,9 @@ class _Kernel:
     rides in the input GEMM; w_out[:, F] and its (a, h)-ordered flattening;
     w_in[F].T; and -M[F, F].T flattened. Each call writes its block into buffers
     of ``rows`` rows, so the arrays it returns are views that the next call
-    overwrites, and that ``_logdet`` may overwrite in place.
+    overwrites, and that ``_logdet`` may overwrite in place. After ``jacobian``,
+    ``dw[:n]`` holds tanh' * w_out[:, F].T as (n, |F|*h), (a, h)-ordered, which
+    ``latent_logpdf_grads`` reads for its pull-back.
     """
 
     def __init__(self, params: ModelParams, M: np.ndarray, idx, rows: int):
@@ -362,6 +367,15 @@ def _logdet(A: np.ndarray, rebuild, invert: bool = False) -> np.ndarray:
     return logdet
 
 
+def _rows_of(params: ModelParams, X) -> np.ndarray:
+    """X as a float array of rows, or a ``ParameterError`` unless it has d columns."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != params.d:
+        raise ParameterError(f"X has shape {X.shape}, not (rows, {params.d}) for the "
+                             f"model's d={params.d}")
+    return X
+
+
 def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
                         intervention_var: float, X: np.ndarray) -> np.ndarray:
     """Interventional log-density of each row of X under the learned model.
@@ -370,9 +384,11 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
     temporary, so the temporaries stay in cache; one ``_Kernel`` holds the layer
     constants and the block buffers for the whole call. Every step is row-wise:
     a block changes a value by no more than BLAS rounding in the last bits.
+    X of no rows gives an empty array, and X of other than d columns raises
+    ``ParameterError``.
     """
     M = _mask_values(mask)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _rows_of(params, X)
     n, d = X.shape
     free_idx = np.flatnonzero(regime.free_mask(d))
     step = max(1, _BLOCK_FLOATS // (d * max(d, params.hidden)))
@@ -393,15 +409,18 @@ def latent_logpdf_batch(params: ModelParams, mask, regime: InterventionRegime,
 # analytic gradients
 
 
-def _row_regimes(regime, intervention_var, index, n: int, d: int):
-    """Per-row (free (n, d) 0/1 floats, clamp mean (n,), clamp variance (n,)) of
-    ``latent_logpdf_grads``'s ``regime``, ``intervention_var`` and ``index``."""
-    if index is None:
-        regime, index = (regime,), np.zeros(n, dtype=np.intp)
-    free = np.array([r.free_mask(d) for r in regime], dtype=float)
-    mean = np.array([r.mean for r in regime], dtype=float)
-    var = np.broadcast_to(np.asarray(intervention_var, dtype=float), (len(regime),))
-    return free[index], mean[index], var[index]
+@dataclass(frozen=True)
+class RegimeArrays:
+    """K regimes as ``free`` (K, d), 1.0 where a regime leaves a coordinate free, and the
+    clamp ``mean`` (K,): the M-step builds them once for its ``latent_logpdf_grads`` calls."""
+
+    free: np.ndarray
+    mean: np.ndarray
+
+    @classmethod
+    def of(cls, regimes, d: int) -> RegimeArrays:
+        return cls(np.array([r.free_mask(d) for r in regimes], dtype=float),
+                   np.array([r.mean for r in regimes], dtype=float))
 
 
 def _masked_gauss_logpdf(resid: np.ndarray, var, on: np.ndarray) -> np.ndarray:
@@ -416,29 +435,39 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
     Returns ``(value, grads)`` where value = mean_s logpdf(x_s) and grads
     holds arrays for ``w_in``, ``b_in``, ``w_out``, ``b_out``, ``mask`` and,
     when ``mask`` is a MaskSample, ``edge_logits`` chained through the
-    relaxed Bernoulli entries.
+    relaxed Bernoulli entries. X of no rows, or of other than d columns,
+    raises ``ParameterError``.
 
     ``regime`` is one ``InterventionRegime`` for every row or, for rows of
-    several regimes, a tuple of them with row s in ``regime[index[s]]`` (any
-    integer ``index``, such as a particle cache's per-row one), and
-    ``intervention_var`` one clamp variance or one per regime. Either way the
-    rows are scored in one pass over all d outputs: a per-row 0/1 vector
-    ``free`` zeroes the clamped rows of J, so B = I - diag(free) (core * M.T)
-    has unit rows at the clamped coordinates and det B = det B_FF row by row.
-    Its inverse then has the same unit rows, so the free-from-clamped entries
-    of dD = -B^-T are zero with no special case; the clamped rows of dD are
-    not, and are multiplied by ``free``. The noise term sums over the free
-    coordinates and the clamp term over the clamped ones, at each row's regime
-    mean and variance.
+    several regimes, a tuple of them or their ``RegimeArrays``, with row s in
+    regime ``index[s]`` (any integer ``index``, such as a particle cache's
+    per-row one), and ``intervention_var`` one clamp variance or one per
+    regime. Either way the rows are scored in one pass over all d outputs: a
+    per-row 0/1 vector ``free`` zeroes the clamped rows of J, so
+    B = I - diag(free) (core * M.T) has unit rows at the clamped coordinates
+    and det B = det B_FF row by row. Its inverse then has the same unit rows,
+    so the free-from-clamped entries of dD = -B^-T are zero with no special
+    case; the clamped rows of dD are not, and are multiplied by ``free``. The
+    noise term sums over the free coordinates and the clamp term over the
+    clamped ones, at each row's regime mean and variance. The pull-back reads
+    E = tanh' * w_out.T from the Jacobian kernel's ``dw`` buffer.
     """
     M = _mask_values(mask)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _rows_of(params, X)
     n, d = X.shape
+    if n == 0:
+        raise ParameterError(f"X has shape {X.shape}: the mean needs at least one row")
     weights = np.full(n, 1.0 / n)
-    free, clamp_mean, clamp_var = _row_regimes(regime, intervention_var, index, n, d)
+    if isinstance(regime, InterventionRegime):
+        regime, index = (regime,), np.zeros(n, dtype=np.intp)
+    if not isinstance(regime, RegimeArrays):
+        regime = RegimeArrays.of(regime, d)
+    free, clamp_mean = regime.free[index], regime.mean[index]
+    clamp_var = np.broadcast_to(np.asarray(intervention_var, float), regime.mean.shape)[index]
 
     h = params.hidden
-    out, hid, core, B = _Kernel(params, M, slice(None), n).jacobian(X)
+    kernel = _Kernel(params, M, slice(None), n)
+    out, hid, core, B = kernel.jacobian(X)
     B *= free.T[:, None, :]
     B.reshape(d * d, n)[::d + 1] = 1.0
     Z = X - out
@@ -462,18 +491,23 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
     # columns and its mask column get zeros.
     dM = np.sum(dD * core, axis=0).T
     dK = (dD * M.T).reshape(n * d, d)
-    w_out_t = params.w_out.T
-    deriv = _act_deriv(params, hid)
+    E = kernel.dw[:n].reshape(n, d, h)  # tanh' * w_out.T, left there by the Jacobian
     G = (dK @ params.w_in).reshape(n, d, h)
-    dw_in = dK.T @ (deriv * w_out_t).reshape(n * d, h)
-    dw_out = np.sum(G * deriv + dF[:, :, None] * hid, axis=0).T
+    dw_in = dK.T @ E.reshape(n * d, h)
     db_out = dF.sum(axis=0)
+    dF = dF[:, :, None]
 
-    # pull-back to the pre-activation: the output term, plus d deriv / d hid for tanh
-    dpre = dF[:, :, None] * w_out_t
+    # pull-back to the pre-activation: the output term, plus d tanh' / d hid for tanh,
+    # where tanh' = 1 - hid^2 turns G tanh' + dF hid and dF - 2 hid G into these forms
     if params.activation == "tanh":
-        dpre -= 2.0 * hid * (G * w_out_t)
-        dpre *= deriv
+        H = hid * G
+        Q = dF - H
+        dw_out = np.sum(G + hid * Q, axis=0).T
+        Q -= H
+        dpre = np.multiply(E, Q, out=Q)
+    else:
+        dw_out = np.sum(G + dF * hid, axis=0).T
+        dpre = dF * E
     P = (X.T @ dpre.reshape(n, d * h)).reshape(d, d, h)
     dw_in += np.sum(P * M[:, :, None], axis=1)
     db_in = dpre.sum(axis=(0, 1))

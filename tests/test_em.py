@@ -300,11 +300,14 @@ def _minibatch_grads(theta, cache, rows, mask):
                                      cache.regime_index[rows])
 
 
+@pytest.mark.parametrize("hidden", [3, 6], ids=["h3", "h6"])  # below and above d = 4
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 @pytest.mark.parametrize("relaxed", [True, False], ids=["mask-sample", "plain-mask"])
-def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation, relaxed):
-    theta = model.init_params(4, hidden=3, seed=12, weight_scale=0.6, activation=activation)
-    theta = dataclasses.replace(theta, b_in=np.full(3, 0.1), b_out=np.full(4, -0.2))
+def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation, relaxed,
+                                                         hidden):
+    theta = model.init_params(4, hidden=hidden, seed=12, weight_scale=0.6,
+                              activation=activation)
+    theta = dataclasses.replace(theta, b_in=np.full(hidden, 0.1), b_out=np.full(4, -0.2))
     mask = model.sample_mask(theta.edge_logits, seed=13)
     if not relaxed:
         mask = mask.values
@@ -326,6 +329,31 @@ def test_one_mixed_regime_call_equals_the_per_regime_sum(mixed_cache, activation
     assert np.isfinite(value)
     assert all(np.all(g == 0.0) for g in grads.values())
 
+
+
+def test_m_step_equals_the_adam_loop_written_out(mixed_cache):
+    """Three m_step steps against the loop spelled out: per step the same slot draw,
+    mask draw, gradient, penalty, Adam step and spectral normalization."""
+    cfg = em.EmConfig(**{**TINY, "batch_size": 9, "learning_rate": 0.05})
+    theta = model.init_params(4, seed=15, weight_scale=0.6)
+    cache = mixed_cache
+    rng = np.random.default_rng(16)
+    slots = np.repeat(np.arange(len(cache.counts)), cache.counts)
+    adam, ref = em._Adam(cfg.learning_rate), theta
+    for _ in range(cfg.m_steps_per_round):
+        rows = slots[rng.choice(slots.size, size=cfg.batch_size, replace=False)]
+        mask = model.sample_mask(ref.edge_logits, cfg.temperature, seed=rng.integers(2 ** 63))
+        _, grads = _minibatch_grads(ref, cache, rows, mask)
+        _, pen_grad = em.sparsity_penalty(ref, cfg.sparsity_lambda)
+        grads["edge_logits"] = grads["edge_logits"] - pen_grad
+        del grads["mask"]
+        updated = adam.step({name: getattr(ref, name) for name in grads}, grads)
+        ref = model.spectral_normalize(dataclasses.replace(ref, **updated))
+    assert cfg.m_steps_per_round == 3 and not np.allclose(ref.w_in, theta.w_in)
+
+    out = em.m_step(theta, cache, cfg, seed=16)
+    for name in ("w_in", "b_in", "w_out", "b_out", "edge_logits"):
+        np.testing.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-12)
 
 def test_surrogate_q_is_the_mean_closed_form_density_at_the_expected_mask(mixed_cache):
     """Identity activation and zero biases make the model the linear SCM with

@@ -256,6 +256,28 @@ class TestLogDetExact:
             model.latent_logpdf_grads(p, full_mask(2), InterventionRegime(), 1.0, x)
 
 
+
+class TestScoringInputShape:
+    """Both scoring kernels name a bad X's shape before any work."""
+
+    P = model.init_params(3, seed=12)
+
+    def test_grads_of_no_rows_raise(self):
+        with pytest.raises(ParameterError, match=r"\(0, 3\).*at least one row"):
+            model.latent_logpdf_grads(self.P, full_mask(3), InterventionRegime(), 1.0,
+                                      np.empty((0, 3)))
+
+    @pytest.mark.parametrize("kernel", ["latent_logpdf_batch", "latent_logpdf_grads"])
+    def test_a_column_count_other_than_d_raises(self, kernel):
+        with pytest.raises(ParameterError, match=r"\(5, 4\).*d=3"):
+            getattr(model, kernel)(self.P, full_mask(3), InterventionRegime((1,)), 1.0,
+                                   np.zeros((5, 4)))
+
+    def test_batch_of_no_rows_is_empty(self):
+        ll = model.latent_logpdf_batch(self.P, full_mask(3), InterventionRegime((1,)), 1.0,
+                                       np.empty((0, 3)))
+        assert ll.shape == (0,)
+
 def _unit_diagonal_stack(rng, n, d, scale=0.5):
     """n random blocks B = I - J, J with a zero diagonal and entries of sd scale/sqrt(d)."""
     J = rng.normal(0.0, scale / np.sqrt(max(d, 1)), size=(n, d, d))
