@@ -21,7 +21,7 @@ from .noise import (ProjectionSet, estimate_channel_noise,
                     estimate_gan_variances, estimate_linear_variances,
                     nnls_projected_gradient, null_space_basis,
                     sample_projection_vectors)
-from .model import (MaskSample, ModelParams, edge_scores, init_params, jacobian,
+from .model import (MaskSample, ModelParams, edge_scores, init_params,
                     latent_logpdf_batch, latent_logpdf_grads, sample_mask,
                     spectral_normalize)
 from .posterior import sir_sample_batch

@@ -36,10 +36,10 @@ row of the Jacobian J of x -> free * F(x) is zero. Ordering F first,
 I - J = [[B_FF, -J_FC], [0, I]] is block upper-triangular, so
 det(I - J) = det(B_FF). ``latent_logpdf_batch`` scores one regime's rows
 and forms the free outputs and the F x F block only. ``latent_logpdf_grads``
-scores rows of several regimes, a tuple of regimes and each row's index into
-it, in one pass: it forms the full B with unit rows at each row's clamped
-coordinates, whose determinant is det(B_FF) row by row. The inverse of B has
-the same unit rows, so dD = d log det B / d J = -B^-T is zero on the
+scores rows of several regimes, their ``RegimeArrays`` and each row's index
+into them, in one pass: it forms the full B with unit rows at each row's
+clamped coordinates, whose determinant is det(B_FF) row by row. The inverse
+of B has the same unit rows, so dD = d log det B / d J = -B^-T is zero on the
 free-from-clamped entries (free row, clamped column) with no special case.
 Its clamped rows are not zero, and are multiplied by ``free``. A row then
 gives zero gradient to the w_out and b_out columns and the mask columns of
@@ -279,7 +279,12 @@ class _Kernel:
         """
         out, hid = self.forward(X)
         n, f, h = hid.shape
-        dw = _act_deriv(self.params, self.hid[:n], out=self.dw[:n])
+        dw = self.dw[:n]  # the activation's derivative: 1 - hid^2 for tanh, 1 for the identity
+        if self.params.activation == "tanh":
+            np.multiply(self.hid[:n], self.hid[:n], out=dw)
+            np.subtract(1.0, dw, out=dw)
+        else:
+            dw.fill(1.0)
         dw *= self.w_out_flat
         core = np.matmul(dw.reshape(n * f, h), self.w_in_t, out=self.core[:n * f])
         B = self.B[:f * f * n].reshape(f * f, n)
@@ -287,26 +292,6 @@ class _Kernel:
         # The mask diagonal is zero, so J_FF has a zero diagonal and B a unit one.
         B[::f + 1] = 1.0
         return out, hid, core.reshape(n, f, f), B.reshape(f, f, n)
-
-
-def _act_deriv(params: ModelParams, hid: np.ndarray, out=None) -> np.ndarray:
-    """The activation's derivative at the hidden units ``hid``: 1 - hid^2 for tanh."""
-    if out is None:
-        out = np.empty_like(hid)
-    if params.activation != "tanh":
-        out.fill(1.0)
-        return out
-    np.multiply(hid, hid, out=out)
-    return np.subtract(1.0, out, out=out)
-
-
-def jacobian(params: ModelParams, mask, x: np.ndarray, targets=()) -> np.ndarray:
-    """Analytic Jacobian, [i, j] = dF_i/dx_j, of x -> free_mask * F(x), F the masked network."""
-    M = _mask_values(mask)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = params.d
-    _, _, core, _ = _Kernel(params, M, np.arange(d), x.shape[0]).jacobian(x)
-    return InterventionRegime(targets).free_mask(d)[:, None] * M.T * core[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +424,18 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
     raises ``ParameterError``.
 
     ``regime`` is one ``InterventionRegime`` for every row or, for rows of
-    several regimes, a tuple of them or their ``RegimeArrays``, with row s in
-    regime ``index[s]`` (any integer ``index``, such as a particle cache's
-    per-row one), and ``intervention_var`` one clamp variance or one per
-    regime. Either way the rows are scored in one pass over all d outputs: a
-    per-row 0/1 vector ``free`` zeroes the clamped rows of J, so
-    B = I - diag(free) (core * M.T) has unit rows at the clamped coordinates
-    and det B = det B_FF row by row. Its inverse then has the same unit rows,
-    so the free-from-clamped entries of dD = -B^-T are zero with no special
-    case; the clamped rows of dD are not, and are multiplied by ``free``. The
-    noise term sums over the free coordinates and the clamp term over the
-    clamped ones, at each row's regime mean and variance. The pull-back reads
-    E = tanh' * w_out.T from the Jacobian kernel's ``dw`` buffer.
+    several regimes, their ``RegimeArrays``, with row s in regime ``index[s]``
+    (any integer ``index``, such as a particle cache's per-row one), and
+    ``intervention_var`` one clamp variance or one per regime. Either way the
+    rows are scored in one pass over all d outputs: a per-row 0/1 vector
+    ``free`` zeroes the clamped rows of J, so B = I - diag(free) (core * M.T)
+    has unit rows at the clamped coordinates and det B = det B_FF row by row.
+    Its inverse then has the same unit rows, so the free-from-clamped entries
+    of dD = -B^-T are zero with no special case; the clamped rows of dD are
+    not, and are multiplied by ``free``. The noise term sums over the free
+    coordinates and the clamp term over the clamped ones, at each row's regime
+    mean and variance. The pull-back reads E = tanh' * w_out.T from the
+    Jacobian kernel's ``dw`` buffer.
     """
     M = _mask_values(mask)
     X = _rows_of(params, X)
@@ -459,9 +444,7 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
         raise ParameterError(f"X has shape {X.shape}: the mean needs at least one row")
     weights = np.full(n, 1.0 / n)
     if isinstance(regime, InterventionRegime):
-        regime, index = (regime,), np.zeros(n, dtype=np.intp)
-    if not isinstance(regime, RegimeArrays):
-        regime = RegimeArrays.of(regime, d)
+        regime, index = RegimeArrays.of((regime,), d), np.zeros(n, dtype=np.intp)
     free, clamp_mean = regime.free[index], regime.mean[index]
     clamp_var = np.broadcast_to(np.asarray(intervention_var, float), regime.mean.shape)[index]
 

@@ -24,13 +24,17 @@ from .scm import InterventionFamily
 VARIANCE_FLOOR = 1e-6
 _NULL_RESID_TOL = 1e-10
 
-# Defaults for the projection sampler. The signal window acts on |a_i' t| for
-# unit t, in units of A's RMS entry ||A||_F / sqrt(p d), so c A accepts the rows
-# A accepts; at the simulator's mixing variance of 1.5 the unit is about
-# sqrt(1.5), and EPS_SIG an absolute signal of about 0.1.
+# The projection sampler's signal window acts on |a_i' t| for unit t, in units
+# of A's RMS entry ||A||_F / sqrt(p d), so c A accepts the rows A accepts; at the
+# simulator's mixing variance of 1.5 the unit is about sqrt(1.5), and EPS_SIG an
+# absolute signal of about 0.1. The PIPELINE_* defaults are the pipeline's
+# settings: many low-signal rows plus weighting give the estimator most of the
+# precision the projected data supports.
 EPS_SIG = 0.1 / math.sqrt(1.5)
-DELTA_DIVERSITY = 0.05
 MAX_STREAK = 500  # consecutive diversity rejections after which a node is passed over
+PIPELINE_ROWS_PER_MEASUREMENT = 40
+PIPELINE_SIGNAL_CAP = 0.35 / math.sqrt(1.5)  # in EPS_SIG's units
+PIPELINE_DELTA = 0.001
 
 
 def _covering_regimes(datasets, family, node):
@@ -106,9 +110,9 @@ class ProjectionSet:
 
 
 def sample_projection_vectors(A: np.ndarray, m: int | None = None,
-                              delta: float = DELTA_DIVERSITY,
+                              delta: float = PIPELINE_DELTA,
                               seed=None,
-                              signal_cap: float | None = None) -> ProjectionSet:
+                              signal_cap: float = PIPELINE_SIGNAL_CAP) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 
     Node i's rows are unit vectors t in the null space of the other columns
@@ -129,25 +133,27 @@ def sample_projection_vectors(A: np.ndarray, m: int | None = None,
     matrix that ``measurement.check_mixing`` rejects is rejected before any
     draw.
 
-    ``signal_cap`` optionally narrows the window from above: the
-    pinned-variance term the signal multiplies dominates the sampling noise
-    of each equation's right-hand side, so low-signal rows estimate the
-    noise variances far more precisely.
+    The defaults are the pipeline's: ``PIPELINE_ROWS_PER_MEASUREMENT`` rows per
+    measurement, ``PIPELINE_DELTA``, and a ``PIPELINE_SIGNAL_CAP`` that narrows
+    the window from above (``math.inf`` is no cap): the pinned-variance term
+    the signal multiplies dominates the sampling noise of each equation's
+    right-hand side, so low-signal rows estimate the noise variances far more
+    precisely.
     """
     A = check_mixing(A)
     p, d = A.shape
     if m is None:
-        m = 2 * p
+        m = PIPELINE_ROWS_PER_MEASUREMENT * p
     if m < p:
         raise ParameterError(f"need at least p={p} rows, got m={m}")
-    if signal_cap is not None and signal_cap <= EPS_SIG:
+    if signal_cap <= EPS_SIG:
         raise ParameterError("signal_cap must exceed EPS_SIG")
     rng = np.random.default_rng(seed)
 
     bases = [null_space_basis(np.delete(A, i, axis=1).T) for i in range(d)]
     unit = np.linalg.norm(A) / math.sqrt(p * d)
     lo = EPS_SIG * unit
-    hi = math.inf if signal_cap is None else signal_cap * unit
+    hi = signal_cap * unit
     cos_limit = 1.0 - delta
 
     # Accepted rows: the vectors, their squares (the design matrix), the
@@ -275,29 +281,19 @@ def estimate_linear_variances(datasets, family: InterventionFamily, A: np.ndarra
     return np.maximum(sigma_sq, VARIANCE_FLOOR)
 
 
-# Pipeline defaults: many low-signal rows plus weighting give the estimator
-# most of the precision the projected data supports.
-PIPELINE_ROWS_PER_MEASUREMENT = 40
-PIPELINE_SIGNAL_CAP = 0.35 / math.sqrt(1.5)  # in EPS_SIG's units
-PIPELINE_DELTA = 0.001
-
-
 def estimate_channel_noise(datasets, family: InterventionFamily,
                            channel_type: str, A: np.ndarray | None = None, seed=0):
     """Estimate a measurement channel's noise variances from regime data.
 
     Returns the estimated variance vector (length d for ``"gan"``, length p
-    for ``"linear"``). The linear path samples an accuracy-oriented
-    projection set (many rows, capped signal) and solves the weighted
+    for ``"linear"``). The linear path samples a projection set at the
+    sampler's defaults (many rows, capped signal) and solves the weighted
     non-negative system.
     """
     if channel_type == "gan":
         return estimate_gan_variances(datasets, family)
     if channel_type == "linear":
         A = check_mixing(check_array("linear channel's 'A'", A))
-        p = A.shape[0]
-        proj = sample_projection_vectors(
-            A, m=PIPELINE_ROWS_PER_MEASUREMENT * p,
-            delta=PIPELINE_DELTA, signal_cap=PIPELINE_SIGNAL_CAP, seed=seed)
+        proj = sample_projection_vectors(A, seed=seed)
         return estimate_linear_variances(datasets, family, A, proj)
     raise ParameterError(f"unknown channel type {channel_type!r}; expected 'gan' or 'linear'")

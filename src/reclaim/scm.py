@@ -158,33 +158,31 @@ def mechanism(scm: GroundTruthScm, x: np.ndarray) -> np.ndarray:
 
 
 def solve_fixed_point(scm: GroundTruthScm, Z: np.ndarray,
-                      regime: InterventionRegime = InterventionRegime(), values=None,
-                      tol: float = FIXED_POINT_TOL,
-                      max_iter: int = FIXED_POINT_MAX_ITER) -> np.ndarray:
+                      regime: InterventionRegime = InterventionRegime(),
+                      values=None) -> np.ndarray:
     """Solve the (possibly intervened) structural equations of each row of Z (n, d).
 
-    Iterates ``X <- free*(f(X) + Z) + clamped`` from ``X0 = Z`` until the
-    update is below ``tol`` in infinity norm. ``values`` (n, len(targets)),
-    aligned with ``regime.targets``, holds the clamp values; intervened
-    coordinates equal them exactly on every iterate.
+    Iterates ``X <- free*(f(X) + Z) + clamped`` from ``X0 = Z`` and returns the
+    first iterate whose update and the update before it are both at most
+    ``FIXED_POINT_TOL`` in infinity norm: the map contracts the 2-norm, so the
+    infinity norm can rise again after one small update. ``values`` (n,
+    len(targets)), aligned with ``regime.targets``, holds the clamp values;
+    intervened coordinates equal them exactly on every iterate.
     """
     n, d = Z.shape
     free = regime.free_mask(d).astype(float)
     C = np.zeros((n, d))
     if regime.targets:
         C[:, list(regime.targets)] = values
-    X = Z.copy()
-    for _ in range(max_iter):
+    X, small = Z.copy(), False
+    for step in range(1, FIXED_POINT_MAX_ITER + 1):
         nxt = free * (mechanism(scm, X) + Z) + C
-        delta = np.max(np.abs(nxt - X))
-        X = nxt
-        if delta <= tol:
-            break
-    residual = np.max(np.abs(X - (free * (mechanism(scm, X) + Z) + C)))
-    if residual > tol:
-        raise ConvergenceError(f"fixed-point iteration stalled at residual {residual:.3e} "
-                               f"after {max_iter} iterations")
-    return X
+        delta = np.max(np.abs(nxt - X), initial=0.0)  # 0 on zero rows
+        if small and delta <= FIXED_POINT_TOL:
+            return X
+        X, small = nxt, delta <= FIXED_POINT_TOL
+    raise ConvergenceError(f"fixed-point iteration stalled at residual {delta:.3e} "
+                           f"after {step} iterations")
 
 
 def sample_latents(scm: GroundTruthScm, regime: InterventionRegime,
@@ -198,8 +196,6 @@ def sample_latents(scm: GroundTruthScm, regime: InterventionRegime,
                           size=(n, len(regime.targets)))
     else:
         vals = None
-    if n == 0:
-        return np.zeros((0, d))
     return solve_fixed_point(scm, Z, regime, vals)
 
 

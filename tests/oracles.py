@@ -4,6 +4,7 @@ import numpy as np
 
 from reclaim import model
 from reclaim.errors import ConvergenceError
+from reclaim.scm import InterventionRegime
 
 
 def masked_forward(params, mask, x):
@@ -12,6 +13,16 @@ def masked_forward(params, mask, x):
     X = np.atleast_2d(np.asarray(x, dtype=float))
     out, _ = model._Kernel(params, model._mask_values(mask), slice(None), len(X)).forward(X)
     return out.reshape(np.shape(x))
+
+
+def masked_jacobian(params, mask, x, targets=()):
+    """The analytic Jacobian, [i, j] = dF_i/dx_j, of x -> free * F(x) at the point x,
+    F the masked network and ``free`` 0 at ``targets``, from the scoring kernel."""
+    M = model._mask_values(mask)
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    d = params.d
+    _, _, core, _ = model._Kernel(params, M, np.arange(d), len(X)).jacobian(X)
+    return InterventionRegime(targets).free_mask(d)[:, None] * M.T * core[0]
 
 
 def linear_latent_logpdf_oracle(weights: np.ndarray, noise_std, regime, x: np.ndarray) -> float:

@@ -295,7 +295,7 @@ def mixed_cache():
 
 def _minibatch_grads(theta, cache, rows, mask):
     """m_step's call: the cache rows ``rows`` of mixed regimes scored in one call."""
-    return model.latent_logpdf_grads(theta, mask, cache.regimes,
+    return model.latent_logpdf_grads(theta, mask, model.RegimeArrays.of(cache.regimes, theta.d),
                                      [r.variance for r in cache.regimes], cache.particles[rows],
                                      cache.regime_index[rows])
 

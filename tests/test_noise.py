@@ -174,24 +174,33 @@ def _normal_mixing(shape, a_seed):
 def _window(A, cap):
     """The sampler's signal window on |a_i' t|: EPS_SIG and the cap in units of A's RMS entry."""
     unit = np.linalg.norm(A) / np.sqrt(A.size)
-    return noise.EPS_SIG * unit, (np.inf if cap is None else cap) * unit
+    return noise.EPS_SIG * unit, cap * unit
+
+
+_DELTA = 0.05  # the diversity margin most sampler tests run at
+
+
+def _sample(A, m=None, delta=_DELTA, signal_cap=np.inf, seed=None):
+    """The sampler at the settings most of its tests run at: 2p rows, the margin
+    ``_DELTA`` and no signal cap. Its defaults are the pipeline's settings."""
+    return noise.sample_projection_vectors(A, m=2 * len(A) if m is None else m, delta=delta,
+                                           signal_cap=signal_cap, seed=seed)
 
 
 _PIPELINE = (noise.PIPELINE_DELTA, noise.PIPELINE_SIGNAL_CAP)
-# (A, m, delta, signal_cap, sampler seed): default and pipeline settings on tall
-# and square matrices, delta = 0 on square ones (each node's one direction is
-# still its one row), a narrow signal window at m = p, and pipeline settings
-# on 200 A, whose window is 200 times A's.
+# (A, m, delta, signal_cap, sampler seed): ``_sample``'s and the pipeline's
+# settings on tall and square matrices, delta = 0 on square ones (each node's
+# one direction is still its one row), a narrow signal window at m = p, and
+# pipeline settings on 200 A, whose window is 200 times A's.
 _SAMPLER_GRID = {
-    **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0],
-                                       noise.DELTA_DIVERSITY, None, a + 10)
+    **{f"defaults-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a), 2 * s[0], _DELTA, np.inf, a + 10)
        for s in [(12, 8), (20, 10), (8, 5), (5, 2), (6, 6), (3, 3)] for a in range(2)},
     **{f"pipeline-{s[0]}x{s[1]}-{a}": (_normal_mixing(s, a),
                                        noise.PIPELINE_ROWS_PER_MEASUREMENT * s[0], *_PIPELINE, a)
        for s in [(20, 10), (12, 6), (30, 4), (10, 10)] for a in range(2)},
-    **{f"square-delta0-{p}x{p}": (_normal_mixing((p, p), 0), 2 * p, 0.0, None, p)
+    **{f"square-delta0-{p}x{p}": (_normal_mixing((p, p), 0), 2 * p, 0.0, np.inf, p)
        for p in (6, 3, 10)},
-    **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, noise.DELTA_DIVERSITY, 0.12, 0)
+    **{f"narrow-window-8x5-{a}": (_normal_mixing((8, 5), a), 8, _DELTA, 0.12, 0)
        for a in range(3)},
     **{f"pipeline-200A-12x8-{a}": (200 * _normal_mixing((12, 8), a),
                                    noise.PIPELINE_ROWS_PER_MEASUREMENT * 12, *_PIPELINE, a)
@@ -213,15 +222,15 @@ def _outputs_taken(rng, seed, limit):
 class TestProjectionSampler:
     def test_padded_identity_full_rank(self):
         A = np.vstack([np.eye(2), np.zeros((1, 2))])
-        ps = noise.sample_projection_vectors(A, m=6, seed=0)
+        ps = _sample(A, m=6, seed=0)
         assert np.linalg.matrix_rank(ps.squares) == 3
 
     def test_square_case_one_row_per_node(self):
         # p = d: each node's one direction is its one row, whatever m and delta ask.
         rng = np.random.default_rng(2)
         A = rng.normal(size=(6, 6))
-        for delta in (noise.DELTA_DIVERSITY, noise.PIPELINE_DELTA, 0.0):
-            ps = noise.sample_projection_vectors(A, m=12, delta=delta, seed=1)
+        for delta in (_DELTA, noise.PIPELINE_DELTA, 0.0):
+            ps = _sample(A, m=12, delta=delta, seed=1)
             assert ps.m == 6
             assert sorted(ps.source_node.tolist()) == list(range(6))
             assert np.linalg.matrix_rank(ps.squares) == 6
@@ -229,11 +238,11 @@ class TestProjectionSampler:
     def test_random_tall_matrices_rank_certified(self):
         for s in range(100):
             A = np.random.default_rng(900 + s).normal(0, np.sqrt(1.5), size=(15, 10))
-            ps = noise.sample_projection_vectors(A, seed=s)
+            ps = _sample(A, seed=s)
             assert np.linalg.matrix_rank(ps.squares) == 15
 
     @pytest.mark.parametrize("shape, m, delta, cap", [
-        ((12, 8), 24, noise.DELTA_DIVERSITY, None),
+        ((12, 8), 24, _DELTA, np.inf),
         ((20, 10), noise.PIPELINE_ROWS_PER_MEASUREMENT * 20, noise.PIPELINE_DELTA,
          noise.PIPELINE_SIGNAL_CAP),
     ], ids=["defaults", "pipeline"])
@@ -259,10 +268,10 @@ class TestProjectionSampler:
         # squares, all in the plane of (1, 0, 0) and (0, 1, 1), to rank 3. Its
         # strongest direction, (0, 1, 1) / sqrt(2), would leave them at rank 2.
         A = np.array([[1.0, 0.0], [0.0, 0.02], [0.0, 0.02]])
-        lo, _ = _window(A, None)
+        lo, _ = _window(A, np.inf)
         assert np.linalg.norm(A[:, 1]) < lo
         for seed in range(5):
-            ps = noise.sample_projection_vectors(A, seed=seed)
+            ps = _sample(A, seed=seed)
             assert np.linalg.matrix_rank(ps.squares) == 3
             assert ps.source_node.tolist() == [0, 0, 0, 1]
             assert abs(ps.vectors[3] @ A[:, 1]) < lo
@@ -270,22 +279,22 @@ class TestProjectionSampler:
     @pytest.mark.parametrize("A, cap, node", [
         # p = d: node 2's one direction, e3, has signal 0.02, below the
         # window's 0.0385 (A's RMS entry is 0.471).
-        (np.diag([1.0, 1.0, 0.02]), None, 2),
+        (np.diag([1.0, 1.0, 0.02]), np.inf, 2),
         # p = d: each node's one direction has signal 1, above the cap's 0.069.
         (np.eye(3), 0.12, 0),
     ], ids=["below-eps", "above-cap"])
     def test_the_fallback_keeps_a_row_outside_the_signal_window(self, A, cap, node):
-        ps = noise.sample_projection_vectors(A, signal_cap=cap, seed=0)
+        ps = _sample(A, signal_cap=cap, seed=0)
         assert ps.source_node.tolist() == [0, 1, 2]
         assert np.array_equal(np.abs(ps.vectors), np.eye(3))
         lo, hi = _window(A, cap)
         assert not lo <= abs(ps.vectors[node] @ A[:, node]) <= hi
 
     @pytest.mark.parametrize("shape, m, delta, cap", [
-        ((12, 8), 24, noise.DELTA_DIVERSITY, None),
+        ((12, 8), 24, _DELTA, np.inf),
         ((20, 10), noise.PIPELINE_ROWS_PER_MEASUREMENT * 20, noise.PIPELINE_DELTA,
          noise.PIPELINE_SIGNAL_CAP),
-        ((6, 6), 12, 0.0, None),
+        ((6, 6), 12, 0.0, np.inf),
     ], ids=["defaults", "pipeline", "square-delta0"])
     def test_the_same_seed_gives_the_same_set_byte_for_byte(self, shape, m, delta, cap):
         A = _normal_mixing(shape, 0)
@@ -319,21 +328,21 @@ class TestProjectionSampler:
     @pytest.mark.parametrize("scale", [1e6, 1e9, 1e-3, 1e-6])
     def test_a_large_multiple_of_the_mixing_gives_every_row(self, scale):
         A = _normal_mixing((20, 10), 0)
-        ps = noise.sample_projection_vectors(A * scale, seed=1)
+        ps = _sample(A * scale, seed=1)
         assert ps.m == 40
         assert np.linalg.matrix_rank(ps.squares) == 20
 
     @pytest.mark.parametrize("p", [3, 2, 1])
     def test_one_latent_gives_a_rank_p_design(self, p):
         A = np.arange(1.0, p + 1.0)[:, None]
-        ps = noise.sample_projection_vectors(A, seed=0)
+        ps = _sample(A, seed=0)
         assert np.all(ps.source_node == 0)
         assert np.linalg.matrix_rank(ps.squares) == p
 
     def test_m_below_p_rejected(self):
         A = np.random.default_rng(0).normal(size=(5, 3))
         with pytest.raises(ParameterError):
-            noise.sample_projection_vectors(A, m=4, seed=0)
+            _sample(A, m=4, seed=0)
 
     @pytest.mark.parametrize("A", [
         # Column 2 is column 0 plus column 1: every column-deleted matrix keeps
@@ -350,7 +359,7 @@ class TestProjectionSampler:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(RankError, match=r"^mixing matrix is rank deficient \(smallest "):
-            noise.sample_projection_vectors(A, seed=rng)
+            _sample(A, seed=rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("A, m, rank", [
@@ -371,7 +380,7 @@ class TestProjectionSampler:
     def test_budget_exhaustion_reports_rank(self, A, m, rank):
         rng = np.random.default_rng(0)
         with pytest.raises(SamplingFailureError, match=rf"rank {rank} < {A.shape[0]}$"):
-            noise.sample_projection_vectors(A, m=m, seed=rng)
+            _sample(A, m=m, seed=rng)
         # The failure ends the one pass, with nothing drawn at p = d. Each
         # node draws at most its share plus MAX_STREAK rows per row it keeps
         # and one more streak: rows of r normals and a signal, each of which
@@ -420,6 +429,16 @@ class TestProjectionSampler:
         assert np.array_equal(ps.source_node, np.repeat(nodes, counts))
         np.testing.assert_allclose(ps.vectors.sum(axis=0), colsum, rtol=1e-12, atol=0)
         np.testing.assert_allclose(ps.vectors[-1], last, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_defaults_are_the_pipeline_settings(self, seed):
+        A = _normal_mixing((20, 10), seed)
+        default = noise.sample_projection_vectors(A, seed=seed)
+        explicit = noise.sample_projection_vectors(
+            A, m=noise.PIPELINE_ROWS_PER_MEASUREMENT * 20, delta=noise.PIPELINE_DELTA,
+            signal_cap=noise.PIPELINE_SIGNAL_CAP, seed=seed)
+        assert default.vectors.tobytes() == explicit.vectors.tobytes()
+        assert default.source_node.tobytes() == explicit.source_node.tobytes()
 
 
 class TestNnls:
@@ -489,7 +508,7 @@ class TestLinearEstimator:
         rng = np.random.default_rng(10)
         p, d = 6, 4
         A = rng.normal(size=(p, d))
-        ps = noise.sample_projection_vectors(A, m=p, seed=1)
+        ps = _sample(A, m=p, seed=1)
         sigma_true = rng.uniform(0.1, 0.8, p)
         x = noise.nnls_projected_gradient(ps.squares, ps.squares @ sigma_true)
         assert np.allclose(x, sigma_true, atol=1e-8)
@@ -511,7 +530,7 @@ class TestLinearEstimator:
         """The reference: one projected sample variance per (row, covering regime).
         The estimator sums in another order, so the two agree to rounding."""
         A, _, fam, datasets = simulate_linear(6, 4, 2000, seed=20)
-        ps = noise.sample_projection_vectors(A, m=24, seed=3)
+        ps = _sample(A, m=24, seed=3)
         rhs, weight = np.empty(ps.m), np.empty(ps.m)
         for r, (t, node) in enumerate(zip(ps.vectors, ps.source_node)):
             covering = [k for k, reg in enumerate(fam.regimes) if node in reg.targets]
@@ -551,6 +570,17 @@ class TestLinearEstimator:
         scaled = noise.estimate_channel_noise([c * Y for Y in datasets], fam, "linear", c * A,
                                               seed=3)
         np.testing.assert_allclose(scaled, c * c * est, rtol=1e-12, atol=0)
+
+    def test_the_linear_estimate_reproduces_the_recorded_one(self):
+        # The estimate at the pipeline's sampler settings; record it again only for a
+        # change meant to alter the estimate.
+        A, _, fam, datasets = simulate_linear(10, 5, 2000, seed=7)
+        est = noise.estimate_channel_noise(datasets, fam, "linear", A, seed=3)
+        recorded = [0.2302738843715178, 0.10365893531235396, 0.17593288630207105,
+                    0.13858180386336805, 0.12471850743155292, 0.26289463279687897,
+                    0.17179519076964175, 0.3461870436069304, 0.22989719458321484,
+                    0.21737933853311425]
+        np.testing.assert_allclose(est, recorded, rtol=1e-12, atol=0)
 
     def test_rank_deficient_design_rejected(self):
         fam = scm.single_node_family(2)

@@ -15,11 +15,12 @@ class TestLinearLogpdfOracle:
                                          scm.InterventionRegime(), np.zeros(d))
         assert ll == pytest.approx(-(d / 2) * np.log(2 * np.pi))
 
-    def test_two_node_example_logdet_term(self):
+    def test_two_node_example_logdet_term(self, monkeypatch):
+        monkeypatch.setattr(scm, "FIXED_POINT_TOL", 1e-12)
         adj = TWO_NODE_WEIGHTS != 0
         model = scm.GroundTruthScm(graphs.DirectedGraph(adj), TWO_NODE_WEIGHTS, beta=0.0)
         z = np.array([1.0, 3.0])
-        x = scm.solve_fixed_point(model, z[None], tol=1e-12)[0]
+        x = scm.solve_fixed_point(model, z[None])[0]
         ll = linear_latent_logpdf_oracle(model.weights, 1.0, scm.InterventionRegime(), x)
         gauss = -np.log(2 * np.pi) - 0.5 * float(z @ z)
         assert ll == pytest.approx(gauss + np.log(1.56), abs=1e-9)

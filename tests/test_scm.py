@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reclaim import graphs, scm
+from reclaim import cli, graphs, scm
 from reclaim.errors import ConvergenceError, ParameterError
 
 
@@ -55,9 +55,15 @@ class TestSolveFixedPoint:
         z = np.array([0.3, -1.0, 2.0])
         assert np.allclose(scm.solve_fixed_point(model, z[None]), z)
 
-    def test_two_node_linear_example(self):
+    def test_zero_rows_give_zero_rows(self):
+        X = scm.solve_fixed_point(two_node_example(), np.zeros((0, 2)),
+                                  scm.InterventionRegime((1,)), np.zeros((0, 1)))
+        assert X.shape == (0, 2)
+
+    def test_two_node_linear_example(self, monkeypatch):
+        monkeypatch.setattr(scm, "FIXED_POINT_TOL", 1e-10)
         model = two_node_example(beta=0.0)
-        x = scm.solve_fixed_point(model, np.array([[1.0, 3.0]]), tol=1e-10)[0]
+        x = scm.solve_fixed_point(model, np.array([[1.0, 3.0]]))[0]
         assert np.allclose(x, [1.9871795, 1.4102564], atol=1e-7)
 
     def test_full_intervention_clamps_exactly(self):
@@ -98,7 +104,8 @@ class TestSolveFixedPoint:
             prev_delta = delta
             x = nxt
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(scm, "FIXED_POINT_MAX_ITER", 50)
         g = graphs.DirectedGraph(np.array([[False, True], [True, False]]))
         diverging = scm.GroundTruthScm.__new__(scm.GroundTruthScm)
         object.__setattr__(diverging, "graph", g)
@@ -107,7 +114,25 @@ class TestSolveFixedPoint:
         object.__setattr__(diverging, "noise_std", np.ones(2))
         with pytest.raises(ConvergenceError,
                            match=r"stalled at residual \S+ after 50 iterations$"):
-            scm.solve_fixed_point(diverging, np.ones((1, 2)), max_iter=50)
+            scm.solve_fixed_point(diverging, np.ones((1, 2)))
+
+    def test_an_update_that_rises_past_the_tolerance_does_not_stall(self, monkeypatch,
+                                                                      tmp_path):
+        # In regime (2,) of this simulation the infinity norm of the 36th update
+        # is 8.9e-9 and of the 37th 1.07e-8: a stop after one small update left an
+        # iterate whose residual was above the tolerance.
+        residuals, solve = [], scm.solve_fixed_point
+
+        def recording(model, Z, regime, values):
+            X = solve(model, Z, regime, values)
+            # The clamped coordinates equal their values exactly, so their residual is 0.
+            free = regime.free_mask(model.d)
+            residuals.append(np.max(np.abs(free * (X - (scm.mechanism(model, X) + Z)))))
+            return X
+
+        monkeypatch.setattr(scm, "solve_fixed_point", recording)
+        cli.run_simulate({"d": 10, "n_per_regime": 500, "seed": 1973748834}, tmp_path)
+        assert len(residuals) == 11 and max(residuals) <= scm.FIXED_POINT_TOL
 
 
 class TestSampleLatents:
