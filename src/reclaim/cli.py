@@ -20,16 +20,17 @@ is not p x d, a regime whose target is not an integer node index in [0, d)
 or whose mean or variance is not a finite number, an
 "include_observational" or "use_true_noise" that is not true or false, a
 "use_true_noise" fit whose channel.json has no "sigma_sq" or a null one, a
-checkpoint.json to resume from that is malformed, has a round record field
-of the wrong type or a "sigma_z" that is not positive and finite, is of
-another dimension than the data, or has another hidden width or
+checkpoint.json to resume from that is malformed, has a round record field of
+the wrong type, a parameter that is not finite or a "sigma_z" not above 0, is
+of another dimension than the data, or has another hidden width or
 "lipschitz_target" than the fit config, a truth graph or report that does not
-parse, and an evaluation against a truth graph with no edges), 3 I/O failure
-(a data directory without family.json among them, which is what a cut
-``simulate`` leaves), 4 unmet interventional-coverage requirement, 5
-numerical failure (too many degenerate observations in an E-step, a
-fixed-point iteration that stalls, a forward map that fails the orientation
-check, or a linear channel whose projection design cannot reach rank p).
+parse, an edge score outside [0, 1] or NaN, and an evaluation against a truth
+graph with no edges), 3 I/O failure (a data directory without family.json
+among them, which is what a cut ``simulate`` leaves), 4 unmet interventional-
+coverage requirement, 5 numerical failure (too many degenerate observations in
+an E-step, a fixed-point iteration that stalls, a forward map that fails the
+orientation check, or a linear channel whose projection design cannot reach
+rank p).
 
 ``fit`` writes ``checkpoint.json`` (the parameters and the per-round trace)
 after every round. ``fit --resume`` continues from that checkpoint's trace,

@@ -4,7 +4,7 @@ Each round freezes posterior particles drawn under the current parameters,
 then runs minibatch gradient ascent on the Monte-Carlo surrogate (mean
 complete-data latent log-density) minus an expected-edge-count penalty.
 The measurement-channel term of the complete-data likelihood is constant in
-the latent parameters, so it is tracked for reporting but not optimized.
+the latent parameters, so the E-step scores it for reporting only.
 """
 
 from __future__ import annotations
@@ -89,28 +89,24 @@ class ParticleCache:
     """Every regime's frozen particles, a weighted set: each distinct particle once.
 
     The E-step keeps, regime after regime, the observations whose weights did
-    not collapse: ``y[l]`` is kept observation l and ``ess[l]`` its effective
-    sample size. SIR resamples each observation's ``n_resample`` slots in
-    proposal order, so its copies of one proposal are adjacent slots; each run
-    of equal adjacent slots is one row of ``particles`` (N, d), ``counts[i]``
-    its number of slots and ``obs[i]`` its kept observation.
+    not collapse, ``ess[l]`` being kept observation l's effective sample size.
+    SIR resamples each observation's ``n_resample`` slots in proposal order, so
+    its copies of one proposal are adjacent slots; each run of equal adjacent
+    slots is one row of ``particles`` (N, d), ``counts[i]`` its number of slots.
     ``regime_index[i]`` is the position in ``regimes`` of row i's regime. It
     is nondecreasing, so each regime's rows are one slice. ``n_skipped``
-    counts the observations not kept.
-
-    A sum over the ``n_particles`` slots is the count-weighted sum over the
-    rows, which is how ``_slot_mean`` scores the cache for ``surrogate_q`` and
-    ``channel_term``; the M-step draws slots uniformly.
+    counts the observations not kept; ``channel_term`` is the E-step's mean
+    channel log-density per slot. A sum over the ``n_particles`` slots is the
+    count-weighted sum over the rows; the M-step draws slots uniformly.
     """
 
     regimes: tuple[InterventionRegime, ...]
-    y: np.ndarray
     particles: np.ndarray
     counts: np.ndarray
-    obs: np.ndarray
     regime_index: np.ndarray
     ess: np.ndarray
     n_skipped: int
+    channel_term: float
 
     @property
     def n_particles(self) -> int:
@@ -157,13 +153,12 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     r = cfg.n_resample
     # Each regime's draws are copied into buffers sized for every slot as they
     # come, so no second copy of them all is ever held.
-    y = np.empty((n_obs, phi_hat.p))
     ess = np.empty(n_obs)
     particles = np.empty((n_obs * r, theta.d))
     counts = np.empty(len(particles), dtype=np.min_scalar_type(r))
-    obs = np.empty(len(particles), dtype=np.min_scalar_type(n_obs))
     regime_index = np.empty(len(particles), dtype=np.min_scalar_type(len(family.regimes)))
     n_kept = n_rows = 0
+    channel_total = 0.0
     for k, (regime, Y) in enumerate(zip(family.regimes, datasets)):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         drawn, drawn_ess, kept = sir_sample_batch(
@@ -174,7 +169,6 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
             logger.debug("regime %d: skipped %d/%d degenerate observations",
                          k, dropped, Y.shape[0])
         stop = n_kept + len(drawn_ess)
-        y[n_kept:stop] = Y[kept]
         ess[n_kept:stop] = drawn_ess
         # A slot starts a row unless it equals the slot before it in its observation.
         starts = np.ones(drawn.shape[:2], dtype=bool)
@@ -183,8 +177,9 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
         rows = slice(n_rows, n_rows + starts.size)
         particles[rows] = drawn.reshape(-1, theta.d)[starts]
         counts[rows] = np.diff(starts, append=drawn.shape[0] * r)
-        obs[rows] = n_kept + starts // r
         regime_index[rows] = k
+        channel_total += channel_term(phi_hat, Y[np.flatnonzero(kept)[starts // r]],
+                                      particles[rows], counts[rows])
         n_kept, n_rows = stop, rows.stop
         del drawn  # held through the next regime's draws, it would be a second copy
     n_skipped = n_obs - n_kept
@@ -195,25 +190,9 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     if too_many:
         raise EStepError(
             f"{n_skipped}/{n_obs} observations degenerate (> {cfg.skip_tolerance:.0%})")
-    return ParticleCache(family.regimes, y[:n_kept], particles[:n_rows], counts[:n_rows],
-                         obs[:n_rows], regime_index[:n_rows], ess[:n_kept], n_skipped)
-
-
-def _slot_mean(cache: ParticleCache, score) -> float:
-    """Mean of ``score(regime, rows)`` over ``cache``'s ``n_particles`` slots.
-
-    ``rows`` is the slice of the cache's rows in ``regime``, each weighted by its
-    ``counts``. One call per regime: a pass over the whole cache holds every row's
-    temporaries together, which raised ``gan-d10``'s peak RSS by 16 % (118 to 137 MB).
-    """
-    if cache.n_particles == 0:
-        return 0.0
-    bounds = np.searchsorted(cache.regime_index, np.arange(len(cache.regimes) + 1))
-    total = 0.0
-    for regime, start, stop in zip(cache.regimes, bounds[:-1], bounds[1:]):
-        rows = slice(start, stop)
-        total += float(score(regime, rows) @ cache.counts[rows])
-    return total / cache.n_particles
+    return ParticleCache(family.regimes, particles[:n_rows], counts[:n_rows],
+                         regime_index[:n_rows], ess[:n_kept], n_skipped,
+                         channel_total / (n_kept * r) if n_kept else 0.0)
 
 
 def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
@@ -223,20 +202,27 @@ def surrogate_q(theta: ModelParams, cache: ParticleCache) -> float:
     ``expected_mask(edge_logits)``, so it draws no mask and is a fixed function
     of (theta, cache); only the M-step's edge-logit gradient needs relaxed
     masks. The measurement term is omitted (it does not depend on the latent
-    parameters). A ``_slot_mean``: one ``latent_logpdf_batch`` call per regime.
+    parameters). One count-weighted ``latent_logpdf_batch`` call per regime: a
+    pass over the whole cache holds every row's temporaries together, which
+    raised ``gan-d10``'s peak RSS by 16 % (118 to 137 MB).
     """
+    if cache.n_particles == 0:
+        return 0.0
     mask = expected_mask(theta.edge_logits)
-    return _slot_mean(cache, lambda regime, rows: latent_logpdf_batch(
-        theta, mask, regime, regime.variance, cache.particles[rows]))
+    bounds = np.searchsorted(cache.regime_index, np.arange(len(cache.regimes) + 1))
+    total = 0.0
+    for regime, start, stop in zip(cache.regimes, bounds[:-1], bounds[1:]):
+        rows = slice(start, stop)
+        total += float(latent_logpdf_batch(theta, mask, regime, regime.variance,
+                                           cache.particles[rows]) @ cache.counts[rows])
+    return total / cache.n_particles
 
 
-def channel_term(cache: ParticleCache, phi_hat: LinearChannel) -> float:
-    """Mean channel log-density over cached particles (constant in theta).
-
-    A ``_slot_mean``: one ``channel_logpdf`` call per regime.
-    """
-    return _slot_mean(cache, lambda _, rows: channel_logpdf(
-        phi_hat, cache.y[cache.obs[rows]], cache.particles[rows]))
+def channel_term(phi_hat: LinearChannel, y: np.ndarray, particles: np.ndarray,
+                 counts: np.ndarray) -> float:
+    """Count-weighted sum of log p(y_i | x_i) over one regime's rows x_i; constant
+    in theta, so ``e_step`` scores it as it draws and the cache keeps its mean."""
+    return float(channel_logpdf(phi_hat, y, particles) @ counts)
 
 
 def sparsity_penalty(theta: ModelParams, lam: float):
@@ -404,7 +390,7 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
             q_value=q,
             elbo_estimate=None,
             ess_median=float(np.median(cache.ess)) if cache.ess.size else None,
-            channel_term=channel_term(cache, phi_hat),
+            channel_term=cache.channel_term,
             n_skipped=cache.n_skipped,
         )
         del cache  # else the next E-step would hold these particles beside its own

@@ -94,7 +94,7 @@ def _validate_scores(scores: np.ndarray, d: int | None = None) -> np.ndarray:
         raise ParameterError(f"score matrix is {scores.shape[0]}x{scores.shape[0]}, graph has d={d}")
     if np.any(np.diag(scores) != 0):
         raise ParameterError("score matrix must have an exactly-zero diagonal")
-    if np.any(scores < 0) or np.any(scores > 1):
+    if not np.all((scores >= 0) & (scores <= 1)):  # NaN fails both
         raise ParameterError("scores must lie in [0, 1]")
     return scores
 

@@ -518,4 +518,9 @@ def params_to_dict(params: ModelParams) -> dict:
 def params_from_dict(obj: dict) -> ModelParams:
     """Parameters from a ``params_to_dict`` dict; other keys, such as the
     "pow_u_in"/"pow_u_out" vectors older checkpoints hold, are ignored."""
-    return ModelParams(**{f.name: obj[f.name] for f in fields(ModelParams)})
+    params = ModelParams(**{f.name: obj[f.name] for f in fields(ModelParams)})
+    for name in ("w_in", "b_in", "w_out", "b_out", "edge_logits"):
+        value = getattr(params, name)  # a logit may be infinite, as the diagonal's -inf is
+        if np.isnan(value).any() or name != "edge_logits" and np.isinf(value).any():
+            raise ParameterError(f"{name} holds an entry that is not finite")
+    return params

@@ -724,6 +724,17 @@ def test_evaluate_against_a_truth_graph_with_no_edges_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: truth graph has no edges; AUPRC is undefined\n"
 
 
+def test_evaluate_of_a_report_with_a_nan_score_exits_2(tmp_path, capsys):
+    report, truth = tmp_path / "report.json", tmp_path / "truth_graph.json"
+    scores = np.full((3, 3), 0.5)
+    np.fill_diagonal(scores, 0.0)
+    scores[2, 0] = np.nan
+    report.write_text(json.dumps({"edge_scores": scores.tolist()}))  # JSON's NaN
+    truth.write_text('{"d": 3, "edges": [[0, 1]]}')
+    code = cli.main(["evaluate", "--report", str(report), "--truth", str(truth)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: scores must lie in [0, 1]\n"
+
 
 @pytest.mark.parametrize("truth_text, report_text, message", [
     ('{"d": 3, "edges": [[0, 1]', None, "error: malformed truth graph {truth}: Expecting"),
@@ -1041,6 +1052,9 @@ def test_a_fit_of_empty_regimes_resumes_like_a_straight_fit(tmp_path, monkeypatc
 _PARAMS = json.dumps(model.params_to_dict(model.init_params(3)))
 _NAN_SIGMA_PARAMS = json.dumps({**model.params_to_dict(model.init_params(3)),
                                 "sigma_z": [1.0, float("nan"), 1.0]})
+_NAN_W_IN_PARAMS = model.params_to_dict(model.init_params(3))
+_NAN_W_IN_PARAMS["w_in"][0][0] = float("nan")
+_NAN_W_IN_PARAMS = json.dumps(_NAN_W_IN_PARAMS)
 _RECORD = json.dumps({"round": 0, "q_value": -4.5, "elbo_estimate": None, "ess_median": 7.5,
                       "channel_term": -3.25, "n_skipped": 0})
 
@@ -1067,8 +1081,11 @@ _RECORD = json.dumps({"round": 0, "q_value": -4.5, "elbo_estimate": None, "ess_m
      "trace[0].ess_median must be a finite real number, got nan"),
     ('{"params": ' + _NAN_SIGMA_PARAMS + ', "trace": []}',
      "sigma_z must be positive and finite, got nan"),
+    ('{"params": ' + _NAN_W_IN_PARAMS + ', "trace": []}',
+     "w_in holds an entry that is not finite"),
 ], ids=["truncated", "no-params", "no-trace", "params-without-w_in", "trace-of-partial-records",
-        "not-an-object", "string-q", "null-q", "non-integer-skips", "nan-ess", "nan-sigma_z"])
+        "not-an-object", "string-q", "null-q", "non-integer-skips", "nan-ess", "nan-sigma_z",
+        "nan-w_in"])
 def test_resume_from_a_malformed_checkpoint_exits_2(tmp_path, capsys, text, message):
     data, out = tmp_path / "data", tmp_path / "out"
     cli.run_simulate({"d": 3, "n_per_regime": 20}, data)

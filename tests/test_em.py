@@ -144,12 +144,15 @@ def test_e_step_raises_once_skips_exceed_tolerance(data, monkeypatch, caplog,
             em.e_step(theta, channel, datasets, family, cfg)
     else:
         cache = em.e_step(theta, channel, datasets, family, cfg)
-        assert cache.n_skipped == 5
-        assert cache.y.shape == (95, 4) and cache.ess.shape == (95,)
+        assert cache.n_skipped == 5 and cache.ess.shape == (95,)
         # Each kept observation's 4 slots hold one particle: one row, counted 4 times.
         assert cache.particles.shape == (95, 4) and cache.n_particles == 95 * 4
-        assert np.all(cache.counts == 4) and np.array_equal(cache.obs, np.arange(95))
+        assert np.all(cache.counts == 4)
         assert np.bincount(cache.regime_index).tolist() == [19] * 5
+        # The channel term scores the kept observations, each regime's first one dropped.
+        kept = np.concatenate([np.atleast_2d(Y)[1:] for Y in datasets])
+        expected = np.mean(measurement.channel_logpdf(channel, kept, np.zeros((95, 4))))
+        assert abs(cache.channel_term - expected) <= 1e-12 * abs(expected)
     skipped = 5 * dropped_per_regime
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.WARNING if raises else logging.INFO,
@@ -162,16 +165,15 @@ def test_e_step_passes_an_empty_regime_through_as_an_empty_cache_entry(data):
     cfg = em.EmConfig(**TINY)
     cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
                       datasets, family, cfg)
-    obs_regime = np.empty(len(cache.y), dtype=int)
-    obs_regime[cache.obs] = cache.regime_index  # the regime of each kept observation
-    assert cache.regimes[1] is family.regimes[1] and cache.y[obs_regime == 1].shape == (0, 4)
+    r = TINY["n_resample"]
+    assert cache.regimes[1] is family.regimes[1]
     assert cache.particles[cache.regime_index == 1].shape == (0, 4)
-    assert cache.ess[obs_regime == 1].shape == (0,)
     assert cache.n_skipped == 0
-    assert np.bincount(obs_regime, minlength=5).tolist() == [20, 0, 20, 20, 20]
-    assert cache.y.shape == (80, 4) and cache.ess.shape == (80,)
-    assert cache.n_particles == 80 * TINY["n_resample"]
-    assert np.isfinite(em.channel_term(cache, GaussianAdditiveChannel(np.full(4, 0.2))))
+    # Each kept observation holds n_resample slots, so the slots per regime count them.
+    slots = np.bincount(cache.regime_index, weights=cache.counts, minlength=5)
+    assert slots.tolist() == [20 * r, 0, 20 * r, 20 * r, 20 * r]
+    assert cache.ess.shape == (80,) and cache.n_particles == 80 * r
+    assert np.isfinite(cache.channel_term)
 
 
 def test_d30_additive_e_step_keeps_every_observation(tmp_path):
@@ -181,7 +183,8 @@ def test_d30_additive_e_step_keeps_every_observation(tmp_path):
     datasets, family = scm.read_dataset(tmp_path)
     channel = em.build_channel({"type": "gan"}, datasets, family)
     cache = em.e_step(model.init_params(30), channel, datasets, family, em.EmConfig())
-    assert cache.n_skipped == 0 and cache.y.shape == (620, 30)
+    assert cache.n_skipped == 0 and cache.ess.shape == (620,)
+    assert cache.particles.shape[1] == 30
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
@@ -196,10 +199,10 @@ def test_a_dataset_count_other_than_the_regime_count_is_refused(data, extra, spe
 
 
 def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
-    """Row i of the cache's particles is a run of equal adjacent slots of kept
-    observation ``obs[i]``, whose observation and ESS are row ``obs[i]`` of ``y`` and
-    ``ess``, and ``counts[i]`` is the run's length; the kept observations come regime
-    after regime, each regime's in its data's order."""
+    """Row i of the cache's particles is a run of equal adjacent slots of a kept
+    observation, whose ESS is that observation's row of ``ess``, and ``counts[i]`` is
+    the run's length; the kept observations come regime after regime, each regime's
+    in its data's order."""
     datasets, family = data
     datasets = [datasets[0], np.zeros((0, 4)), *datasets[2:]]
     r = TINY["n_resample"]
@@ -218,14 +221,13 @@ def test_e_step_holds_each_particle_once_in_regime_order(data, monkeypatch):
     kept = [Y[np.arange(len(Y)) % 3 != 1] for Y in datasets]
     n_kept = sum(map(len, kept))
     assert cache.n_skipped == 80 - n_kept
-    assert np.array_equal(cache.y, np.concatenate(kept))
-    assert np.array_equal(cache.ess, cache.y[:, 0])
+    y = np.concatenate(kept)
+    assert np.array_equal(cache.ess, y[:, 0])
     assert cache.particles.shape == (n_kept * per_obs, 4)
     assert cache.n_particles == n_kept * r
     i = np.arange(len(cache.particles))
-    assert np.array_equal(cache.obs, i // per_obs)
     assert np.all(cache.counts == 2)
-    assert np.array_equal(cache.particles, cache.y[i // per_obs] + (i % per_obs)[:, None])
+    assert np.array_equal(cache.particles, y[i // per_obs] + (i % per_obs)[:, None])
     assert np.array_equal(cache.regime_index, np.repeat(np.arange(len(family.regimes)),
                                                         [len(Y) * per_obs for Y in kept]))
 
@@ -243,10 +245,11 @@ def test_distinct_particles_sharing_a_first_coordinate_get_one_row_each(data, mo
     monkeypatch.setattr(em, "sir_sample_batch", stub_sir)
     cache = em.e_step(model.init_params(4), GaussianAdditiveChannel(np.full(4, 0.2)),
                       datasets, family, em.EmConfig(**TINY))
+    y = np.concatenate(datasets)
     assert cache.particles.shape == (200, 4) and cache.n_particles == 400
-    assert np.array_equal(cache.particles[0::2], cache.y)
-    assert np.array_equal(cache.particles[1::2], cache.y + shift)
-    assert np.all(cache.counts == 2) and np.array_equal(cache.obs, np.arange(200) // 2)
+    assert np.array_equal(cache.particles[0::2], y)
+    assert np.array_equal(cache.particles[1::2], y + shift)
+    assert np.all(cache.counts == 2)
 
 
 def _per_regime_grads(theta, cache, rows, mask):
@@ -267,19 +270,20 @@ def _per_regime_grads(theta, cache, rows, mask):
     return value, grads
 
 
-def _mixed_cache(stub_sir, theta, channel, n_resample=TINY["n_resample"]):
+def _mixed_cache(stub_sir, theta, channel, n_resample=TINY["n_resample"], **overrides):
     """The cache ``stub_sir`` gives over observational, one-, two- and all-target
-    regimes and an empty one, with the regimes' own clamp means and variances."""
+    regimes and an empty one, with the regimes' own clamp means and variances;
+    ``overrides`` are further ``EmConfig`` fields."""
     family = scm.InterventionFamily((
         scm.InterventionRegime(), scm.InterventionRegime((1,), 0.5, mean=0.3),
         scm.InterventionRegime((0, 2), 2.0, mean=-0.4), scm.InterventionRegime((3,)),
         scm.InterventionRegime((0, 1, 2, 3), 1.5, mean=0.2)))
     rng = np.random.default_rng(11)
-    datasets = [rng.normal(size=(n, theta.d)) for n in (6, 5, 7, 0, 4)]
+    datasets = [rng.normal(size=(n, channel.p)) for n in (6, 5, 7, 0, 4)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(em, "sir_sample_batch", stub_sir)
         return em.e_step(theta, channel, datasets, family,
-                         em.EmConfig(**{**TINY, "n_resample": n_resample}))
+                         em.EmConfig(**{**TINY, "n_resample": n_resample, **overrides}))
 
 
 @pytest.fixture(scope="module")
@@ -391,17 +395,16 @@ def _repeating_sir(Y, params, mask, channel, regime, var, n_proposals, n_resampl
 
 def _runs(particles):
     """Reference cache rows of (observations, slots, d) particles: per observation,
-    each run of equal adjacent slots once, with its length and the observation."""
-    rows, counts, obs = [], [], []
-    for l, slots in enumerate(particles):
+    each run of equal adjacent slots once, with its length."""
+    rows, counts = [], []
+    for slots in particles:
         for j, row in enumerate(slots):
             if j and np.array_equal(row, slots[j - 1]):
                 counts[-1] += 1
             else:
                 rows.append(row)
                 counts.append(1)
-                obs.append(l)
-    return np.array(rows), counts, obs
+    return np.array(rows), counts
 
 
 @pytest.mark.parametrize("n_resample", [16, 300])
@@ -412,18 +415,19 @@ def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resamp
     theta = model.init_params(4, hidden=3, seed=12, weight_scale=0.6)
     theta = dataclasses.replace(theta, b_in=np.full(3, 0.1), b_out=np.full(4, -0.2))
     channel = GaussianAdditiveChannel(np.array([0.2, 0.3, 0.25, 0.4]))
-    drawn = []  # each regime's slots, as the E-step got them
+    drawn, ys = [], []  # each regime's slots, as the E-step got them, and observations
 
-    def recording_sir(*args, **kwargs):
-        out = _repeating_sir(*args, **kwargs)
+    def recording_sir(Y, *args, **kwargs):
+        out = _repeating_sir(Y, *args, **kwargs)
         drawn.append(out[0])
+        ys.append(Y)
         return out
 
     cache = _mixed_cache(recording_sir, theta, channel, n_resample)
     slots = np.concatenate(drawn)  # (kept observations, slots, d)
-    rows, counts, obs = _runs(slots)
+    rows, counts = _runs(slots)
     assert np.array_equal(cache.particles, rows)
-    assert cache.counts.tolist() == counts and cache.obs.tolist() == obs
+    assert cache.counts.tolist() == counts
     assert cache.n_particles == slots.shape[0] * n_resample
     assert cache.counts[0] == n_resample
     assert len(cache.counts) < cache.n_particles
@@ -432,9 +436,39 @@ def test_distinct_rows_weighted_by_multiplicity_give_the_per_slot_means(n_resamp
     q_slots = sum(float(model.latent_logpdf_batch(theta, mask, regime, regime.variance,
                                                   x.reshape(-1, 4)).sum())
                   for x, regime in zip(drawn, cache.regimes)) / cache.n_particles
-    channel_slots = np.mean(measurement.channel_logpdf(channel, cache.y[:, None, :], slots))
+    channel_slots = np.mean(measurement.channel_logpdf(
+        channel, np.concatenate(ys)[:, None, :], slots))
     assert abs(em.surrogate_q(theta, cache) - q_slots) <= 1e-12 * abs(q_slots)
-    assert abs(em.channel_term(cache, channel) - channel_slots) <= 1e-12 * abs(channel_slots)
+    assert abs(cache.channel_term - channel_slots) <= 1e-12 * abs(channel_slots)
+
+
+@pytest.mark.parametrize("channel", [
+    GaussianAdditiveChannel(np.array([0.2, 0.3, 0.25, 0.4])),
+    measurement.LinearChannel(np.random.default_rng(4).normal(size=(7, 4)),
+                              np.linspace(0.1, 0.4, 7)),
+], ids=["additive", "linear-p7"])
+def test_the_e_step_scores_the_channel_term_over_every_slot(channel):
+    """The cache's channel term is the plain mean, over every slot, of the channel
+    log-density of the slot's particle against its kept observation. The stub drops
+    every third observation, so a row's observation is not the data row of its index."""
+    theta = model.init_params(4, seed=3)
+    kept_ys, drawn = [], []  # each regime's kept observations and their slots
+
+    def dropping_sir(Y, params, mask, channel, regime, var, n_proposals, n_resample,
+                     seed=None):
+        kept = np.arange(len(Y)) % 3 != 1
+        particles, ess, _ = _repeating_sir(Y[kept], params, mask, channel, regime, var,
+                                           n_proposals, n_resample, seed=seed)
+        kept_ys.append(Y[kept])
+        drawn.append(particles)
+        return particles, ess, kept
+
+    cache = _mixed_cache(dropping_sir, theta, channel, skip_tolerance=0.5)
+    slots = np.concatenate(drawn)
+    assert cache.n_skipped == 7 and len(cache.counts) < cache.n_particles == slots[..., 0].size
+    expected = np.mean(measurement.channel_logpdf(
+        channel, np.concatenate(kept_ys)[:, None, :], slots))
+    assert abs(cache.channel_term - expected) <= 1e-12 * abs(expected)
 
 
 def test_fewer_resampled_slots_do_not_bias_what_the_cache_scores(tmp_path):
@@ -451,9 +485,9 @@ def test_fewer_resampled_slots_do_not_bias_what_the_cache_scores(tmp_path):
         caches = [em.e_step(theta, channel, datasets, family, em.EmConfig(n_resample=r),
                             seed=seed) for r in (4, 16)]
         assert np.array_equal(caches[0].ess, caches[1].ess)  # the same weights
-        assert np.array_equal(caches[0].y, caches[1].y)
+        assert caches[0].n_skipped == caches[1].n_skipped  # and kept observations
         q4, q16 = (em.surrogate_q(theta, c) for c in caches)
-        c4, c16 = (em.channel_term(c, channel) for c in caches)
+        c4, c16 = (c.channel_term for c in caches)
         diffs.append((q4 - q16, c4 - c16))
     diffs = np.array(diffs)
     assert np.all(diffs != 0)  # the uniforms did differ
@@ -461,7 +495,7 @@ def test_fewer_resampled_slots_do_not_bias_what_the_cache_scores(tmp_path):
     assert np.all(np.abs(diffs.mean(axis=0)) <= 3 * se)
 
     cache = em.e_step(theta, channel, datasets, family, em.EmConfig())
-    n_kept = len(cache.y)
+    n_kept = len(cache.ess)
     assert n_kept == 300 and cache.n_particles == 4 * n_kept
     assert len(cache.particles) <= 4 * n_kept
 

@@ -185,6 +185,20 @@ class TestAuprc:
             done += 1
 
 
+class TestScoreValidation:
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan], ids=["negative", "above-one", "nan"])
+    def test_a_score_outside_the_unit_interval_is_refused(self, bad):
+        """NaN fails both comparisons of the range check, so the check asks for
+        scores within [0, 1] rather than for none outside it."""
+        truth = graph_from_edges(3, [(0, 1), (1, 2)])
+        scores = truth.adj.astype(float)
+        scores[2, 0] = bad
+        with pytest.raises(ParameterError, match=r"^scores must lie in \[0, 1\]$"):
+            graphs.auprc(scores, truth)
+        with pytest.raises(ParameterError, match=r"^scores must lie in \[0, 1\]$"):
+            graphs.threshold_edges(scores, 0.5)
+
+
 class TestThresholdEdges:
     def test_all_zero_scores(self):
         g = graphs.threshold_edges(np.zeros((4, 4)), 0.5)

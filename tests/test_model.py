@@ -694,6 +694,23 @@ class TestCheckpointIO:
                            match=rf"^sigma_z must be positive and finite, got {bad!r}$"):
             model.params_from_dict(obj)
 
+    @pytest.mark.parametrize("name, index, bad", [
+        ("w_in", (0, 0), np.nan), ("b_in", (1,), np.inf), ("w_out", (2, 1), -np.inf),
+        ("b_out", (0,), np.nan), ("edge_logits", (0, 1), np.nan)])
+    def test_a_parameter_that_is_not_finite_is_refused(self, name, index, bad):
+        """A checkpoint enters here; an edge logit may be infinite, a weight may not."""
+        obj = model.params_to_dict(model.init_params(3))
+        value = np.array(obj[name])
+        value[index] = bad
+        obj[name] = value.tolist()
+        with pytest.raises(ParameterError, match=rf"^{name} holds an entry that is not finite$"):
+            model.params_from_dict(obj)
+
+    def test_an_infinite_edge_logit_loads(self):
+        obj = model.params_to_dict(model.init_params(3))
+        obj["edge_logits"][0][1] = np.inf
+        assert model.params_from_dict(obj).edge_logits[0, 1] == np.inf
+
     def test_checkpoint_with_power_iteration_vectors_loads(self):
         p = model.init_params(3, seed=31)
         obj = {**model.params_to_dict(p), "pow_u_in": [0.6, 0.0, 0.8], "pow_u_out": None}
