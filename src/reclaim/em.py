@@ -138,18 +138,17 @@ def _round_seeds(seed: int, round_index: int, n: int = 3) -> list[int]:
     return list(np.random.SeedSequence((seed, round_index)).generate_state(n))
 
 
-def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: InterventionFamily,
-           cfg: EmConfig, seed=None) -> ParticleCache:
+def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets: list[np.ndarray],
+           family: InterventionFamily, cfg: EmConfig, seed: int) -> ParticleCache:
     """Draw and freeze posterior particles for every observation.
 
     Observations whose importance weights collapse (see ``sir_sample_batch``)
     are skipped, logged at INFO while their share is within
     ``cfg.skip_tolerance``; the step fails, with a warning, if more is lost.
     """
-    seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     mask = expected_mask(theta.edge_logits)
-    n_obs = sum(len(np.atleast_2d(Y)) for _, Y in zip(family.regimes, datasets))
+    n_obs = sum(map(len, datasets))
     r = cfg.n_resample
     # Each regime's draws are copied into buffers sized for every slot as they
     # come, so no second copy of them all is ever held.
@@ -160,7 +159,6 @@ def e_step(theta: ModelParams, phi_hat: LinearChannel, datasets, family: Interve
     n_kept = n_rows = 0
     channel_total = 0.0
     for k, (regime, Y) in enumerate(zip(family.regimes, datasets)):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         drawn, drawn_ess, kept = sir_sample_batch(
             Y, theta, mask, phi_hat, regime, regime.variance,
             cfg.n_proposals, r, seed=rng.integers(2 ** 63))
@@ -225,12 +223,12 @@ def channel_term(phi_hat: LinearChannel, y: np.ndarray, particles: np.ndarray,
     return float(channel_logpdf(phi_hat, y, particles) @ counts)
 
 
-def sparsity_penalty(theta: ModelParams, lam: float):
-    """lambda * sum of off-diagonal edge probabilities, with its gradient."""
+def sparsity_penalty(theta: ModelParams, lam: float) -> np.ndarray:
+    """The edge-logit gradient of lambda * sum of off-diagonal edge probabilities."""
     probs = expected_mask(theta.edge_logits)
     grad = lam * probs * (1.0 - probs)
     np.fill_diagonal(grad, 0.0)
-    return lam * float(probs.sum()), grad
+    return grad
 
 
 class _Adam:
@@ -240,8 +238,8 @@ class _Adam:
         self.m = {}
         self.v = {}
 
-    def step(self, values: dict, grads: dict) -> dict:
-        """Ascent step; returns updated arrays."""
+    def step(self, params: ModelParams, grads: dict) -> dict:
+        """Ascent step; returns the updated arrays of the fields ``grads`` names."""
         self.t += 1
         b1, b2 = _ADAM_BETAS
         out = {}
@@ -253,19 +251,19 @@ class _Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g ** 2
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            out[name] = values[name] + self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            out[name] = getattr(params, name) + self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         return out
 
 
-def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -> ModelParams:
+def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed: int) -> ModelParams:
     """Minibatch Adam ascent on (surrogate - penalty) over the frozen cache.
 
     The mask is re-relaxed with fresh Gumbel noise each step and frozen
     within the step's gradient evaluation; spectral normalization runs after
-    every update. A non-finite objective aborts the round: the last finite
-    parameters are restored and the learning rate is halved once.
+    every update. The first non-finite surrogate or gradient restores the
+    last finite parameters, halves the learning rate, restarts Adam's moments
+    and goes on; a second one restores them again and ends the round.
     """
-    seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     slots = np.repeat(np.arange(len(cache.counts)), cache.counts)  # slot -> row
     n_total = slots.size
@@ -285,11 +283,10 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
         # One call scores rows of mixed regimes, each at its own regime's free coordinates.
         value, grads = latent_logpdf_grads(current, mask, regimes, variances,
                                            cache.particles[rows], cache.regime_index[rows])
-        pen_value, pen_grad = sparsity_penalty(current, cfg.sparsity_lambda)
-        objective = value - pen_value
-        grads["edge_logits"] = grads["edge_logits"] - pen_grad
+        # The penalty is finite (at most lambda d^2): value and the gradients decide.
+        grads["edge_logits"] -= sparsity_penalty(current, cfg.sparsity_lambda)
         grads.pop("mask", None)
-        finite = np.isfinite(objective) and all(np.all(np.isfinite(g)) for g in grads.values())
+        finite = np.isfinite(value) and all(np.all(np.isfinite(g)) for g in grads.values())
         if not finite:
             if halved:
                 logger.warning("m-step hit a second non-finite loss; stopping round early")
@@ -301,9 +298,7 @@ def m_step(theta: ModelParams, cache: ParticleCache, cfg: EmConfig, seed=None) -
             logger.warning("non-finite m-step loss; restoring parameters and halving lr")
             continue
         last_finite = current
-        values = {name: getattr(current, name) for name in grads}
-        updated = adam.step(values, grads)
-        current = spectral_normalize(current, **updated)
+        current = spectral_normalize(current, **adam.step(current, grads))
     return current
 
 
@@ -353,14 +348,17 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
     data alone. ``trace`` is the list of ``RoundRecord``s of the rounds
     already run, and the fit's only state besides ``init_theta``: the next
     round is ``len(trace)``, and no round runs once the trace holds
-    ``cfg.em_rounds`` records or has ``converged``. The initial parameters'
-    seed and the round seeds derive from (cfg.seed, round), so resuming from
+    ``cfg.em_rounds`` records or has ``converged``. ``fit`` seeds every step:
+    the initial parameters from (cfg.seed, 0), and round r's E-step, M-step
+    and ELBO from the three children of (cfg.seed, r + 1), so resuming from
     a checkpoint's parameters and trace reproduces the uninterrupted run.
+    ``datasets`` become float 2-D arrays once, for every step.
     ``init_theta`` must have the data's d, the config's hidden width (d when
     ``cfg.hidden`` is None) and its ``lipschitz_target``, or a
     ``ParameterError`` names both values. ``round_callback(r, theta, trace)``
     runs after each round.
     """
+    datasets = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in datasets]
     phi_hat = build_channel(channel_spec, datasets, family)
     d = phi_hat.d
 
@@ -416,8 +414,8 @@ def fit(datasets, family: InterventionFamily, channel_spec: dict, cfg: EmConfig,
 CHUNK_ROWS = 65536
 
 
-def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
-                  family: InterventionFamily, cfg: EmConfig, seed=None):
+def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets: list[np.ndarray],
+                  family: InterventionFamily, cfg: EmConfig, seed: int):
     """Self-normalized importance estimate of sum_k sum_l log p(y | theta, phi).
 
     Returns ``(total, se)``: per observation, the log mean importance weight
@@ -426,12 +424,11 @@ def elbo_estimate(theta: ModelParams, phi_hat: LinearChannel, datasets,
     """
     S = cfg.elbo_proposals
     step = max(1, CHUNK_ROWS // S)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     mask = expected_mask(theta.edge_logits)
     total = 0.0
     var_total = 0.0
     for Y, regime in zip(datasets, family.regimes):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         for start in range(0, Y.shape[0], step):
             _, lw = weighted_draws(Y[start:start + step], theta, mask, phi_hat, regime,
                                    regime.variance, S, rng)

@@ -177,12 +177,11 @@ def expit(x) -> np.ndarray:
     return np.array([_logistic(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def sample_mask(edge_logits: np.ndarray, temperature: float = 1.0,
-                seed=None) -> MaskSample:
+def sample_mask(edge_logits: np.ndarray, temperature: float = 1.0, *, seed) -> MaskSample:
     """Binary-concrete relaxation of the Bernoulli mask entries.
 
-    Each off-diagonal entry is sigmoid((logit + g1 - g0) / temperature) with
-    independent standard Gumbel draws.
+    Each off-diagonal entry is sigmoid((logit + g1 - g0) / temperature), with
+    standard Gumbel draws g1, then g0, from ``default_rng(seed)``.
     """
     if temperature <= 0:
         raise ParameterError("temperature must be positive")
@@ -442,7 +441,7 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
     n, d = X.shape
     if n == 0:
         raise ParameterError(f"X has shape {X.shape}: the mean needs at least one row")
-    weights = np.full(n, 1.0 / n)
+    w = 1.0 / n  # each row's weight in the mean
     if isinstance(regime, InterventionRegime):
         regime, index = RegimeArrays.of((regime,), d), np.zeros(n, dtype=np.intp)
     free, clamp_mean = regime.free[index], regime.mean[index]
@@ -461,13 +460,13 @@ def latent_logpdf_grads(params: ModelParams, mask, regime, intervention_var,
     ll = _masked_gauss_logpdf(X - clamp_mean[:, None], clamp_var[:, None], 1.0 - free)
     ll += _masked_gauss_logpdf(Z, var, free)
     ll += _logdet(B, lambda bad: np.eye(d) - free[bad, :, None] * core[bad] * M.T, invert=True)
-    value = float(weights @ ll)
+    value = float(np.mean(ll))
 
     # dD = d value / d J = -B^-T, B^-T being the view B.transpose(2, 1, 0), zero on
     # the clamped rows and written C-ordered; z-term pull-back into the outputs
-    dD = np.multiply(B.transpose(2, 1, 0), (-weights[:, None] * free)[:, :, None],
+    dD = np.multiply(B.transpose(2, 1, 0), (-w * free)[:, :, None],
                      out=np.empty((n, d, d)))
-    dF = weights[:, None] * free * Z / var
+    dF = w * free * Z / var
 
     # log-det pull-back through J = mask.T * core; dK = d value / d core. A
     # clamped output's row of dK and dF is zero, so its w_out and b_out

@@ -110,8 +110,7 @@ class ProjectionSet:
 
 
 def sample_projection_vectors(A: np.ndarray, m: int | None = None,
-                              delta: float = PIPELINE_DELTA,
-                              seed=None,
+                              delta: float = PIPELINE_DELTA, *, seed,
                               signal_cap: float = PIPELINE_SIGNAL_CAP) -> ProjectionSet:
     """Sample projection vectors whose squares form a rank-p design matrix.
 

@@ -91,12 +91,11 @@ def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: LinearChan
     """Proposal draws for a regime's observations with their log importance weights.
 
     Returns ``(xs, log_w)``: the (n, n_proposals, d) draws of one
-    ``GaussianProposal``, row i for observation i of ``Y``, and
+    ``GaussianProposal``, row i for observation i of the float (n, p) ``Y``, and
     log p(x) + log p(y | x) - log q(x | y), computed as
     log p(x) - log prior(x) + log Z(y), all scored in one ``latent_logpdf_batch``
     call.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     proposal = GaussianProposal(channel, Y, regime, params.sigma_z)
     xs = proposal.draw(rng, n_proposals)
     log_w = latent_logpdf_batch(params, mask, regime, intervention_var,
@@ -108,7 +107,7 @@ def weighted_draws(Y: np.ndarray, params: ModelParams, mask, channel: LinearChan
 
 def sir_sample_batch(Y: np.ndarray, params: ModelParams, mask, channel: LinearChannel,
                      regime: InterventionRegime, intervention_var: float,
-                     n_proposals: int, n_resample: int, seed=None):
+                     n_proposals: int, n_resample: int, seed):
     """Vectorized SIR across a regime's observations, in one importance pass.
 
     Returns ``(particles, ess, kept)``: resampled particles of shape

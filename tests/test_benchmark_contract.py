@@ -132,7 +132,7 @@ def test_traced_fit_cycle_scores_each_observation_once(harness, tmp_path, monkey
     assert rows_under("em.surrogate_q", "model.latent_logpdf_batch") == distinct
     assert rows_under("em.channel_term", "measurement.channel_logpdf") == distinct
     assert distinct < n_particles * n_rounds
-    # One call per regime, not one over the whole cache: see em._slot_mean.
+    # One call per regime, not one over the whole cache: see em.surrogate_q's docstring.
     assert len(under("em.surrogate_q", "model.latent_logpdf_batch")) == \
         len(s.family.regimes) * n_rounds
     assert len(under("em.channel_term", "measurement.channel_logpdf")) == \

@@ -92,7 +92,20 @@ class TestSampleMask:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ParameterError):
-            model.sample_mask(np.zeros((2, 2)), temperature=0.0)
+            model.sample_mask(np.zeros((2, 2)), temperature=0.0, seed=0)
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    def test_values_are_the_perturbed_logits_over_the_temperature(self, temperature):
+        """sigmoid((logit + g1 - g0) / T) off the diagonal, g1 then g0 standard Gumbel
+        draws of the seed's generator, and 0 on it."""
+        logits = np.random.default_rng(3).normal(0.0, 2.0, size=(4, 4))
+        rng = np.random.default_rng(9)
+        g1, g0 = rng.gumbel(size=(4, 4)), rng.gumbel(size=(4, 4))
+        want = 1.0 / (1.0 + np.exp(-(logits + g1 - g0) / temperature))
+        np.fill_diagonal(want, 0.0)
+        got = model.sample_mask(logits, temperature, seed=9)
+        assert got.temperature == temperature
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0.0)
 
 
 class TestEdgeScores:
